@@ -51,6 +51,22 @@ class SimClock:
             raise ValueError(f"cannot charge negative time {seconds!r}")
         self._busy[resource] += seconds
 
+    def charge_repeated(self, resource: str, seconds: float,
+                        times: int) -> None:
+        """``times`` charges of ``seconds`` against ``resource`` in one call.
+
+        Added one at a time, so the meter ends on the same float that
+        many :meth:`charge` calls leave and sim figures repeat bit for bit.
+        """
+        if seconds < 0:
+            raise ValueError(f"cannot charge negative time {seconds!r}")
+        if times <= 0:
+            return
+        busy = self._busy[resource]
+        for _ in range(times):
+            busy += seconds
+        self._busy[resource] = busy
+
     def busy_time(self, resource: str) -> float:
         """Busy-time accumulated against ``resource`` since the last drain."""
         return self._busy.get(resource, 0.0)

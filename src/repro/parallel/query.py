@@ -47,8 +47,8 @@ from repro.table.agg import AggregateState, aggregate_file, footer_answerable
 from repro.table.chunkcache import default_chunk_cache
 from repro.table.columnar import ColumnarFile
 from repro.table.expr import Expression
-from repro.table.join import ColumnSet, JoinResult, build_side, join_codes, \
-    probe_codes
+from repro.table.join import BucketDirectory, ColumnSet, JoinResult, \
+    prepare_join, probe_directory
 from repro.table.pushdown import AggregateSpec, result_size_bytes
 from repro.table.table import QueryStats, TableObject
 
@@ -364,8 +364,8 @@ def sharded_select(
 class JoinShardTask:
     """One worker's contiguous slice of a join's probe side.
 
-    Only dense ``int64`` code arrays cross the pool boundary — the
-    shared code space and the sorted build side are computed once on the
+    Only dense integer arrays cross the pool boundary — the bucket ids
+    and the build side's bucket directory are computed once on the
     driver (building is inherently serial; probing embarrassingly
     parallel), so the task pickles cheaply under process pools too.
     """
@@ -374,8 +374,7 @@ class JoinShardTask:
     #: global probe position of this slice's first row
     start: int
     probe: np.ndarray
-    sorted_build: np.ndarray
-    build_order: np.ndarray
+    directory: BucketDirectory
     how: str
     seed: int
     clock_start: float
@@ -404,8 +403,8 @@ def _run_join_shard(task: JoinShardTask) -> JoinShardResult:
     )
     started = time.perf_counter()
     with use_context(context):
-        probe_indices, build_indices = probe_codes(
-            task.sorted_build, task.build_order, task.probe, task.how
+        probe_indices, build_indices = probe_directory(
+            task.directory, task.probe, task.how
         )
         counters = join_stats()
         counters.probe_rows += int(len(task.probe))
@@ -432,31 +431,26 @@ def sharded_hash_join(
 ) -> JoinResult:
     """:func:`~repro.table.join.hash_join` with a sharded probe phase.
 
-    The driver computes the shared code space and sorts the build side
-    once; the probe side splits into ``num_workers`` **contiguous**
-    slices, each probed in its own execution context.  Because slices
-    are contiguous and ascending, concatenating shard outputs in worker
-    order reproduces the serial kernel's probe-row-ascending output
-    exactly — same :class:`JoinResult`, and the per-shard
-    :class:`JoinStats` fold back additively into counters identical to
-    the serial run's (``probe_rows`` sums over slices, ``build_rows``
-    and ``joins_executed`` count once on the driver).
+    The driver computes the bucket ids and the build side's bucket
+    directory once; the probe side splits into ``num_workers``
+    **contiguous** slices, each probed in its own execution context.
+    Because slices are contiguous and ascending, concatenating shard
+    outputs in worker order reproduces the serial kernel's
+    probe-row-ascending output exactly — same :class:`JoinResult`, and
+    the per-shard :class:`JoinStats` fold back additively into counters
+    identical to the serial run's (``probe_rows`` sums over slices,
+    ``build_rows`` and ``joins_executed`` count once on the driver).
     """
     context = context if context is not None else current_context()
     with use_context(context):
-        left_codes, right_codes = join_codes(left, right, left_on, right_on)
-        sorted_build, build_order = build_side(right_codes)
-        counters = join_stats()
-        counters.joins_executed += 1
-        counters.build_rows += right.num_rows
+        left_codes, directory = prepare_join(left, right, left_on, right_on)
     bounds = np.linspace(0, left.num_rows, num_workers + 1).astype(int)
     tasks = [
         JoinShardTask(
             worker=worker,
             start=int(bounds[worker]),
             probe=left_codes[bounds[worker]:bounds[worker + 1]],
-            sorted_build=sorted_build,
-            build_order=build_order,
+            directory=directory,
             how=how,
             seed=context.rng.randrange(2 ** 63),
             clock_start=context.clock.now,

@@ -196,17 +196,14 @@ class ServingFrontend:
         """
         if keys is not None and len(keys) != len(values):
             raise ValueError(f"got {len(values)} values but {len(keys)} keys")
-        size_bytes = sum(len(value) for value in values)
+        size_bytes = sum(map(len, values))
         # route the throttle check exactly as the producer will route the
         # records: per-key stream groups (all-one-group when keyless)
-        route_key = self.service.dispatcher.route_key
-        per_stream: dict[str, int] = {}
+        dispatcher = self.service.dispatcher
         if keys is None:
-            per_stream[route_key(topic, "")] = len(values)
+            per_stream = {dispatcher.route_key(topic, ""): len(values)}
         else:
-            for key in keys:
-                stream_id = route_key(topic, key)
-                per_stream[stream_id] = per_stream.get(stream_id, 0) + 1
+            per_stream = dispatcher.route_keys(topic, keys)
         throttle_delay = 0.0
         if topic in self._converters:
             # no converter => no reunion backlog to bound: backpressure

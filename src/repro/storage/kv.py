@@ -76,6 +76,15 @@ class KVEngine:
         self._clock.charge(self.name, self._read_cost)
         return self._data.get(key, default)
 
+    def charge_reads(self, count: int) -> None:
+        """Account ``count`` point lookups of a value the caller holds.
+
+        A request that reads one key once per record pays every round
+        trip but needs the value once: same ``reads``, same sim charge.
+        """
+        self.reads += count
+        self._clock.charge_repeated(self.name, self._read_cost, count)
+
     def delete(self, key: str) -> bool:
         """Remove a key; returns whether it existed."""
         if key not in self._data:

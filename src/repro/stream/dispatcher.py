@@ -16,6 +16,7 @@ benches can report exactly that.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from repro.common.clock import SimClock
 from repro.errors import TopicExistsError, TopicNotFoundError
@@ -207,6 +208,23 @@ class StreamDispatcher:
         config = self.config_of(topic)
         index = shard_of(key, config.stream_num)
         return f"{topic}/{index}"
+
+    def route_keys(self, topic: str, keys: list[str]) -> dict[str, int]:
+        """Records per stream of a keyed request, streams in first-seen order.
+
+        :meth:`route_key` over every key — one topology read each, as a
+        producer routing record by record pays — with each distinct key
+        hashed once: a request usually carries one key, or few.
+        """
+        if not keys:
+            return {}
+        config = self.config_of(topic)
+        self._kv.charge_reads(len(keys) - 1)
+        per_stream: dict[str, int] = {}
+        for key, count in Counter(keys).items():
+            stream_id = f"{topic}/{shard_of(key, config.stream_num)}"
+            per_stream[stream_id] = per_stream.get(stream_id, 0) + count
+        return per_stream
 
     def worker_of(self, stream_id: str) -> str:
         worker = self._kv.get(f"assign/{stream_id}")

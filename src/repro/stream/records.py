@@ -54,6 +54,8 @@ _HEADER_DTYPE = np.dtype([
     ("topic_len", "<u4"), ("key_len", "<u4"), ("pid_len", "<u4"),
     ("txn_len", "<u4"), ("value_len", "<u4"),
 ])
+#: one header as an opaque fixed-width item (see :func:`repack_slices`)
+_HEADER_BLOCK = np.dtype((np.void, _HEADER_DTYPE.itemsize))
 #: txn_id length sentinel distinguishing ``None`` from an empty string.
 _NO_TXN = 0xFFFFFFFF
 
@@ -393,7 +395,10 @@ def repack_slices(pieces: list[tuple[bytes, int, int]],
         blobs.append(data[blob_start + first:blob_start + last])
         blob_total += last - first
     n = sum(a.shape[0] for a in head_arrays)
-    headers = np.concatenate(head_arrays)
+    # joined as opaque fixed-width items: concatenating record arrays
+    # re-derives the common field layout once per piece
+    headers = np.concatenate(
+        [a.view(_HEADER_BLOCK) for a in head_arrays]).view(_HEADER_DTYPE)
     headers["offset"] = np.arange(base_offset, base_offset + n,
                                   dtype=np.int64)
     header_bytes = headers.tobytes()

@@ -125,10 +125,6 @@ def _decode_column(blob: bytes, type_: ColumnType, count: int) -> list[object]:
     return _decode_strings(raw, count)
 
 
-#: Sentinel code marking a null during plain-string factorization.
-_NULL_CODE_MARKER = np.uint32(0xFFFFFFFF)
-
-
 def _strings_to_vector(raw: bytes, count: int) -> DictStringVector:
     """Decode a string chunk to dictionary form without a row-dict detour.
 
@@ -152,19 +148,15 @@ def _strings_to_vector(raw: bytes, count: int) -> DictStringVector:
     values = json.loads(body)
     if len(values) != count:
         raise CorruptionError(f"string column length {len(values)} != {count}")
-    mapping: dict[object, int] = {}
-    codes = np.empty(count, dtype=np.uint32)
-    dictionary: list[object] = []
-    for index, value in enumerate(values):
-        if value is None:
-            codes[index] = _NULL_CODE_MARKER
-            continue
-        code = mapping.get(value)
-        if code is None:
-            code = mapping[value] = len(dictionary)
-            dictionary.append(value)
-        codes[index] = code
-    codes[codes == _NULL_CODE_MARKER] = len(dictionary)
+    # distinct values in first-seen order; NULL takes the code past them
+    distinct = dict.fromkeys(values)
+    distinct.pop(None, None)
+    dictionary = list(distinct)
+    mapping = dict(zip(dictionary, range(len(dictionary))))
+    mapping[None] = len(dictionary)
+    codes = np.fromiter(
+        map(mapping.__getitem__, values), dtype=np.uint32, count=count
+    )
     return DictStringVector(dictionary, codes)
 
 

@@ -1,19 +1,25 @@
-"""Vectorized hash joins over dictionary-encoded column codes.
+"""Vectorized hash joins over a bucket directory of key codes.
 
 The paper's Fig 16 workloads are multi-table, but until this module the
 engine executed table-at-a-time.  A join here never materializes a
 Python row on the hot path:
 
-* both sides' key columns map into one **shared dense code space**
-  (:func:`join_codes`): numeric keys through one ``np.unique`` over the
-  union of both sides' values, string keys by remapping each side's
-  dictionary into the sorted union of the two dictionaries — so equal
-  values on either side share a code, and NULLs (plus cross-type pairs
-  that can never compare equal) take the sentinel ``-1``;
-* the build side's codes sort once (stable, so duplicate keys keep
-  build-row order) and every probe key finds its match run with two
-  ``np.searchsorted`` calls — a bincount-bucketed hash table in all but
-  name, with the bucket directory implicit in the sorted array;
+* the build side's key columns define the buckets of a **bucket
+  directory** (:func:`join_codes`): integer/bool/timestamp keys whose
+  span is small against the row counts address buckets directly as
+  ``value - build_min``; floats, sparse integers and over-wide composite
+  keys take their rank among ``np.unique`` of the build side only; string
+  keys remap the probe dictionary into the build dictionary — so a probe
+  key lands in the bucket of the build keys it equals, and NULLs, keys
+  that provably match nothing and cross-type pairs take the sentinel
+  ``-1``.  Which coding runs follows from the dtypes and spans observed;
+  nothing selects it;
+* the directory (:func:`build_directory`) is ``counts = bincount(codes)``,
+  ``starts = cumsum(counts) - counts`` and one stable ``order`` (so
+  duplicate keys keep build-row order); a probe
+  (:func:`probe_directory`) is two gathers, ``counts[probe]`` and
+  ``starts[probe]``, and when every bucket holds at most one build row —
+  any PK-FK join — it emits its matches without expanding fan-out;
 * the result is a pair of row-index arrays (:class:`JoinResult`) —
   **late materialization**: both sides gather surviving indices as
   typed vectors (:meth:`ColumnVector.gather`) and only the final
@@ -23,7 +29,8 @@ NULL-key semantics match SQL: a NULL never equals anything (including
 another NULL), so NULL keys drop from the build side and match nothing
 on the probe side; a LEFT OUTER join still emits the probe row once,
 with ``-1`` marking the missing build row (materialized as NULLs).
-Float NaN keys follow Python/SQL equality and match nothing.
+Numeric keys compare exactly, like Python ``==``: NaN matches nothing,
+and an int64 equals a float64 only when the float is that integer.
 
 :func:`join_rows` is the row-wise nested-loop oracle — kept *only* for
 hypothesis equivalence tests (CI greps for imports outside this module
@@ -225,162 +232,261 @@ class JoinResult:
         return int(len(self.left_indices))
 
 
-def _numeric_pair_codes(left: NumericVector, right: NumericVector
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Shared dense codes for a numeric/numeric key pair; NULL/NaN = -1."""
-    left_valid = left.valid()
-    right_valid = right.valid()
-    common = np.result_type(left.values.dtype, right.values.dtype)
-    left_values = left.values[left_valid].astype(common, copy=False)
-    right_values = right.values[right_valid].astype(common, copy=False)
-    uniques = np.unique(np.concatenate([left_values, right_values]))
-    left_codes = np.full(len(left), -1, dtype=np.int64)
-    right_codes = np.full(len(right), -1, dtype=np.int64)
-    left_codes[left_valid] = np.searchsorted(uniques, left_values)
-    right_codes[right_valid] = np.searchsorted(uniques, right_values)
-    if np.issubdtype(common, np.floating):
-        # NaN sorts into the code space but never equals anything
-        left_codes[left_valid] = np.where(
-            np.isnan(left_values), -1, left_codes[left_valid]
-        )
-        right_codes[right_valid] = np.where(
-            np.isnan(right_values), -1, right_codes[right_valid]
-        )
-    return left_codes, right_codes
+#: Direct addressing is used while the build side's key span (or a
+#: multi-column key's combined width) stays within this multiple of
+#: build + probe rows; it bounds the bucket directory's memory (two
+#: int64 slots per bucket) at a small constant per input row.
+DIRECT_SPAN_FACTOR = 4
 
 
-def _string_pair_codes(left: DictStringVector, right: DictStringVector
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Shared dense codes for a string/string key pair; NULL = -1.
+def _coded_against_build(probe_values: np.ndarray, probe_valid: np.ndarray,
+                         build_values: np.ndarray, build_valid: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bucket ids = rank among the **build side's** distinct values.
 
-    Each side's dictionary remaps into the sorted union of the two
-    dictionaries — one tiny Python loop per *distinct* value, then one
-    vectorized take through the codes (the dictionary-encoded build the
-    issue calls for: probes compare uint codes, never strings).
+    The fallback coding for keys that cannot address buckets directly
+    (floats, sparse integers, over-wide composite codes): one
+    ``np.unique`` over the build side only, then one ``searchsorted``
+    plus an equality check per probe row — a probe value absent from
+    the build side takes ``-1`` and never needs a bucket.
     """
-    union = sorted(set(left.dictionary) | set(right.dictionary))
-    index = {value: position for position, value in enumerate(union)}
-    left_map = np.array(
-        [index[value] for value in left.dictionary] + [-1], dtype=np.int64
+    uniques, inverse = np.unique(
+        build_values[build_valid], return_inverse=True
     )
-    right_map = np.array(
-        [index[value] for value in right.dictionary] + [-1], dtype=np.int64
+    build_codes = np.full(len(build_values), -1, dtype=np.int64)
+    build_codes[build_valid] = inverse
+    if not len(uniques):
+        return np.full(len(probe_values), -1, dtype=np.int64), build_codes, 0
+    slots = np.minimum(
+        np.searchsorted(uniques, probe_values), len(uniques) - 1
     )
-    return left_map[left.codes], right_map[right.codes]
+    hit = probe_valid & (uniques[slots] == probe_values)
+    return np.where(hit, slots, -1), build_codes, len(uniques)
+
+
+def _exact_int64(vector: NumericVector) -> tuple[np.ndarray, np.ndarray]:
+    """``(int64 values, valid)`` under exact (Python ``==``) equality.
+
+    Integer, bool and timestamp columns pass through.  A float equals
+    an integer only when it is integral and inside the int64 range, so
+    every other float (fractions, NaN, infinities) turns invalid — it
+    can match nothing on an integer side.
+    """
+    values, valid = vector.values, vector.valid()
+    if values.dtype.kind != "f":
+        return values.astype(np.int64, copy=False), valid
+    exact = (
+        valid & (values == np.floor(values))
+        & (values >= -2.0 ** 63) & (values < 2.0 ** 63)
+    )
+    return np.where(exact, values, 0.0).astype(np.int64), exact
+
+
+def _numeric_pair_codes(probe: NumericVector, build: NumericVector,
+                        span_limit: int
+                        ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bucket ids for a numeric/numeric key pair; NULL/NaN/no-match = -1.
+
+    Float pairs code against the build side's distinct values.  Every
+    other pair compares as exact int64 (see :func:`_exact_int64`) and,
+    when the build side's span fits ``span_limit``, addresses buckets
+    directly as ``value - build_min`` with no sort at all.
+    """
+    if probe.values.dtype.kind == "f" and build.values.dtype.kind == "f":
+        return _coded_against_build(
+            probe.values, probe.valid() & ~np.isnan(probe.values),
+            build.values, build.valid() & ~np.isnan(build.values),
+        )
+    probe_values, probe_valid = _exact_int64(probe)
+    build_values, build_valid = _exact_int64(build)
+    present = build_values[build_valid]
+    if len(present):
+        low, high = int(present.min()), int(present.max())
+        span = high - low + 1
+        if span <= span_limit:
+            in_range = (
+                probe_valid & (probe_values >= low) & (probe_values <= high)
+            )
+            # out-of-range differences may wrap; the mask discards them
+            return (np.where(in_range, probe_values - low, -1),
+                    np.where(build_valid, build_values - low, -1), span)
+    return _coded_against_build(
+        probe_values, probe_valid, build_values, build_valid
+    )
+
+
+def _string_pair_codes(probe: DictStringVector, build: DictStringVector
+                       ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bucket ids for a string/string key pair; NULL/no-match = -1.
+
+    Buckets are the build dictionary's distinct values; the probe
+    dictionary remaps into them — one tiny Python loop per *distinct*
+    value, then one vectorized take through the codes (probes compare
+    uint codes, never strings).
+    """
+    index = {
+        value: code
+        for code, value in enumerate(dict.fromkeys(build.dictionary))
+    }
+    build_map = np.array(
+        [index[value] for value in build.dictionary] + [-1], dtype=np.int64
+    )
+    probe_map = np.array(
+        [index.get(value, -1) for value in probe.dictionary] + [-1],
+        dtype=np.int64,
+    )
+    return probe_map[probe.codes], build_map[build.codes], len(index)
+
+
+def _pair_codes(probe: ColumnVector, build: ColumnVector, span_limit: int
+                ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bucket ids for one key column pair, by the vectors' types."""
+    if isinstance(probe, NumericVector) and isinstance(build, NumericVector):
+        return _numeric_pair_codes(probe, build, span_limit)
+    if isinstance(probe, DictStringVector) and isinstance(
+        build, DictStringVector
+    ):
+        return _string_pair_codes(probe, build)
+    # a number never equals a string: no row can match
+    return (np.full(len(probe), -1, dtype=np.int64),
+            np.full(len(build), -1, dtype=np.int64), 0)
 
 
 def join_codes(left: ColumnSet, right: ColumnSet,
                left_on: list[str], right_on: list[str]
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense per-row key codes for both sides in one shared space.
+               ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-row bucket ids: ``(probe codes, build codes, bucket count)``.
 
-    Multi-column keys combine pairwise (``a * width_b + b``) with an
-    ``np.unique`` re-compaction after every step so codes stay small;
-    any ``-1`` component poisons the combined code to ``-1``.
+    ``right`` is the build side: its keys define the buckets
+    ``0..count-1`` (NULL keys take ``-1``); a ``left`` key that is NULL,
+    or that provably equals no build key, takes ``-1`` too.  How keys
+    map to buckets follows from the dtypes and spans observed (see
+    :func:`_numeric_pair_codes`, :func:`_string_pair_codes`).
+    Multi-column keys combine pairwise (``a * width_b + b``), any ``-1``
+    component poisoning the combined code; a combined width beyond the
+    span guard re-codes against the build side's distinct combinations.
     """
     if len(left_on) != len(right_on) or not left_on:
         raise ValueError("join requires equal, non-empty key column lists")
-    combined_left: np.ndarray | None = None
-    combined_right: np.ndarray | None = None
+    span_limit = DIRECT_SPAN_FACTOR * (left.num_rows + right.num_rows)
+    probe_ids: np.ndarray | None = None
+    build_ids: np.ndarray | None = None
+    width = 0
     for left_name, right_name in zip(left_on, right_on):
-        left_vector = left.columns[left_name]
-        right_vector = right.columns[right_name]
-        if isinstance(left_vector, NumericVector) and isinstance(
-            right_vector, NumericVector
-        ):
-            left_codes, right_codes = _numeric_pair_codes(
-                left_vector, right_vector
-            )
-        elif isinstance(left_vector, DictStringVector) and isinstance(
-            right_vector, DictStringVector
-        ):
-            left_codes, right_codes = _string_pair_codes(
-                left_vector, right_vector
-            )
+        pair = _pair_codes(
+            left.columns[left_name], right.columns[right_name], span_limit
+        )
+        if probe_ids is None:
+            probe_ids, build_ids, width = pair
         else:
-            # a number never equals a string: no row can match
-            left_codes = np.full(left.num_rows, -1, dtype=np.int64)
-            right_codes = np.full(right.num_rows, -1, dtype=np.int64)
-        if combined_left is None:
-            combined_left, combined_right = left_codes, right_codes
-            continue
-        width = int(
-            max(
-                left_codes.max(initial=-1), right_codes.max(initial=-1)
+            probe_pair, build_pair, pair_width = pair
+            poisoned_probe = (probe_ids < 0) | (probe_pair < 0)
+            poisoned_build = (build_ids < 0) | (build_pair < 0)
+            probe_ids = probe_ids * pair_width + probe_pair
+            build_ids = build_ids * pair_width + build_pair
+            probe_ids[poisoned_probe] = -1
+            build_ids[poisoned_build] = -1
+            width *= pair_width
+        if width > span_limit:
+            probe_ids, build_ids, width = _coded_against_build(
+                probe_ids, probe_ids >= 0, build_ids, build_ids >= 0
             )
-        ) + 1
-        new_left = combined_left * width + left_codes
-        new_right = combined_right * width + right_codes
-        new_left[(combined_left < 0) | (left_codes < 0)] = -1
-        new_right[(combined_right < 0) | (right_codes < 0)] = -1
-        # re-compact so the code space never exceeds the row counts
-        present = np.unique(
-            np.concatenate([new_left[new_left >= 0], new_right[new_right >= 0]])
-        )
-        combined_left = np.where(
-            new_left >= 0, np.searchsorted(present, new_left), -1
-        )
-        combined_right = np.where(
-            new_right >= 0, np.searchsorted(present, new_right), -1
-        )
-    assert combined_left is not None and combined_right is not None
-    return combined_left, combined_right
+    assert probe_ids is not None and build_ids is not None
+    return probe_ids, build_ids, width
 
 
-def build_side(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort-build the hash side: ``(sorted codes, original row order)``.
+@dataclass
+class BucketDirectory:
+    """The build side of a join, addressed by bucket id.
 
-    NULL/unmatchable keys (``-1``) drop here — they can never join.
-    The stable sort preserves build-row order within duplicate keys, so
-    probe output matches the oracle's scan order exactly.
+    Bucket ``b``'s build rows are
+    ``order[starts[b] : starts[b] + counts[b]]``, in build-row order.
+    ``starts``/``counts`` carry one extra, always-empty trailing bucket,
+    so the probe code ``-1`` (NULL / no possible match) indexes it and
+    finds zero rows without a mask.
     """
-    order = np.argsort(codes, kind="stable").astype(np.intp)
-    sorted_codes = codes[order]
-    first_valid = int(np.searchsorted(sorted_codes, 0, side="left"))
-    return sorted_codes[first_valid:], order[first_valid:]
+
+    starts: np.ndarray
+    counts: np.ndarray
+    order: np.ndarray
+    #: no bucket holds more than one build row (every PK-FK join)
+    unique: bool
 
 
-def probe_codes(sorted_build: np.ndarray, build_order: np.ndarray,
-                probe: np.ndarray, how: str = "inner"
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Probe a sorted build side: ``(probe indices, build indices)``.
+def build_directory(codes: np.ndarray, num_buckets: int) -> BucketDirectory:
+    """Bucket the build side's codes; ``-1`` (NULL) rows drop here.
 
-    Output rows are ordered probe-row-ascending, then build-row order
-    within a key — identical to the nested-loop oracle.  For ``left``,
-    unmatched probe rows appear once with build index ``-1``.
+    ``order`` is stable, so duplicate keys keep build-row order and the
+    probe output matches the oracle's scan order exactly.  Unique keys
+    need no sort: each row scatters straight to its bucket's slot.
+    """
+    rows = np.flatnonzero(codes >= 0)
+    kept = codes[rows]
+    counts = np.bincount(kept, minlength=num_buckets + 1)
+    starts = np.cumsum(counts) - counts
+    unique = int(counts.max()) <= 1
+    if unique:
+        order = np.empty(len(rows), dtype=np.intp)
+        order[starts[kept]] = rows
+    else:
+        order = rows[np.argsort(kept, kind="stable")]
+    return BucketDirectory(starts, counts, order, unique)
+
+
+def probe_directory(directory: BucketDirectory, probe: np.ndarray,
+                    how: str = "inner") -> tuple[np.ndarray, np.ndarray]:
+    """Probe a bucket directory: ``(probe indices, build indices)``.
+
+    Two gathers (``counts[probe]``, ``starts[probe]``) replace a pair of
+    binary searches.  Output rows are ordered probe-row-ascending, then
+    build-row order within a key — identical to the nested-loop oracle.
+    For ``left``, unmatched probe rows appear once with build index
+    ``-1``.
     """
     if how not in JOIN_TYPES:
         raise ValueError(f"unsupported join type {how!r}; use {JOIN_TYPES}")
-    low = np.searchsorted(sorted_build, probe, side="left")
-    high = np.searchsorted(sorted_build, probe, side="right")
-    counts = high - low
-    counts[probe < 0] = 0  # NULL keys never match
-    if how == "inner":
-        out_counts = counts
-    else:
-        out_counts = np.maximum(counts, 1)
+    counts = directory.counts[probe]
+    if directory.unique:
+        # at most one match per probe row: no fan-out to expand
+        hits = np.flatnonzero(counts)
+        matches = directory.order[directory.starts[probe[hits]]]
+        if how == "inner":
+            return hits, matches
+        build_indices = np.full(len(probe), -1, dtype=np.intp)
+        build_indices[hits] = matches
+        return np.arange(len(probe), dtype=np.intp), build_indices
+    out_counts = counts if how == "inner" else np.maximum(counts, 1)
     total = int(out_counts.sum())
     probe_indices = np.repeat(
         np.arange(len(probe), dtype=np.intp), out_counts
     )
-    starts = np.cumsum(out_counts) - out_counts
-    offsets = np.arange(total, dtype=np.intp) - np.repeat(starts, out_counts)
-    base = np.repeat(low, out_counts) + offsets
+    out_starts = np.cumsum(out_counts) - out_counts
+    base = (
+        np.repeat(directory.starts[probe] - out_starts, out_counts)
+        + np.arange(total, dtype=np.intp)
+    )
     if how == "inner":
-        build_indices = (
-            build_order[base] if len(build_order)
-            else np.zeros(0, dtype=np.intp)
-        )
-    else:
-        matched = np.repeat(counts > 0, out_counts)
-        safe = np.where(matched, np.minimum(base, max(len(build_order) - 1, 0)),
-                        0)
-        gathered = (
-            build_order[safe] if len(build_order)
-            else np.zeros(total, dtype=np.intp)
-        )
-        build_indices = np.where(matched, gathered, np.intp(-1))
-    return probe_indices, build_indices.astype(np.intp)
+        return probe_indices, directory.order[base]
+    matched = np.repeat(counts > 0, out_counts)
+    build_indices = np.full(total, -1, dtype=np.intp)
+    build_indices[matched] = directory.order[base[matched]]
+    return probe_indices, build_indices
+
+
+def prepare_join(left: ColumnSet, right: ColumnSet,
+                 left_on: list[str], right_on: list[str]
+                 ) -> tuple[np.ndarray, BucketDirectory]:
+    """The serial half of a join: probe codes + the build directory.
+
+    Charges the build-side counters; probing (``probe_directory``) is
+    what a sharded caller fans out.
+    """
+    probe, build, num_buckets = join_codes(left, right, left_on, right_on)
+    directory = build_directory(build, num_buckets)
+    counters = join_stats()
+    counters.joins_executed += 1
+    counters.build_rows += right.num_rows
+    return probe, directory
 
 
 def hash_join(left: ColumnSet, right: ColumnSet,
@@ -392,14 +498,9 @@ def hash_join(left: ColumnSet, right: ColumnSet,
     :meth:`ColumnSet.gather` + :meth:`ColumnSet.to_rows` (or feed the
     gathered vectors straight into the aggregation kernel).
     """
+    probe, directory = prepare_join(left, right, left_on, right_on)
+    probe_indices, build_indices = probe_directory(directory, probe, how)
     counters = join_stats()
-    left_codes, right_codes = join_codes(left, right, left_on, right_on)
-    sorted_build, build_order = build_side(right_codes)
-    counters.joins_executed += 1
-    counters.build_rows += right.num_rows
-    probe_indices, build_indices = probe_codes(
-        sorted_build, build_order, left_codes, how
-    )
     counters.probe_rows += left.num_rows
     counters.matches_emitted += int(len(probe_indices))
     return JoinResult(probe_indices, build_indices, how)

@@ -19,6 +19,7 @@ and non-null counts separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 
 _AGG_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
@@ -166,6 +167,5 @@ def execute_pushdown(rows: list[dict[str, object]],
 
 def result_size_bytes(rows: list[dict[str, object]]) -> int:
     """Approximate wire size of a result set crossing the bus."""
-    return sum(
-        sum(len(str(value)) + 8 for value in row.values()) for row in rows
-    )
+    values = chain.from_iterable(map(dict.values, rows))
+    return sum(map(len, map(str, values))) + 8 * sum(map(len, rows))

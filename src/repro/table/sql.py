@@ -698,13 +698,19 @@ def query(lakehouse: Lakehouse, sql: str, as_of: float | None = None,
                 stats.rows_returned = len(cached)
             return cached
         join_stats().result_cache_misses += 1
+    stats = stats if stats is not None else QueryStats()
     if isinstance(statement, SelectStatement):
         rows = execute_select(statement, lakehouse, as_of, stats)
     else:
         rows = execute_join_select(statement, lakehouse, as_of=as_of,
                                    stats=stats)
     if key is not None:
+        # ``table.select`` already sized a single-table result for the
+        # bus; renames and ORDER BY keep its values, only LIMIT drops any
+        sized = (isinstance(statement, SelectStatement)
+                 and len(rows) == stats.rows_returned)
         lakehouse.cache_hierarchy.store_result(
-            key, rows, result_size_bytes(rows)
+            key, rows,
+            stats.bytes_transferred if sized else result_size_bytes(rows),
         )
     return rows

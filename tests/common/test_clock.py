@@ -52,6 +52,21 @@ def test_charge_rejects_negative():
         SimClock().charge("x", -1.0)
 
 
+def test_charge_repeated_ends_on_the_same_float_as_a_loop():
+    looped, batched = SimClock(), SimClock()
+    for clock in (looped, batched):
+        clock.charge("meta", 0.3)
+    for _ in range(1_000):
+        looped.charge("meta", 8e-6)
+    batched.charge_repeated("meta", 8e-6, 1_000)
+    assert batched.busy_time("meta") == looped.busy_time("meta")
+    assert batched.busy_time("meta") != 0.3 + 1_000 * 8e-6  # why it loops
+    batched.charge_repeated("idle", 8e-6, 0)
+    assert batched.drain() == looped.drain()
+    with pytest.raises(ValueError):
+        batched.charge_repeated("meta", -1.0, 2)
+
+
 def test_drain_advances_by_max():
     clock = SimClock()
     clock.charge("a", 3.0)

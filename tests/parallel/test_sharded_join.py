@@ -31,13 +31,21 @@ def _serial(left: ColumnSet, right: ColumnSet, how: str):
     return result, context.joins.snapshot()
 
 
-nullable_keys = st.lists(
-    st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
-    max_size=60,
+def _key_lists(keys):
+    return st.lists(st.one_of(st.none(), keys), max_size=60)
+
+
+nullable_keys = st.one_of(
+    # span within the guard: buckets addressed directly
+    _key_lists(st.integers(min_value=0, max_value=12)),
+    # span >> rows: ranks among the build side's distinct values
+    _key_lists(st.sampled_from(
+        [-2**62, -10**12, -7, 0, 3, 10**9, 2**53, 2**53 + 1, 2**62]
+    )),
 )
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(left_keys=nullable_keys, right_keys=nullable_keys,
        how=st.sampled_from(["inner", "left"]),
        workers=st.integers(min_value=1, max_value=5))
@@ -56,20 +64,43 @@ def test_sharded_join_identical_to_serial(left_keys, right_keys, how,
     assert context.joins.snapshot() == serial_counters
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_sharded_join_modes(mode):
+def _mode_cases() -> dict[str, tuple[ColumnSet, ColumnSet]]:
+    """Probe/build pairs that ship each kind of directory to the shards."""
     rng = np.random.default_rng(9)
-    left = _column_set([int(key) for key in rng.integers(0, 50, 400)])
-    right = _column_set([int(key) for key in rng.integers(0, 60, 120)])
-    serial, serial_counters = _serial(left, right, "inner")
-    context = ExecutionContext(f"sharded-{mode}")
-    sharded = sharded_hash_join(
-        left, right, ["k"], ["k"], "inner",
-        num_workers=4, mode=mode, context=context,
-    )
-    assert np.array_equal(sharded.left_indices, serial.left_indices)
-    assert np.array_equal(sharded.right_indices, serial.right_indices)
-    assert context.joins.snapshot() == serial_counters
+    probe = [int(key) for key in rng.integers(0, 60, 400)] + [None, 10**12]
+    return {
+        # duplicate build keys: fan-out expansion on every shard
+        "fanout": (_column_set(probe),
+                   _column_set([int(key) for key in rng.integers(0, 60, 120)]
+                               + [None])),
+        # unique build keys (a PK-FK join): the no-expansion path
+        "unique": (_column_set(probe),
+                   _column_set([int(key)
+                                for key in rng.permutation(60)[:45]])),
+        # sparse build keys: ranks among the build side's distinct values
+        "sparse": (_column_set(probe),
+                   _column_set([int(key) * 10**9
+                                for key in rng.integers(0, 60, 80)] + [7])),
+    }
+
+
+@pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+@pytest.mark.parametrize("how", ["inner", "left"])
+@pytest.mark.parametrize("case", ["fanout", "unique", "sparse"])
+def test_sharded_join_modes(mode, how, case):
+    left, right = _mode_cases()[case]
+    serial, serial_counters = _serial(left, right, how)
+    for workers in (1, 2, 4):
+        context = ExecutionContext(f"sharded-{mode}")
+        sharded = sharded_hash_join(
+            left, right, ["k"], ["k"], how,
+            num_workers=workers, mode=mode, context=context,
+        )
+        assert np.array_equal(sharded.left_indices, serial.left_indices)
+        assert np.array_equal(sharded.right_indices, serial.right_indices)
+        assert sharded.left_indices.dtype == serial.left_indices.dtype
+        assert sharded.right_indices.dtype == serial.right_indices.dtype
+        assert context.joins.snapshot() == serial_counters
 
 
 def test_empty_probe_side():

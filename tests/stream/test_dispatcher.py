@@ -47,6 +47,41 @@ def test_route_key_stable_and_in_range(dispatcher):
     assert stream in dispatcher.streams_of("t")
 
 
+@pytest.mark.parametrize("keys", [
+    [],
+    ["k"],
+    ["req-7"] * 500,
+    [f"user-{index % 37}" for index in range(500)],
+    [f"user-{index}" for index in range(64)],
+])
+def test_route_keys_matches_routing_record_by_record(keys):
+    """Same streams in the same order, same KV reads, same sim charge."""
+    results = []
+    for batched in (False, True):
+        clock = SimClock()
+        kv = KVEngine("meta", clock)
+        dispatcher = StreamDispatcher(kv, clock)
+        dispatcher.register_worker("w0")
+        dispatcher.create_topic("t", TopicConfig(stream_num=8))
+        if batched:
+            per_stream = dispatcher.route_keys("t", keys)
+        else:
+            per_stream = {}
+            for key in keys:
+                stream_id = dispatcher.route_key("t", key)
+                per_stream[stream_id] = per_stream.get(stream_id, 0) + 1
+        results.append((list(per_stream.items()), kv.reads,
+                        clock.busy_time("meta")))
+    assert results[0] == results[1]
+
+
+def test_route_keys_unknown_topic_pays_one_read(dispatcher):
+    reads = dispatcher._kv.reads
+    with pytest.raises(TopicNotFoundError):
+        dispatcher.route_keys("ghost", ["a", "b", "c"])
+    assert dispatcher._kv.reads == reads + 1
+
+
 def test_unknown_topic_raises(dispatcher):
     with pytest.raises(TopicNotFoundError):
         dispatcher.config_of("ghost")

@@ -1,10 +1,18 @@
 """Unit and property tests for the columnar file format."""
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CorruptionError, SchemaError
-from repro.table.columnar import ColumnarFile
+from repro.table.columnar import (
+    ColumnarFile,
+    _decode_strings,
+    _encode_strings,
+    _strings_to_vector,
+)
 from repro.table.expr import Predicate
 from repro.table.schema import Column, ColumnType, Schema
 
@@ -363,3 +371,41 @@ def test_to_columns_empty_file():
     assert all(len(data) == 0 for data in columns.values())
     rebuilt = ColumnarFile.from_columns(SCHEMA, columns, 0)
     assert rebuilt.scan() == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.one_of(
+    st.lists(st.one_of(st.none(), st.sampled_from(["A", "N", "R", ""])),
+             max_size=40),
+    st.lists(st.one_of(st.none(), st.text(max_size=6)), max_size=40),
+    st.lists(st.text(max_size=6), max_size=40, unique=True),
+))
+def test_strings_to_vector_matches_row_decoder(values):
+    """Plain and dictionary chunks: the vector decoder materializes what
+    the row-wise decoder returns, distinct values in first-seen order."""
+    raw = _encode_strings(values)
+    vector = _strings_to_vector(raw, len(values))
+    assert vector.to_list() == _decode_strings(raw, len(values)) == values
+    assert vector.codes.dtype == np.uint32
+    if raw[0] == 0:  # plain JSON: factorized at decode time
+        assert vector.dictionary == list(
+            dict.fromkeys(value for value in values if value is not None)
+        )
+
+
+@pytest.mark.parametrize("values", [
+    [None, "a", "b", "a"],          # None first
+    [None, None, None],             # None only
+    ["a", "b", "c", "d"],           # all distinct
+    ["x", "x", "x", "x"],           # all equal
+    ["a", None, "b", None, "a"],    # None between first sightings
+    [],
+])
+def test_plain_string_chunk_factorization_edges(values):
+    # framed as plain JSON whatever the encoder would have picked
+    raw = bytes([0]) + json.dumps(values, separators=(",", ":")).encode()
+    vector = _strings_to_vector(raw, len(values))
+    assert vector.to_list() == _decode_strings(raw, len(values)) == values
+    assert None not in vector.dictionary
+    assert len(set(vector.dictionary)) == len(vector.dictionary)
+
