@@ -5,9 +5,13 @@
 scan path.  A produce flows::
 
     produce(tenant, topic, values)
-      -> Backpressure.throttle         (sealed-slice lag gate, per stream)
+      -> StreamDispatcher.route_keys   (the request's RoutePlan: its
+                                        records per stream, hashed once)
+      -> Backpressure.throttle         (sealed-slice lag gate, per stream
+                                        of the plan)
       -> AdmissionController.admit     (token buckets + in-flight cap)
-      -> Producer.send_batch           (packs batches, per-key routing)
+      -> Producer.send_batch           (one packed batch per stream and
+                                        batch_size chunk of the plan)
            -> FairScheduler.submit     (per-tenant DRR queue)
     drain()
       -> FairScheduler.drain           (DRR dispatch order)
@@ -15,14 +19,16 @@ scan path.  A produce flows::
                                         commit; the existing data path)
       -> SLOTracker.record_produce     (latency = queue + wait + service)
 
-The producer is the *unmodified* :class:`~repro.stream.producer.Producer`
-— the front end hands it a delegating proxy whose ``deliver`` enqueues
-into the scheduler instead of hitting the worker directly, so packing,
-per-key ordering, idempotence sequences and transactions all behave
-exactly as on the unscheduled path.  Scans go through the same admission
-gate and then :func:`repro.parallel.sharded_select`, so one tenant's
-scan storm cannot starve another tenant's produces at the admission
-layer.
+The producer is the plain :class:`~repro.stream.producer.Producer` — the
+front end hands it a delegating proxy whose ``deliver`` enqueues into
+the scheduler instead of hitting the worker directly, so packing,
+per-key and per-stream ordering, idempotence sequences and transactions
+all behave exactly as on the unscheduled path.  The one thing the two
+share is the routing plan: the per-stream counts the front end gates on
+are, by construction, the records the producer delivers per stream.
+Scans go through the same admission gate and then
+:func:`repro.parallel.sharded_select`, so one tenant's scan storm cannot
+starve another tenant's produces at the admission layer.
 
 Backpressure staleness: the lag signal is an *observation cache* —
 ``sync_backpressure`` refreshes it from the converter frontier, and
@@ -197,13 +203,15 @@ class ServingFrontend:
         if keys is not None and len(keys) != len(values):
             raise ValueError(f"got {len(values)} values but {len(keys)} keys")
         size_bytes = sum(map(len, values))
-        # route the throttle check exactly as the producer will route the
-        # records: per-key stream groups (all-one-group when keyless)
+        # routed once: the throttle check and lag inflation below count
+        # records per stream off the plan the producer batches by
         dispatcher = self.service.dispatcher
         if keys is None:
-            per_stream = {dispatcher.route_key(topic, ""): len(values)}
+            # keyless is one key: one topology read, as a producer pays
+            plan = dispatcher.route_distinct_keys(topic, [""] * len(values))
         else:
-            per_stream = dispatcher.route_keys(topic, keys)
+            plan = dispatcher.route_keys(topic, keys)
+        per_stream = plan.counts()
         throttle_delay = 0.0
         if topic in self._converters:
             # no converter => no reunion backlog to bound: backpressure
@@ -236,7 +244,7 @@ class ServingFrontend:
         self._current_pre_delay = ticket.delay_s + throttle_delay
         self._current_arrival = self.clock.now
         try:
-            producer.send_batch(topic, values, keys)
+            producer.send_batch(topic, values, keys, plan=plan)
         finally:
             self._current_ticket = None
         if ticket.outstanding == 0:

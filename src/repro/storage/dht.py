@@ -43,6 +43,16 @@ def shard_of(key: str, num_shards: int = NUM_SHARDS) -> int:
     return _hash64(key) % num_shards
 
 
+def shards_of(keys: list[str], num_shards: int = NUM_SHARDS) -> list[int]:
+    """:func:`shard_of` over many keys: one digest per key, the integer
+    arithmetic in a single NumPy pass."""
+    blake2b = hashlib.blake2b
+    digests = b"".join(
+        [blake2b(key.encode(), digest_size=8).digest() for key in keys])
+    hashes = np.frombuffer(digests, dtype=">u8")
+    return (hashes % np.uint64(num_shards)).tolist()
+
+
 def owner_weights(owner: str, num_shards: int) -> np.ndarray:
     """All of ``owner``'s rendezvous weights in one vectorized pass.
 

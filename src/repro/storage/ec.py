@@ -15,9 +15,10 @@ The construction is the classic one used by jerasure/ISA-L:
 4. decode: gather any ``k`` surviving rows of the matrix, invert that
    square matrix, multiply by the surviving shards.
 
-Field arithmetic uses exp/log tables (generator polynomial 0x11D) with
-NumPy-vectorized elementwise multiplication, which keeps encode/decode of
-multi-megabyte shards fast enough for the benchmarks.
+Field arithmetic uses exp/log tables (generator polynomial 0x11D) baked
+into a 256 x 256 product table; a matrix-shard product is one table gather
+per non-zero coefficient, which keeps encode/decode of multi-megabyte
+shards fast enough for the benchmarks.
 """
 
 from __future__ import annotations
@@ -128,32 +129,25 @@ def _matrix_invert(matrix: np.ndarray,
     return inverse
 
 
-#: cap on the (rows * k * block) broadcast temporary of one _matmul step
-_MATMUL_BLOCK_ELEMS = 1 << 23
-
-
 def _matmul(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
     """(rows x k) matrix times (k x length) shard block over GF(2^8).
 
-    A single product-table broadcast replaces the seed's per-(row, col)
-    Python loop: ``_MUL[matrix[:, :, None], shards[None, :, :]]`` gathers
-    every (row, col) scalar-vector product at once (the table bakes the
-    log/exp arithmetic, zero operands included), and an XOR reduction over
-    the ``k`` axis sums them.  The shard-length axis is blocked so the
-    (rows, k, block) intermediate stays bounded for multi-MB shards.
+    One 1-D gather per non-zero coefficient: ``_MUL[coef]`` is that
+    coefficient's 256-entry product row (the table bakes the log/exp
+    arithmetic, zero operands included), ``take`` maps a whole shard
+    through it, and the products XOR into the output row in place.
+    Coefficient 1 is a plain XOR and 0 contributes nothing, so the only
+    temporary is one shard long.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
     shards = np.ascontiguousarray(shards, dtype=np.uint8)
-    rows, k = matrix.shape
-    length = shards.shape[1]
-    out = np.empty((rows, length), dtype=np.uint8)
-    if rows == 0 or length == 0:
-        return out
-    block = max(1, _MATMUL_BLOCK_ELEMS // max(1, rows * k))
-    for start in range(0, length, block):
-        segment = shards[:, start:start + block]     # (k, b)
-        products = _MUL[matrix[:, :, None], segment[None, :, :]]
-        out[:, start:start + block] = np.bitwise_xor.reduce(products, axis=1)
+    out = np.zeros((matrix.shape[0], shards.shape[1]), dtype=np.uint8)
+    for acc, coefficients in zip(out, matrix.tolist()):
+        for coefficient, shard in zip(coefficients, shards):
+            if coefficient == 1:
+                acc ^= shard
+            elif coefficient:
+                acc ^= _MUL[coefficient].take(shard)
     return out
 
 
@@ -241,7 +235,7 @@ class ReedSolomon:
 
         The per-payload data blocks (each ``(k, shard_len_i)``) are stacked
         along the shard-length axis into one ``(k, sum(shard_len_i))``
-        matrix, so N slice seals pay for one broadcast setup instead of N.
+        matrix, so N slice seals pay for one round of table gathers, not N.
         Shard lengths per payload are identical to per-payload
         :meth:`encode`.  ``counted=False`` skips the stats charge (see
         :meth:`count_batch_encode`).

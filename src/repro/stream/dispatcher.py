@@ -16,16 +16,70 @@ benches can report exactly that.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.common.clock import SimClock
 from repro.errors import TopicExistsError, TopicNotFoundError
-from repro.storage.dht import shard_of
+from repro.storage.dht import shard_of, shards_of
 from repro.storage.kv import KVEngine
 from repro.stream.config import TopicConfig
 
 #: Metadata update for one stream mapping (a KV write + watch fan-out).
 REMAP_COST_PER_STREAM_S = 0.8e-3
+
+
+@dataclass(frozen=True)
+class RoutePlan:
+    """Where the records of one produce request go.
+
+    The front end's throttle check and the producer's batching read the
+    same plan, so the per-stream counts one gates on are the records the
+    other delivers.
+    """
+
+    #: stream id -> positions of its records in the request.  Streams in
+    #: first-seen order; inside a stream, keys in first-seen order with
+    #: each key's records contiguous — the order the stream object
+    #: receives them in.
+    streams: dict[str, Sequence[int]]
+    #: distinct routing keys in the request
+    distinct_keys: int
+
+    def counts(self) -> dict[str, int]:
+        """Records per stream, streams in first-seen order."""
+        return {
+            stream_id: len(positions)
+            for stream_id, positions in self.streams.items()
+        }
+
+
+def _plan_routes(topic: str, stream_num: int, keys: list[str]) -> RoutePlan:
+    """Hash each distinct key of a non-empty request once."""
+    distinct = dict.fromkeys(keys)  # first-seen order
+    if len(distinct) == 1:
+        # the usual request carries one key: no per-record grouping
+        stream_id = f"{topic}/{shard_of(keys[0], stream_num)}"
+        return RoutePlan({stream_id: range(len(keys))}, 1)
+    shard_of_key = dict(zip(distinct, shards_of(list(distinct), stream_num)))
+    runs: dict[int, list[int]] = {}
+    for position, key in enumerate(keys):
+        shard = shard_of_key[key]
+        run = runs.get(shard)
+        if run is None:
+            runs[shard] = [position]
+        else:
+            run.append(position)
+    if len(distinct) < len(keys):
+        # a key repeats: pull each key's records together, keys staying
+        # in first-seen order (the sort is stable)
+        rank = {key: index for index, key in enumerate(distinct)}
+        for run in runs.values():
+            run.sort(key=lambda position: rank[keys[position]])
+    return RoutePlan(
+        {f"{topic}/{shard}": run for shard, run in runs.items()},
+        len(distinct),
+    )
 
 
 class StreamDispatcher:
@@ -209,22 +263,38 @@ class StreamDispatcher:
         index = shard_of(key, config.stream_num)
         return f"{topic}/{index}"
 
-    def route_keys(self, topic: str, keys: list[str]) -> dict[str, int]:
-        """Records per stream of a keyed request, streams in first-seen order.
+    def route_keys(self, topic: str, keys: list[str]) -> RoutePlan:
+        """Route a keyed request as a front end checking it record by
+        record pays: one topology read per record.
 
-        :meth:`route_key` over every key — one topology read each, as a
-        producer routing record by record pays — with each distinct key
-        hashed once: a request usually carries one key, or few.
+        Each distinct key is hashed once — a request usually carries one
+        key, or few.  Hand the plan to :meth:`route_distinct_keys` (via
+        ``Producer.send_batch(plan=...)``) so the producer does not hash
+        the keys again.
         """
         if not keys:
-            return {}
+            return RoutePlan({}, 0)
         config = self.config_of(topic)
         self._kv.charge_reads(len(keys) - 1)
-        per_stream: dict[str, int] = {}
-        for key, count in Counter(keys).items():
-            stream_id = f"{topic}/{shard_of(key, config.stream_num)}"
-            per_stream[stream_id] = per_stream.get(stream_id, 0) + count
-        return per_stream
+        return _plan_routes(topic, config.stream_num, keys)
+
+    def route_distinct_keys(self, topic: str, keys: list[str],
+                            plan: RoutePlan | None = None) -> RoutePlan:
+        """Route a keyed request as a producer routing key by key pays:
+        one topology read per distinct key.
+
+        ``plan`` is :meth:`route_keys` of the same request when a front
+        end already routed it: the reads are charged, nothing is hashed.
+        """
+        if plan is not None:
+            self._kv.charge_reads(plan.distinct_keys)
+            return plan
+        if not keys:
+            return RoutePlan({}, 0)
+        config = self.config_of(topic)
+        plan = _plan_routes(topic, config.stream_num, keys)
+        self._kv.charge_reads(plan.distinct_keys - 1)
+        return plan
 
     def worker_of(self, stream_id: str) -> str:
         worker = self._kv.get(f"assign/{stream_id}")

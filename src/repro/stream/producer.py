@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 
+from repro.stream.dispatcher import RoutePlan
 from repro.stream.records import MessageRecord, pack_values
 
 _producer_ids = itertools.count()
@@ -91,15 +92,24 @@ class Producer:
         return 0.0
 
     def send_batch(self, topic: str, values: list[bytes],
-                   keys: list[str] | None = None) -> float:
+                   keys: list[str] | None = None, *,
+                   plan: RoutePlan | None = None) -> float:
         """Publish many messages in one call; returns simulated seconds.
 
-        The whole call is grouped by key, and each group is serialized
-        straight into the packed wire format (:func:`pack_values`) — no
-        per-record Python objects exist on this path.  Groups are shipped
-        in ``batch_size`` chunks so quota/bus accounting matches
+        The destination stream is the unit of batching: keys are walked
+        in first-seen order, each key's records join its stream's run,
+        and every run is serialized straight into the packed wire format
+        (:func:`pack_values`, per-record keys) — no per-record Python
+        objects exist on this path.  Runs are shipped in ``batch_size``
+        chunks with consecutive sequences so quota/bus accounting matches
         :meth:`send`, and are delivered immediately (a batch IS a flush
-        for the records it carries); per-key record order is preserved.
+        for the records it carries).  Per-key record order is preserved,
+        and a stream receives its records as "keys in first-seen order,
+        each key's records contiguous".
+
+        ``plan`` is the dispatcher's ``route_keys`` result for these
+        ``keys`` when the caller (the serving front end) has already
+        routed the request; the keys are then not hashed again.
         """
         if keys is not None and len(keys) != len(values):
             raise ValueError(
@@ -108,31 +118,35 @@ class Producer:
         if not values:
             return 0.0
         if keys is None:
-            groups: dict[str, list[bytes]] = {"": values}
-        else:
-            groups = {}
-            for key, value in zip(keys, values):
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = []
-                group.append(value)
-        route_key = self._service.dispatcher.route_key
+            keys = [""] * len(values)
+        plan = self._service.dispatcher.route_distinct_keys(topic, keys, plan)
+        planned = sum(map(len, plan.streams.values()))
+        if planned != len(values):
+            raise ValueError(
+                f"routing plan covers {planned} records, request has "
+                f"{len(values)}"
+            )
         deliver = self._service.deliver
         now = self._service.clock.now
         txn_id = self._txn_id
         producer_id = self.producer_id
         chunk = max(self.batch_size, 1)
         cost = 0.0
-        for key, group in groups.items():
-            stream_id = route_key(topic, key)
+        for stream_id, positions in plan.streams.items():
             # anything this producer buffered via send() must land first
             # to keep the per-stream record order
             cost += self._flush_stream(stream_id)
-            for start in range(0, len(group), chunk):
-                part = group[start:start + chunk]
+            if plan.distinct_keys == 1:
+                # one key, one stream: the run is the request as it stands
+                run_values, run_keys = values, keys
+            else:
+                run_values = [values[i] for i in positions]
+                run_keys = [keys[i] for i in positions]
+            for start in range(0, len(run_values), chunk):
+                part = run_values[start:start + chunk]
                 batch = pack_values(
-                    topic, part, key, now, producer_id, self._sequence,
-                    txn_id,
+                    topic, part, run_keys[start:start + chunk], now,
+                    producer_id, self._sequence, txn_id,
                 )
                 self._sequence += len(part)
                 cost += deliver(stream_id, batch, txn_id)

@@ -282,10 +282,11 @@ def _decode_packed(data: bytes, start: int = 0) -> list[MessageRecord]:
 class PackedRecordBatch:
     """A producer-side pre-encoded run of records bound for one stream.
 
-    The producer serializes a whole ``send_batch`` group straight into the
-    packed wire format (``pack_values``) — all records share topic, key,
-    producer and transaction, so the varlen prefix is built once and the
-    fixed-width header block is filled by vectorized NumPy column stores.
+    The producer serializes one stream's share of a ``send_batch`` request
+    straight into the packed wire format (``pack_values``) — all records
+    share topic, producer and transaction and carry their own keys, so
+    the varlen prefix is built once per distinct key and the fixed-width
+    header block is filled by vectorized NumPy column stores.
     The stream object then splits/merges these buffers into slices with
     :func:`repack_slices` instead of re-encoding record objects, so the
     hot ingest path never runs per-record Python at all.
@@ -316,20 +317,37 @@ class PackedRecordBatch:
         return _decode_packed(self.data)
 
 
-def pack_values(topic: str, values: list[bytes], key: str, timestamp: float,
-                producer_id: str, base_sequence: int,
+def pack_values(topic: str, values: list[bytes], keys: str | list[str],
+                timestamp: float, producer_id: str, base_sequence: int,
                 txn_id: str | None) -> PackedRecordBatch:
-    """Encode ``values`` as one packed batch sharing all metadata.
+    """Encode ``values`` as one packed batch bound for one stream.
 
-    Offsets are left at -1; the stream object stamps them during
-    :func:`repack_slices` when the records are assigned to a slice.
+    ``keys`` is one key shared by every record, or one key per record;
+    equal keys give the same bytes either way.  Offsets are left at -1;
+    the stream object stamps them during :func:`repack_slices` when the
+    records are assigned to a slice.
     """
     n = len(values)
     topic_b = topic.encode()
-    key_b = key.encode()
     pid_b = producer_id.encode()
     txn_b = b"" if txn_id is None else txn_id.encode()
-    prefix = topic_b + key_b + pid_b + txn_b
+    tail = pid_b + txn_b
+    if isinstance(keys, str):
+        distinct = {keys}
+    else:
+        if len(keys) != n:
+            raise ValueError(f"got {n} values but {len(keys)} keys")
+        distinct = set(keys)
+    # each distinct key is encoded into its varlen prefix once
+    prefix_of = {key: topic_b + key.encode() + tail for key in distinct}
+    if len(distinct) == 1:
+        (prefix,) = prefix_of.values()
+        prefixes = [prefix] * n
+        key_lens = np.full(n, len(prefix), dtype=np.int64)
+    else:
+        prefixes = [prefix_of[key] for key in keys]
+        key_lens = np.fromiter(map(len, prefixes), dtype=np.int64, count=n)
+    key_lens -= len(topic_b) + len(tail)
     value_lens = np.fromiter(map(len, values), dtype=np.int64, count=n)
     headers = np.empty(n, dtype=_HEADER_DTYPE)
     headers["offset"] = -1
@@ -337,15 +355,18 @@ def pack_values(topic: str, values: list[bytes], key: str, timestamp: float,
     headers["sequence"] = np.arange(base_sequence, base_sequence + n,
                                     dtype=np.int64)
     headers["topic_len"] = len(topic_b)
-    headers["key_len"] = len(key_b)
+    headers["key_len"] = key_lens
     headers["pid_len"] = len(pid_b)
     headers["txn_len"] = _NO_TXN if txn_id is None else len(txn_b)
     headers["value_len"] = value_lens
+    payload_lens = key_lens + value_lens
     starts = np.zeros(n, dtype=np.int64)
     if n > 1:
-        np.cumsum(value_lens[:-1] + len(prefix), out=starts[1:])
+        np.cumsum(payload_lens[:-1] + (len(topic_b) + len(tail)),
+                  out=starts[1:])
     # interleave prefix/value pairs without a per-record loop
-    parts: list[bytes] = [prefix] * (2 * n)
+    parts: list[bytes] = prefixes * 2
+    parts[0::2] = prefixes
     parts[1::2] = values
     header_bytes = headers.tobytes()
     index_bytes = starts.astype("<u4").tobytes()
@@ -353,7 +374,7 @@ def pack_values(topic: str, values: list[bytes], key: str, timestamp: float,
     crc = zlib.crc32(body, zlib.crc32(index_bytes, zlib.crc32(header_bytes)))
     data = (_BATCH_HEADER.pack(PACKED_MAGIC, n, crc)
             + header_bytes + index_bytes + body)
-    wire_bytes = (len(key_b) + 48) * n + int(value_lens.sum())
+    wire_bytes = 48 * n + int(payload_lens.sum())
     return PackedRecordBatch(data, n, producer_id, base_sequence, txn_id,
                              wire_bytes)
 

@@ -67,7 +67,9 @@ class StreamWorker:
         self._scm = scm_cache
         self._streams: dict[str, StreamObject] = {}
         self._quotas: dict[str, _TokenBucket] = {}
-        self._read_cache: dict[tuple[str, int], list[MessageRecord]] = {}
+        #: stream id -> {offset: records read from it}; indexed by stream
+        #: so a write drops that stream's entries in one step
+        self._read_cache: dict[str, dict[int, list[MessageRecord]]] = {}
         self.healthy = True
         self.messages_in = 0
         self.messages_out = 0
@@ -118,10 +120,7 @@ class StreamWorker:
         offset, append_cost = obj.append(records)
         self.messages_in += len(records)
         # writes invalidate the consumption caches for this stream
-        self._read_cache = {
-            key: value for key, value in self._read_cache.items()
-            if key[0] != stream_id
-        }
+        self._read_cache.pop(stream_id, None)
         return offset, cost + append_cost
 
     # --- consume path -----------------------------------------------------------
@@ -135,9 +134,8 @@ class StreamWorker:
         topic enables it), then the stream object / PLog path.
         """
         obj = self._streams[stream_id]
-        cache_key = (stream_id, offset)
-        if cache_key in self._read_cache:
-            records = self._read_cache[cache_key]
+        records = self._read_cache.get(stream_id, {}).get(offset)
+        if records is not None:
             self.messages_out += len(records)
             return records, 0.0
         if self._scm is not None:
@@ -154,7 +152,7 @@ class StreamWorker:
         if records:
             # never cache an empty read: an open-transaction barrier can
             # make it non-empty later without any produce on this worker
-            self._read_cache[cache_key] = records
+            self._read_cache.setdefault(stream_id, {})[offset] = records
         elif self._scm is not None:
             self._scm.invalidate(f"{obj.object_id}@{offset}")
         self.messages_out += len(records)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.storage.dht import NUM_SHARDS, ShardMap, shard_of
+from repro.storage.dht import NUM_SHARDS, ShardMap, shard_of, shards_of
 
 
 def test_default_shard_count_is_4096():
@@ -17,6 +17,15 @@ def test_shard_of_is_stable():
 def test_shard_of_in_range():
     for key in ("a", "b", "topic/1", ""):
         assert 0 <= shard_of(key) < NUM_SHARDS
+
+
+@given(keys=st.lists(st.text(max_size=20), max_size=40),
+       num_shards=st.integers(min_value=1, max_value=2**40))
+def test_shards_of_equals_shard_of_per_key(keys, num_shards):
+    """The batch form is exact 64-bit integer arithmetic, not float."""
+    assert shards_of(keys, num_shards) == [
+        shard_of(key, num_shards) for key in keys]
+    assert shards_of(keys) == [shard_of(key) for key in keys]
 
 
 def test_even_distribution():

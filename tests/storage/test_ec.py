@@ -1,10 +1,11 @@
 """Unit and property tests for GF(2^8) arithmetic and Reed-Solomon."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import UnrecoverableDataError
-from repro.storage.ec import ReedSolomon, gf_inv, gf_mul, gf_pow
+from repro.storage.ec import ReedSolomon, _matmul, gf_inv, gf_mul, gf_pow
 
 elements = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
@@ -54,6 +55,57 @@ def test_pow_matches_repeated_mul(a, n):
     for _ in range(n):
         expected = gf_mul(expected, a)
     assert gf_pow(a, n) == expected
+
+
+# --- matrix product ----------------------------------------------------------
+
+#: coefficients biased toward the kernel's special cases: 0 is skipped,
+#: 1 is a plain XOR, everything else a table gather
+coefficients = st.sampled_from([0, 0, 1, 1, 2, 29, 142, 255]) | elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(min_value=0, max_value=4),
+    k=st.integers(min_value=1, max_value=5),
+    length=st.integers(min_value=0, max_value=40),
+    data=st.data(),
+)
+def test_matmul_equals_gf_mul_double_loop(rows, k, length, data):
+    """The per-coefficient gather kernel == the scalar definition, zero
+    and identity coefficients, all-zero rows and empty shards included."""
+    matrix = np.array(
+        data.draw(st.lists(st.lists(coefficients, min_size=k, max_size=k),
+                           min_size=rows, max_size=rows)),
+        dtype=np.uint8).reshape(rows, k)
+    shards = np.array(
+        data.draw(st.lists(st.lists(elements, min_size=length,
+                                    max_size=length),
+                           min_size=k, max_size=k)),
+        dtype=np.uint8).reshape(k, length)
+    expected = np.zeros((rows, length), dtype=np.uint8)
+    for row in range(rows):
+        for position in range(length):
+            total = 0
+            for col in range(k):
+                total ^= gf_mul(int(matrix[row, col]),
+                                int(shards[col, position]))
+            expected[row, position] = total
+    before = shards.copy()
+    product = _matmul(matrix, shards)
+    assert product.dtype == np.uint8
+    assert np.array_equal(product, expected)
+    assert np.array_equal(shards, before)  # operands are not written
+
+
+def test_matmul_zero_row_and_identity():
+    shards = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    zero_row = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 1]], dtype=np.uint8)
+    product = _matmul(zero_row, shards)
+    assert product[0].tolist() == [0, 0, 0, 0]
+    assert product[1].tolist() == shards[0].tolist()
+    assert product[2].tolist() == (shards[0] ^ shards[1] ^ shards[2]).tolist()
+    assert np.array_equal(_matmul(np.eye(3, dtype=np.uint8), shards), shards)
 
 
 # --- codec construction -----------------------------------------------------
@@ -146,6 +198,29 @@ def test_roundtrip_under_arbitrary_erasures(data, k, m, erase_seed):
     for index in rng.sample(range(k + m), m):
         shards[index] = None
     assert codec.decode(shards, len(data)) == data
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.binary(min_size=0, max_size=3000),
+    geometry=st.sampled_from([(4, 2), (10, 4)]),
+    erasures=st.integers(min_value=0, max_value=4),
+    erase_seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_production_geometries_roundtrip(data, geometry, erasures, erase_seed):
+    """RS(4+2) and RS(10+4): encode -> erase up to m shards -> decode, and
+    the batched encode emits the same shards as the one-payload encode."""
+    import random
+
+    k, m = geometry
+    codec = ReedSolomon(k, m)
+    shards = codec.encode(data)
+    assert codec.encode_batch([data, data[::-1]])[0] == shards
+    survivors: list[bytes | None] = list(shards)
+    rng = random.Random(erase_seed)
+    for index in rng.sample(range(k + m), min(erasures, m)):
+        survivors[index] = None
+    assert codec.decode(survivors, len(data)) == data
 
 
 def test_empty_parity_configuration():

@@ -9,12 +9,14 @@ and that partial reads through the slice offset index equal suffixes of
 a full decode.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.stream.records import (
     MessageRecord,
     decode_slice,
     decode_slice_full,
+    encode_records,
     encode_slice,
     encode_slice_legacy,
     is_packed,
@@ -37,6 +39,16 @@ records = st.builds(
 )
 
 slices = st.lists(records, max_size=32)
+
+#: a small alphabet so requests repeat keys; empty and unicode included
+routing_keys = st.sampled_from(["", "k", "kk", "ключ-✓", "user-7", "☃"])
+#: one key per record — drawn freely, or all equal
+keyed_values = st.lists(
+    st.tuples(routing_keys, st.binary(max_size=200)), max_size=32,
+) | st.builds(
+    lambda key, values: [(key, value) for value in values],
+    routing_keys, st.lists(st.binary(max_size=200), max_size=32),
+)
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,6 +126,76 @@ def test_pack_values_equals_record_construction(topic, key, values, timestamp,
     assert len(batch) == len(values)
     assert batch.records() == expected
     assert batch.wire_bytes == sum(r.size_bytes for r in expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    topic=unicode_text,
+    pairs=keyed_values,
+    timestamp=st.floats(min_value=0, max_value=1e10, allow_nan=False),
+    producer_id=st.text(max_size=16),
+    base_sequence=st.integers(min_value=0, max_value=2**31),
+    txn_id=st.none() | st.text(max_size=16),
+)
+def test_pack_values_per_record_keys(topic, pairs, timestamp, producer_id,
+                                     base_sequence, txn_id):
+    """Every record comes back with its own key, and the bytes are the
+    record codec's — so a batch whose keys are all equal is byte for byte
+    the single-key batch the packer produced before it took key lists."""
+    keys = [key for key, _ in pairs]
+    values = [value for _, value in pairs]
+    batch = pack_values(topic, values, keys, timestamp, producer_id,
+                        base_sequence, txn_id)
+    expected = [
+        MessageRecord(topic, key, value, offset=-1, timestamp=timestamp,
+                      producer_id=producer_id, sequence=base_sequence + i,
+                      txn_id=txn_id)
+        for i, (key, value) in enumerate(pairs)
+    ]
+    assert len(batch) == len(pairs)
+    assert batch.records() == expected
+    assert batch.wire_bytes == sum(
+        len(key.encode()) + len(value) + 48 for key, value in pairs)
+    assert batch.data == encode_records(expected)
+    if len(set(keys)) == 1:
+        shared = pack_values(topic, values, keys[0], timestamp, producer_id,
+                             base_sequence, txn_id)
+        assert shared.data == batch.data
+        assert shared.wire_bytes == batch.wire_bytes
+
+
+def test_pack_values_rejects_mismatched_key_count():
+    with pytest.raises(ValueError):
+        pack_values("t", [b"a", b"b"], ["k"], 0.0, "p", 0, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shared=st.lists(st.binary(max_size=64), min_size=1, max_size=16),
+    keyed=st.lists(st.tuples(routing_keys, st.binary(max_size=64)),
+                   min_size=1, max_size=16),
+    base_offset=st.integers(min_value=0, max_value=2**40),
+    cut=st.data(),
+)
+def test_repack_slices_mixes_single_and_multi_key_pieces(shared, keyed,
+                                                         base_offset, cut):
+    """Single-key and per-record-key buffers merge into one slice that
+    decodes to the concatenation of the chosen record ranges."""
+    a = pack_values("t", shared, "k", 1.0, "pa", 0, "txn")
+    b = pack_values("t", [value for _, value in keyed],
+                    [key for key, _ in keyed], 2.0, "pb", 100, None)
+    pieces, expected = [], []
+    for batch in (b, a, b):
+        start = cut.draw(st.integers(min_value=0, max_value=len(batch) - 1))
+        stop = cut.draw(st.integers(min_value=start + 1,
+                                    max_value=len(batch)))
+        pieces.append((batch.data, start, stop))
+        expected += batch.records()[start:stop]
+    merged = repack_slices(pieces, base_offset)
+    assert decode_slice(merged) == [
+        record.with_offset(base_offset + i)
+        for i, record in enumerate(expected)
+    ]
 
 
 @settings(max_examples=60, deadline=None)

@@ -47,32 +47,85 @@ def test_route_key_stable_and_in_range(dispatcher):
     assert stream in dispatcher.streams_of("t")
 
 
-@pytest.mark.parametrize("keys", [
+ROUTED_REQUESTS = [
     [],
     ["k"],
     ["req-7"] * 500,
     [f"user-{index % 37}" for index in range(500)],
     [f"user-{index}" for index in range(64)],
-])
+    ["b", "a", "b", "c", "a", "b"],
+]
+
+
+def fresh_dispatcher():
+    clock = SimClock()
+    kv = KVEngine("meta", clock)
+    dispatcher = StreamDispatcher(kv, clock)
+    dispatcher.register_worker("w0")
+    dispatcher.create_topic("t", TopicConfig(stream_num=8))
+    return dispatcher, kv, clock
+
+
+def route_key_loop(dispatcher, keys):
+    """The oracle plan: ``route_key`` on every record.
+
+    Streams in first-seen order; inside a stream, keys in first-seen
+    order and each key's records contiguous.
+    """
+    streams: dict[str, dict[str, list[int]]] = {}
+    for position, key in enumerate(keys):
+        by_key = streams.setdefault(dispatcher.route_key("t", key), {})
+        by_key.setdefault(key, []).append(position)
+    return {
+        stream_id: [p for positions in by_key.values() for p in positions]
+        for stream_id, by_key in streams.items()
+    }
+
+
+@pytest.mark.parametrize("keys", ROUTED_REQUESTS)
 def test_route_keys_matches_routing_record_by_record(keys):
     """Same streams in the same order, same KV reads, same sim charge."""
     results = []
     for batched in (False, True):
-        clock = SimClock()
-        kv = KVEngine("meta", clock)
-        dispatcher = StreamDispatcher(kv, clock)
-        dispatcher.register_worker("w0")
-        dispatcher.create_topic("t", TopicConfig(stream_num=8))
+        dispatcher, kv, clock = fresh_dispatcher()
         if batched:
-            per_stream = dispatcher.route_keys("t", keys)
+            plan = dispatcher.route_keys("t", keys)
+            assert plan.distinct_keys == len(set(keys))
+            assert list(plan.counts().items()) == [
+                (stream_id, len(positions))
+                for stream_id, positions in plan.streams.items()
+            ]
+            streams = {stream_id: list(positions)
+                       for stream_id, positions in plan.streams.items()}
         else:
-            per_stream = {}
-            for key in keys:
-                stream_id = dispatcher.route_key("t", key)
-                per_stream[stream_id] = per_stream.get(stream_id, 0) + 1
-        results.append((list(per_stream.items()), kv.reads,
+            streams = route_key_loop(dispatcher, keys)
+        results.append((list(streams.items()), kv.reads,
                         clock.busy_time("meta")))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("keys", ROUTED_REQUESTS)
+def test_route_distinct_keys_pays_one_read_per_distinct_key(keys):
+    """A producer's routing: the same plan for one read per distinct key,
+    whether it hashes the keys itself or is handed the front end's plan."""
+    distinct = list(dict.fromkeys(keys))
+    oracle, oracle_kv, oracle_clock = fresh_dispatcher()
+    for key in distinct:
+        oracle.route_key("t", key)
+    expected = route_key_loop(fresh_dispatcher()[0], keys)
+
+    dispatcher, kv, clock = fresh_dispatcher()
+    plan = dispatcher.route_distinct_keys("t", keys)
+    assert {s: list(p) for s, p in plan.streams.items()} == expected
+    assert list(plan.streams) == list(expected)
+    assert (kv.reads, clock.busy_time("meta")) == (
+        oracle_kv.reads, oracle_clock.busy_time("meta"))
+
+    dispatcher, kv, clock = fresh_dispatcher()
+    reads = kv.reads
+    routed = dispatcher.route_keys("t", keys)
+    assert dispatcher.route_distinct_keys("t", keys, routed) is routed
+    assert kv.reads - reads == len(keys) + len(distinct)
 
 
 def test_route_keys_unknown_topic_pays_one_read(dispatcher):
@@ -80,6 +133,9 @@ def test_route_keys_unknown_topic_pays_one_read(dispatcher):
     with pytest.raises(TopicNotFoundError):
         dispatcher.route_keys("ghost", ["a", "b", "c"])
     assert dispatcher._kv.reads == reads + 1
+    with pytest.raises(TopicNotFoundError):
+        dispatcher.route_distinct_keys("ghost", ["a", "b", "c"])
+    assert dispatcher._kv.reads == reads + 2
 
 
 def test_unknown_topic_raises(dispatcher):

@@ -76,6 +76,30 @@ def test_produce_invalidates_read_cache():
     assert len(records) == 5
 
 
+def test_produce_keeps_other_streams_cached():
+    """A write drops its own stream's cached reads and nobody else's."""
+    worker, obj, clock = build()
+    other = StreamObject("other", obj._plogs, clock)
+    worker.attach_stream("t/1", other)
+    worker.produce("t/0", msgs(3))
+    worker.produce("t/1", msgs(4))
+    worker.consume("t/0", 0)
+    worker.consume("t/1", 0)
+    worker.consume("t/1", 2)
+    worker.produce("t/0", msgs(1, prefix=b"new"))
+    assert worker.consume("t/1", 0)[1] == 0.0
+    assert worker.consume("t/1", 2)[1] == 0.0
+    records, cost = worker.consume("t/0", 0)
+    assert len(records) == 4 and cost > 0.0
+
+
+def test_empty_read_is_never_cached():
+    worker, _, _ = build()
+    assert worker.consume("t/0", 0) == ([], 0.0)
+    worker.produce("t/0", msgs(2))
+    assert len(worker.consume("t/0", 0)[0]) == 2
+
+
 def test_drop_read_cache():
     worker, _, _ = build()
     worker.produce("t/0", msgs(3))
