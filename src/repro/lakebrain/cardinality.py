@@ -19,6 +19,7 @@ them on accuracy (q-error) and estimation cost:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,9 +109,11 @@ class CardinalityEstimate:
 class SPNEstimator(CardinalityEstimator):
     """The learned estimator: train once, estimate in near-constant time."""
 
-    def __init__(self, rows: list[dict[str, object]], columns: list[str],
+    def __init__(self, rows: Sequence[dict[str, object]], columns: list[str],
                  sample_fraction: float = 0.01, seed: int = 0,
                  trained_snapshot_id: int | None = None) -> None:
+        """``rows`` is indexed only at the sampled positions, so it may
+        be a lazy sequence (the planner's statistics pass one)."""
         rng = np.random.default_rng(seed)
         size = max(64, int(len(rows) * sample_fraction))
         size = min(size, len(rows))

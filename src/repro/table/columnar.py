@@ -6,12 +6,52 @@ data skipping within the file".  The binary layout is::
 
     [u32 footer_len][footer json][rowgroup 0 blocks...][rowgroup 1 ...]
 
-Each column chunk is zlib-compressed: int64/float64/bool columns pack via
-NumPy; string columns pick per-chunk between plain JSON and dictionary
-encoding (distinct values + integer codes) — the classic columnar trick
-that makes low-cardinality log fields (provinces, URLs, flags) tiny.
-Compression is real, so the EC+Col-store space numbers of Fig 14(d) come
-from measured bytes, not a fudge factor.
+Every column chunk is one zlib stream (level 6).  What zlib is handed
+is typed, so that it never has to squeeze out bytes the value domain
+already rules out.  Compression is real, so the EC+Col-store space
+numbers of Fig 14(d) come from measured bytes, not a fudge factor.
+
+**Numeric chunks** (INT64, TIMESTAMP, FLOAT64) open with one 32-byte
+little-endian header::
+
+    u8 tag | u8 width | u8 nulls | u8 exponent | u32 count
+    i64 base | u64 stride | u64 top
+
+``count`` must equal the footer's row count for the group.  ``tag`` 1
+is the *planes* layout: every valid value is ``base + code * stride``
+with ``base`` the chunk minimum, ``stride`` the gcd of the distances
+to it (1 for a constant chunk) and ``top`` the largest code.  Codes
+are unsigned words of ``width`` in {1, 2, 4, 8} bytes — the smallest
+that holds ``top``, or ``top + 1`` when the chunk has NULLs — stored
+as ``width`` byte planes of ``count`` bytes each, least significant
+plane first, so the planes that are nearly constant sit together.
+``nulls`` is 0 for a chunk without NULLs, 1 when NULL is the code
+``top + 1`` (no in-band sentinel: every int64 round-trips) and 2 in
+the one case with no code to spare (``top`` = 2**64 - 1, i.e.
+``INT64_MIN`` and ``INT64_MAX`` at stride 1), where ``count``
+validity bytes follow the planes.  Arithmetic is modulo 2**64, which
+is exact because every result is an int64.
+
+A FLOAT64 chunk takes the planes layout when every valid value is
+*bit for bit* ``integer / 10**exponent`` for one ``exponent`` in 0..4
+and ``|integer| < 2**53`` — checked on the whole chunk by dividing the
+rounded integers back — and then stores those integers.  ``-0.0``, a
+NaN, an infinity, a subnormal or any value with more digits fails the
+check, and the chunk takes ``tag`` 0, the raw layout: the header
+(``width`` 8, the other fields unused) followed by ``count`` float64
+words with NULL written as NaN.  A valid NaN therefore still reads
+back as NULL, as it always has; the footer statistics are computed
+from the values and order NaN arbitrarily, so that is out of scope
+here.  INT64/TIMESTAMP chunks never use the raw layout.
+
+**BOOL chunks** are one byte per row: 0 NULL, 1 false, 2 true.
+
+**String chunks** pick per chunk, by size before compression, between
+plain JSON (tag 0) and dictionary encoding (tag 1): ``u32`` length of
+the JSON list of sorted distinct values, that list, then one code per
+row as byte planes at the smallest width holding ``len(dictionary)``,
+which is the NULL code — the classic columnar trick that makes
+low-cardinality log fields (provinces, URLs, flags) tiny.
 
 Scanning evaluates an :class:`~repro.table.expr.Expression` with row-group
 skipping first (footer stats), then a vectorized filter: chunks decode to
@@ -19,7 +59,8 @@ typed :mod:`~repro.table.vector` column vectors (cached in a bounded LRU,
 see :mod:`~repro.table.chunkcache`), the predicate evaluates as NumPy
 masks, and only the surviving row indices materialize Python objects
 (late materialization).  :meth:`ColumnarFile.scan_rows` keeps the
-original row-at-a-time path as an equivalence oracle for tests.
+original row-at-a-time loop as an equivalence oracle for tests; it
+shares the chunk codec, which has one encoder and one decoder.
 """
 
 from __future__ import annotations
@@ -40,11 +81,47 @@ from repro.table.vector import ColumnVector, DictStringVector, NumericVector
 ROW_GROUP_SIZE = 10_000
 
 _LEN = struct.Struct("<I")
-_NULL_SENTINEL_INT = -(2**62)
 
 #: chunk encoding tags (first byte of every string-column chunk)
 _ENC_PLAIN = 0
 _ENC_DICT = 1
+
+#: numeric chunk header: tag, width, nulls, exponent, count, base, stride, top
+_HEADER = struct.Struct("<BBBBIqQQ")
+_NUM_RAW = 0
+_NUM_PLANES = 1
+_NULLS_NONE = 0
+_NULLS_CODE = 1
+_NULLS_MASK = 2
+_WIDTHS = (1, 2, 4, 8)
+_MAX_EXPONENT = 4
+_U64 = 2**64
+
+_DTYPES = {
+    ColumnType.INT64: np.int64,
+    ColumnType.TIMESTAMP: np.int64,
+    ColumnType.FLOAT64: np.float64,
+    ColumnType.BOOL: np.bool_,
+}
+
+
+def _width_for(limit: int) -> int:
+    """Bytes per code, the smallest of 1/2/4/8 that holds ``limit``."""
+    return next(width for width in _WIDTHS if limit >> (8 * width) == 0)
+
+
+def _pack_planes(codes: np.ndarray, width: int) -> bytes:
+    """Codes as ``width``-byte words, stored one byte plane at a time."""
+    words = codes.astype(f"<u{width}", copy=False)
+    return words.view(np.uint8).reshape(len(words), width).T.tobytes()
+
+
+def _unpack_planes(raw: bytes, offset: int, width: int,
+                   count: int) -> np.ndarray:
+    """Inverse of :func:`_pack_planes`; the caller checked the length."""
+    planes = np.frombuffer(raw, np.uint8, width * count, offset)
+    words = np.ascontiguousarray(planes.reshape(width, count).T)
+    return words.view(f"<u{width}").reshape(count)
 
 
 def _encode_strings(values: list[object]) -> bytes:
@@ -65,11 +142,28 @@ def _encode_strings(values: list[object]) -> bytes:
         dictionary = json.dumps(distinct, separators=(",", ":")).encode()
         encoded = (
             bytes([_ENC_DICT])
-            + _LEN.pack(len(dictionary)) + dictionary + codes.tobytes()
+            + _LEN.pack(len(dictionary)) + dictionary
+            + _pack_planes(codes, _width_for(len(distinct)))
         )
         plain_framed = bytes([_ENC_PLAIN]) + plain
         return encoded if len(encoded) < len(plain_framed) else plain_framed
     return bytes([_ENC_PLAIN]) + plain
+
+
+def _split_dictionary(body: bytes, count: int
+                      ) -> tuple[list[object], np.ndarray]:
+    """Dictionary and uint32 codes of a dictionary-encoded chunk body."""
+    (dict_len,) = _LEN.unpack_from(body)
+    start = _LEN.size + dict_len
+    dictionary = json.loads(body[_LEN.size : start])
+    width = _width_for(len(dictionary))
+    if len(body) - start != width * count:
+        raise CorruptionError(
+            f"dictionary codes hold {len(body) - start} bytes, "
+            f"expected {count} x {width}"
+        )
+    codes = _unpack_planes(body, start, width, count)
+    return dictionary, codes.astype(np.uint32, copy=False)
 
 
 def _decode_strings(raw: bytes, count: int) -> list[object]:
@@ -84,45 +178,140 @@ def _decode_strings(raw: bytes, count: int) -> list[object]:
         return values
     if tag != _ENC_DICT:
         raise CorruptionError(f"unknown string chunk encoding {tag}")
-    (dict_len,) = _LEN.unpack_from(body)
-    dictionary = json.loads(body[_LEN.size : _LEN.size + dict_len])
-    codes = np.frombuffer(body[_LEN.size + dict_len :], dtype=np.uint32)
-    if len(codes) != count:
-        raise CorruptionError(f"dictionary codes length {len(codes)} != {count}")
+    dictionary, codes = _split_dictionary(body, count)
     null_code = len(dictionary)
     return [None if c == null_code else dictionary[c] for c in codes]
 
 
-def _encode_column(values: list[object], type_: ColumnType) -> bytes:
-    if type_ in (ColumnType.INT64, ColumnType.TIMESTAMP):
-        array = np.array(
-            [(_NULL_SENTINEL_INT if v is None else v) for v in values],
-            dtype=np.int64,
+def _encode_integers(values: np.ndarray, valid: np.ndarray,
+                     exponent: int = 0) -> bytes:
+    """The planes layout of an int64 array (see the module docstring)."""
+    all_valid = bool(valid.all())
+    present = values if all_valid else values[valid]
+    base = high = 0
+    if present.size:
+        base, high = int(present.min()), int(present.max())
+    # distances to the minimum need 64 unsigned bits, not 63
+    codes = values.view(np.uint64) - np.uint64(base % _U64)
+    stride = int(np.gcd.reduce(codes if all_valid else codes[valid])) or 1
+    if stride > 1:
+        codes //= np.uint64(stride)
+    top = (high - base) // stride
+    nulls, limit, mask = _NULLS_NONE, top, b""
+    if not all_valid and top + 1 < _U64:
+        nulls, limit = _NULLS_CODE, top + 1
+        codes[~valid] = limit
+    elif not all_valid:  # every code is a value: spell validity out
+        nulls, mask = _NULLS_MASK, valid.tobytes()
+        codes[~valid] = 0
+    width = _width_for(limit)
+    header = _HEADER.pack(
+        _NUM_PLANES, width, nulls, exponent, len(values), base, stride, top
+    )
+    return header + _pack_planes(codes, width) + mask
+
+
+def _decimal_integers(present: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """``(integers, k)`` with ``integers / 10**k`` equal to ``present``
+    bit for bit, for the smallest k that has one; else None."""
+    bits = present.view(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for exponent in range(_MAX_EXPONENT + 1):
+            scale = 10.0 ** exponent
+            scaled = present * scale
+            if not (np.abs(scaled) < 2.0**53).all():  # NaN and inf land here
+                return None
+            integers = np.rint(scaled).astype(np.int64)
+            if ((integers / scale).view(np.int64) == bits).all():
+                return integers, exponent
+    return None
+
+
+def _encode_floats(values: np.ndarray, valid: np.ndarray) -> bytes:
+    all_valid = bool(valid.all())
+    decimal = _decimal_integers(values if all_valid else values[valid])
+    if decimal is None:
+        header = _HEADER.pack(_NUM_RAW, 8, 0, 0, len(values), 0, 1, 0)
+        words = values if all_valid else np.where(valid, values, np.nan)
+        return header + words.astype("<f8", copy=False).tobytes()
+    integers, exponent = decimal
+    if not all_valid:
+        spread = np.zeros(len(values), dtype=np.int64)
+        spread[valid] = integers
+        integers = spread
+    return _encode_integers(integers, valid, exponent)
+
+
+def _decode_numeric(raw: bytes, type_: ColumnType, count: int) -> NumericVector:
+    """Inverse of :func:`_encode_integers` / :func:`_encode_floats`."""
+    if len(raw) < _HEADER.size:
+        raise CorruptionError("numeric chunk shorter than its header")
+    tag, width, nulls, exponent, stored, base, stride, top = \
+        _HEADER.unpack_from(raw)
+    if stored != count:
+        raise CorruptionError(f"numeric chunk holds {stored} rows != {count}")
+    is_float = type_ is ColumnType.FLOAT64
+    body = len(raw) - _HEADER.size
+    if tag == _NUM_RAW and is_float:
+        if body != 8 * count:
+            raise CorruptionError(
+                f"raw float chunk holds {body} bytes, expected {8 * count}"
+            )
+        array = np.frombuffer(raw, "<f8", count, _HEADER.size)
+        return NumericVector(array, ~np.isnan(array))
+    if tag != _NUM_PLANES:
+        raise CorruptionError(f"unknown numeric chunk layout {tag}")
+    if (width not in _WIDTHS or nulls > _NULLS_MASK
+            or exponent > (_MAX_EXPONENT if is_float else 0)
+            or (top + (nulls == _NULLS_CODE)) >> (8 * width)):
+        raise CorruptionError(
+            f"numeric chunk header out of range: width {width}, "
+            f"nulls {nulls}, exponent {exponent}, top {top}"
         )
-        raw = array.tobytes()
-    elif type_ is ColumnType.FLOAT64:
-        array = np.array(
-            [(np.nan if v is None else v) for v in values], dtype=np.float64
+    expected = (width + (nulls == _NULLS_MASK)) * count
+    if body != expected:
+        raise CorruptionError(
+            f"numeric chunk planes hold {body} bytes, expected {expected}"
         )
-        raw = array.tobytes()
-    elif type_ is ColumnType.BOOL:
-        raw = bytes(0 if v is None else (2 if v else 1) for v in values)
+    codes = _unpack_planes(raw, _HEADER.size, width, count)
+    if nulls == _NULLS_NONE:
+        valid = np.ones(count, dtype=bool)
+    elif nulls == _NULLS_CODE:
+        valid = codes != top + 1
     else:
-        raw = _encode_strings(values)
-    return zlib.compress(raw, level=6)
+        valid = np.frombuffer(
+            raw, np.uint8, count, _HEADER.size + width * count
+        ) != 0
+    words = codes.astype(np.uint64)
+    if stride != 1:
+        words *= np.uint64(stride)
+    words += np.uint64(base % _U64)
+    values = words.view(np.int64)
+    if is_float:
+        values = values / 10.0 ** exponent
+    if nulls:
+        values[~valid] = np.nan if is_float else 0
+    return NumericVector(values, valid)
+
+
+def _numeric_vector(values: list[object], type_: ColumnType) -> NumericVector:
+    """Python values (None = NULL) as the typed vector the codec takes."""
+    return NumericVector(
+        np.array([0 if v is None else v for v in values], _DTYPES[type_]),
+        np.array([v is not None for v in values], dtype=bool),
+    )
+
+
+def _encode_column(values: list[object], type_: ColumnType) -> bytes:
+    if type_ is ColumnType.STRING:
+        return zlib.compress(_encode_strings(values), level=6)
+    return _encode_vector(_numeric_vector(values, type_), type_)
 
 
 def _decode_column(blob: bytes, type_: ColumnType, count: int) -> list[object]:
-    raw = zlib.decompress(blob)
-    if type_ in (ColumnType.INT64, ColumnType.TIMESTAMP):
-        array = np.frombuffer(raw, dtype=np.int64)
-        return [None if v == _NULL_SENTINEL_INT else int(v) for v in array]
-    if type_ is ColumnType.FLOAT64:
-        array = np.frombuffer(raw, dtype=np.float64)
-        return [None if np.isnan(v) else float(v) for v in array]
-    if type_ is ColumnType.BOOL:
-        return [None if b == 0 else b == 2 for b in raw]
-    return _decode_strings(raw, count)
+    if type_ is ColumnType.STRING:
+        return _decode_strings(zlib.decompress(blob), count)
+    return _decode_vector(blob, type_, count).to_list()
 
 
 def _strings_to_vector(raw: bytes, count: int) -> DictStringVector:
@@ -135,14 +324,7 @@ def _strings_to_vector(raw: bytes, count: int) -> DictStringVector:
     tag = raw[0]
     body = raw[1:]
     if tag == _ENC_DICT:
-        (dict_len,) = _LEN.unpack_from(body)
-        dictionary = json.loads(body[_LEN.size : _LEN.size + dict_len])
-        codes = np.frombuffer(body[_LEN.size + dict_len :], dtype=np.uint32)
-        if len(codes) != count:
-            raise CorruptionError(
-                f"dictionary codes length {len(codes)} != {count}"
-            )
-        return DictStringVector(dictionary, codes)
+        return DictStringVector(*_split_dictionary(body, count))
     if tag != _ENC_PLAIN:
         raise CorruptionError(f"unknown string chunk encoding {tag}")
     values = json.loads(body)
@@ -163,16 +345,12 @@ def _strings_to_vector(raw: bytes, count: int) -> DictStringVector:
 def _decode_vector(blob: bytes, type_: ColumnType, count: int) -> ColumnVector:
     """Decompress + decode one chunk to its typed vector form."""
     raw = zlib.decompress(blob)
-    if type_ in (ColumnType.INT64, ColumnType.TIMESTAMP):
-        array = np.frombuffer(raw, dtype=np.int64)
-        return NumericVector(array, array != _NULL_SENTINEL_INT)
-    if type_ is ColumnType.FLOAT64:
-        array = np.frombuffer(raw, dtype=np.float64)
-        return NumericVector(array, ~np.isnan(array))
+    if type_ is ColumnType.STRING:
+        return _strings_to_vector(raw, count)
     if type_ is ColumnType.BOOL:
         array = np.frombuffer(raw, dtype=np.uint8)
         return NumericVector(array == 2, array != 0)
-    return _strings_to_vector(raw, count)
+    return _decode_numeric(raw, type_, count)
 
 
 def _column_stats(values: list[object]) -> tuple[object, object, int]:
@@ -187,14 +365,13 @@ def _encode_vector(vector: NumericVector, type_: ColumnType) -> bytes:
     """Encode a typed vector to its compressed chunk — no Python rows."""
     valid = vector.valid()
     if type_ in (ColumnType.INT64, ColumnType.TIMESTAMP):
-        raw = np.where(
-            valid, vector.values.astype(np.int64, copy=False),
-            _NULL_SENTINEL_INT,
-        ).astype("<i8").tobytes()
+        raw = _encode_integers(
+            vector.values.astype(np.int64, copy=False), valid
+        )
     elif type_ is ColumnType.FLOAT64:
-        raw = np.where(
-            valid, vector.values.astype(np.float64, copy=False), np.nan
-        ).astype("<f8").tobytes()
+        raw = _encode_floats(
+            vector.values.astype(np.float64, copy=False), valid
+        )
     elif type_ is ColumnType.BOOL:
         raw = np.where(
             valid, vector.values.astype(np.uint8, copy=False) + 1, 0
@@ -220,12 +397,26 @@ def _vector_stats(vector: NumericVector,
     return float(low), float(high), nulls
 
 
-_EMPTY_DTYPES = {
-    ColumnType.INT64: np.int64,
-    ColumnType.TIMESTAMP: np.int64,
-    ColumnType.FLOAT64: np.float64,
-    ColumnType.BOOL: np.bool_,
-}
+def concat_columns(schema: Schema,
+                   parts: "list[dict[str, ColumnVector | list[object]]]"
+                   ) -> "dict[str, ColumnVector | list[object]]":
+    """Several files' :meth:`ColumnarFile.to_columns` data, end to end."""
+    out: dict[str, ColumnVector | list[object]] = {}
+    for column in schema.columns:
+        pieces = [part[column.name] for part in parts]
+        if column.type is ColumnType.STRING:
+            out[column.name] = [value for piece in pieces for value in piece]
+            continue
+        # the typed empty lead keeps zero files a typed empty column
+        values = [np.empty(0, dtype=_DTYPES[column.type])]
+        valid = [np.empty(0, dtype=bool)]
+        for piece in pieces:
+            values.append(piece.values)
+            valid.append(piece.valid())
+        out[column.name] = NumericVector(
+            np.concatenate(values), np.concatenate(valid)
+        )
+    return out
 
 
 def gather_column(data: "ColumnVector | list[object]",
@@ -692,7 +883,7 @@ class ColumnarFile:
                 for group in self._groups
             ]
             if not vectors:
-                dtype = _EMPTY_DTYPES[column.type]
+                dtype = _DTYPES[column.type]
                 out[column.name] = NumericVector(
                     np.empty(0, dtype=dtype), np.empty(0, dtype=bool)
                 )

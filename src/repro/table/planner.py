@@ -51,7 +51,7 @@ from repro.table.join import (
     hash_join,
 )
 from repro.table.table import Lakehouse, QueryStats, TableObject
-from repro.table.vector import ColumnVector
+from repro.table.vector import ColumnVector, NumericVector
 
 #: Left-deep enumeration is exhaustive up to this many relations (4! = 24
 #: orders); beyond it the factorial blows up and a DP planner would be
@@ -162,6 +162,41 @@ class TableStatistics:
     estimator: SPNEstimator | None
 
 
+def _distinct_count(data: "ColumnVector | list[object]") -> int:
+    """Distinct non-null values of one column's data."""
+    if isinstance(data, NumericVector):
+        return len(np.unique(data.values[data.valid()]))
+    return len(set(data) - {None})
+
+
+class _ColumnRows:
+    """A table's rows as a sequence over its column data.
+
+    A row dict is built when it is indexed, so the estimator pays for
+    the rows it samples while ``len`` — what the sample is drawn over —
+    is the whole table.
+    """
+
+    def __init__(self, columns: "dict[str, ColumnVector | list[object]]",
+                 num_rows: int) -> None:
+        self._columns = columns
+        self._num_rows = num_rows
+
+    def __len__(self) -> int:
+        return self._num_rows
+
+    def __getitem__(self, index: int) -> dict[str, object]:
+        row: dict[str, object] = {}
+        for name, data in self._columns.items():
+            if not isinstance(data, NumericVector):
+                row[name] = data[index]
+            elif data.valid()[index]:
+                row[name] = data.values[index].item()
+            else:
+                row[name] = None
+        return row
+
+
 class StatisticsCache:
     """Per-table planner statistics with explicit staleness.
 
@@ -197,15 +232,12 @@ class StatisticsCache:
         Charges the SPN's one-time training cost to the table's clock —
         collecting statistics is modeled work, not free lookahead.
         """
-        rows = table.select_rows()
-        ndv = {
-            name: len({row.get(name) for row in rows} - {None})
-            for name in table.schema.names
-        }
+        columns, row_count = table.read_columns()
+        ndv = {name: _distinct_count(data) for name, data in columns.items()}
         estimator: SPNEstimator | None = None
-        if rows:
+        if row_count:
             estimator = SPNEstimator(
-                rows, table.schema.names,
+                _ColumnRows(columns, row_count), table.schema.names,
                 sample_fraction=self.sample_fraction, seed=self.seed,
                 trained_snapshot_id=table.current_snapshot_id(),
             )
@@ -213,7 +245,7 @@ class StatisticsCache:
         entry = TableStatistics(
             table_name=table.name,
             snapshot_id=table.current_snapshot_id(),
-            row_count=len(rows),
+            row_count=row_count,
             ndv=ndv,
             estimator=estimator,
         )

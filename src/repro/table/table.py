@@ -39,7 +39,12 @@ from repro.storage.pool import StoragePool
 from repro.table.agg import AggregateState, aggregate_file, footer_answerable
 from repro.table.catalog import Catalog, TableInfo
 from repro.table.chunkcache import ChunkCache, default_chunk_cache
-from repro.table.columnar import ColumnarFile, ROW_GROUP_SIZE, gather_column
+from repro.table.columnar import (
+    ColumnarFile,
+    ROW_GROUP_SIZE,
+    concat_columns,
+    gather_column,
+)
 from repro.table.commit import CommitFile, DataFileMeta
 from repro.table.expr import Expression
 from repro.table.join import ColumnSet, concat_column_sets
@@ -681,6 +686,25 @@ class TableObject:
             return execute_pushdown_multi(rows, specs)
         return rows
 
+    def read_columns(self
+                     ) -> "tuple[dict[str, ColumnVector | list[object]], int]":
+        """The current snapshot as ``(column data, row count)``.
+
+        What statistics collection reads.  Like :meth:`select_rows` it
+        fetches every live file straight from the pool and charges no
+        simulated time, but each file decodes once to typed vectors and
+        no row is built.  Nothing it decodes enters the query caches.
+        """
+        scratch = ChunkCache(1)  # too small to admit a chunk
+        parts = []
+        num_rows = 0
+        for meta in self.snapshots.live_files():
+            payload, _ = self._pool.fetch(meta.path)
+            data_file = ColumnarFile.from_bytes(payload)
+            parts.append(data_file.to_columns(cache=scratch))
+            num_rows += data_file.num_rows
+        return concat_columns(self.schema, parts), num_rows
+
     # --- mutations ----------------------------------------------------------------
 
     def delete(self, predicate: Expression) -> float:
@@ -820,30 +844,16 @@ class TableObject:
         if len(live) < 2:
             return 0.0
         read_costs: list[float] = []
-        merged: dict[str, list] = {name: [] for name in self.schema.names}
+        parts = []
         num_rows = 0
         for meta in live:
             data_file, read_cost = self._hierarchy.load_file(
                 self._pool, meta.path, now=self._clock.now
             )
             read_costs.append(read_cost)
-            for name, data in data_file.to_columns(
-                cache=self._chunk_cache
-            ).items():
-                merged[name].append(data)
+            parts.append(data_file.to_columns(cache=self._chunk_cache))
             num_rows += data_file.num_rows
-        columns: dict[str, object] = {}
-        for column in self.schema.columns:
-            parts = merged[column.name]
-            if parts and isinstance(parts[0], NumericVector):
-                columns[column.name] = NumericVector(
-                    np.concatenate([part.values for part in parts]),
-                    np.concatenate([part.valid() for part in parts]),
-                )
-            else:
-                columns[column.name] = [
-                    value for part in parts for value in part
-                ]
+        columns = concat_columns(self.schema, parts)
         cost = _parallel_read_time(read_costs, read_parallelism)
         new_meta, write_cost = self._write_columns_file(
             partition, columns, num_rows

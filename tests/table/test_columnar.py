@@ -1,6 +1,8 @@
 """Unit and property tests for the columnar file format."""
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -8,13 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import CorruptionError, SchemaError
 from repro.table.columnar import (
+    _HEADER,
     ColumnarFile,
+    _decode_column,
     _decode_strings,
+    _decode_vector,
+    _encode_column,
     _encode_strings,
+    _encode_vector,
     _strings_to_vector,
 )
 from repro.table.expr import Predicate
 from repro.table.schema import Column, ColumnType, Schema
+from repro.table.sql import query
+from repro.table.vector import NumericVector
 
 SCHEMA = Schema([
     Column("id", ColumnType.INT64),
@@ -301,10 +310,6 @@ def test_truncated_mid_chunk_raises():
 
 def columns_of(rows):
     """Column data in the shape from_columns accepts, built from rows."""
-    import numpy as np
-
-    from repro.table.vector import NumericVector
-
     def numeric(name, dtype):
         values = [row[name] for row in rows]
         return NumericVector(
@@ -409,3 +414,324 @@ def test_plain_string_chunk_factorization_edges(values):
     assert None not in vector.dictionary
     assert len(set(vector.dictionary)) == len(vector.dictionary)
 
+
+
+# --- the typed chunk codec ----------------------------------------------------
+
+_I64 = np.iinfo(np.int64)
+_OLD_SENTINEL = -(2**62)
+
+# one strategy per width class of the integer layout
+_INT_CLASSES = {
+    "constant": st.integers(_I64.min, _I64.max).map(lambda v: st.just(v)),
+    "strided": st.integers(-2**40, 2**40).map(
+        lambda base: st.integers(0, 70_000).map(lambda n: base + n * 86_400)
+    ),
+    "one_byte": st.just(st.integers(-100, 150)),
+    "two_bytes": st.just(st.integers(0, 60_000)),
+    "four_bytes": st.just(st.integers(-2**30, 2**30)),
+    "full_range": st.just(st.one_of(
+        st.sampled_from([_I64.min, _I64.max, _OLD_SENTINEL, 0, -1]),
+        st.integers(_I64.min, _I64.max),
+    )),
+}
+
+_NULL_PATTERNS = {
+    "none": lambda n, draw: [True] * n,
+    "some": lambda n, draw: draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    "all": lambda n, draw: [False] * n,
+}
+
+
+def _roundtrip_ints(values, valid, type_):
+    """Both entry points agree on the bytes and give the values back."""
+    array = np.array(values, dtype=np.int64)
+    mask = np.array(valid, dtype=bool)
+    blob = _encode_vector(NumericVector(array, mask), type_)
+    vector = _decode_vector(blob, type_, len(values))
+    assert vector.values.dtype == np.int64
+    assert vector.valid().tolist() == valid
+    expected = [v if ok else None for v, ok in zip(values, valid)]
+    assert vector.to_list() == expected
+    assert _encode_column(expected, type_) == blob
+    assert _decode_column(blob, type_, len(values)) == expected
+    return blob
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       type_=st.sampled_from([ColumnType.INT64, ColumnType.TIMESTAMP]),
+       width_class=st.sampled_from(sorted(_INT_CLASSES)),
+       nulls=st.sampled_from(sorted(_NULL_PATTERNS)),
+       size=st.sampled_from([0, 1, 2, 7, 40]))
+def test_integer_chunk_roundtrip_property(data, type_, width_class, nulls,
+                                          size):
+    element = data.draw(_INT_CLASSES[width_class])
+    values = data.draw(st.lists(element, min_size=size, max_size=size))
+    valid = _NULL_PATTERNS[nulls](size, data.draw)
+    _roundtrip_ints(values, valid, type_)
+
+
+@pytest.mark.parametrize("valid", [
+    [True, True, True], [True, False, True], [False, True, True],
+])
+def test_full_int64_range_in_one_chunk(valid):
+    """INT64_MIN and INT64_MAX together leave no spare code for NULL:
+    the chunk spells validity out instead."""
+    blob = _roundtrip_ints([_I64.min, _I64.max, -1], valid, ColumnType.INT64)
+    header = _HEADER.unpack_from(zlib.decompress(blob))
+    # both extremes present at stride 1 -> 8-byte codes, mask iff NULLs
+    if valid[0] and valid[1]:
+        assert header[1] == 8 and header[2] == (0 if all(valid) else 2)
+
+
+def test_integer_chunk_header_fields():
+    days = [1_700_006_400 + n * 86_400 for n in (0, 3, 249, 9)]
+    raw = zlib.decompress(_encode_column(days + [None], ColumnType.TIMESTAMP))
+    tag, width, nulls, exponent, count, base, stride, top = \
+        _HEADER.unpack_from(raw)
+    assert (tag, width, nulls, exponent, count) == (1, 1, 1, 0, 5)
+    assert (base, stride, top) == (1_700_006_400, 86_400 * 3, 83)
+    # one plane of five codes; NULL is the code past the top
+    assert list(raw[_HEADER.size:]) == [0, 1, top, 3, top + 1]
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _roundtrip_floats(values, valid):
+    """Bit-exact round trip; returns the chunk's layout tag."""
+    array = np.array(values, dtype=np.float64)
+    mask = np.array(valid, dtype=bool)
+    blob = _encode_vector(NumericVector(array, mask), ColumnType.FLOAT64)
+    vector = _decode_vector(blob, ColumnType.FLOAT64, len(values))
+    assert vector.values.dtype == np.float64
+    # a valid NaN reads back as NULL, as it always has
+    expect_valid = [ok and v == v for v, ok in zip(values, valid)]
+    assert vector.valid().tolist() == expect_valid
+    kept = np.flatnonzero(expect_valid)
+    assert _bits(vector.values[kept]) == _bits(array[kept])
+    assert np.isnan(vector.values[~np.array(expect_valid, dtype=bool)]).all()
+    rows = [v if ok else None for v, ok in zip(values, valid)]
+    assert _encode_column(rows, ColumnType.FLOAT64) == blob
+    decoded = _decode_column(blob, ColumnType.FLOAT64, len(values))
+    assert [v is not None for v in decoded] == expect_valid
+    assert _bits([decoded[i] for i in kept]) == _bits(array[kept])
+    return zlib.decompress(blob)[0]
+
+
+_DECIMALS = st.integers(0, 5).flatmap(
+    lambda k: st.integers(-10**7, 10**7).map(lambda n: round(n / 10**k, k))
+)
+_ODD_FLOATS = st.sampled_from([
+    -0.0, 5e-324, -2.2e-308, float("nan"), float("inf"), float("-inf"),
+    2.0**53, -2.0**53, 2.0**53 / 10, 2.0**53 / 100, -(2.0**53) / 1000,
+    2.0**53 / 10_000, (2.0**53 - 1) / 100, 1e300, 0.1 + 0.2,
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       kind=st.sampled_from(["decimal", "odd", "mixed", "any"]),
+       nulls=st.sampled_from(sorted(_NULL_PATTERNS)),
+       size=st.sampled_from([0, 1, 2, 7, 40]))
+def test_float_chunk_roundtrip_property(data, kind, nulls, size):
+    element = {
+        "decimal": _DECIMALS,
+        "odd": _ODD_FLOATS,
+        "mixed": st.one_of(_DECIMALS, _ODD_FLOATS, st.floats()),
+        "any": st.floats(),
+    }[kind]
+    values = data.draw(st.lists(element, min_size=size, max_size=size))
+    valid = _NULL_PATTERNS[nulls](size, data.draw)
+    _roundtrip_floats(values, valid)
+
+
+@pytest.mark.parametrize("values, tag, exponent", [
+    ([1.0, 50.0, 7.0], 1, 0),
+    ([0.1, 0.25, 7.0], 1, 2),
+    ([0.0001, 12.5], 1, 4),
+    ([0.00001, 12.5], 0, None),            # five decimals: too many digits
+    ([0.0, 1.5, -0.0], 0, None),           # -0.0 is not 0 / 10**k
+    ([1.5, float("nan")], 0, None),
+    ([1.5, float("inf")], 0, None),
+    ([1.5, 5e-324], 0, None),
+    ([2.0**53, 1.0], 0, None),             # |integer| must stay below 2**53
+    ([2.0**53 - 1, 1.0], 1, 0),
+    ([0.1 + 0.2, 0.3], 0, None),           # 0.30000000000000004
+])
+def test_float_layout_choice(values, tag, exponent):
+    assert _roundtrip_floats(values, [True] * len(values)) == tag
+    raw = zlib.decompress(_encode_column(values, ColumnType.FLOAT64))
+    if tag == 1:
+        assert _HEADER.unpack_from(raw)[3] == exponent
+    else:
+        assert len(raw) == _HEADER.size + 8 * len(values)
+
+
+def test_old_null_sentinel_is_an_ordinary_value(lakehouse):
+    """-(2**62) used to be written as a value and read back as NULL,
+    while the footer said nulls = 0."""
+    schema = Schema([Column("a", ColumnType.INT64, nullable=True)])
+    rows = [{"a": _OLD_SENTINEL}, {"a": 5}, {"a": None}]
+    column = NumericVector(
+        np.array([_OLD_SENTINEL, 5, 0], dtype=np.int64),
+        np.array([True, True, False]),
+    )
+    for data_file in (
+        ColumnarFile.from_rows(schema, rows),
+        ColumnarFile.from_columns(schema, {"a": column}, 3),
+    ):
+        restored = ColumnarFile.from_bytes(data_file.to_bytes())
+        for candidate in (data_file, restored):
+            assert candidate.scan() == rows
+            assert candidate.scan_rows() == rows
+            ((vectors, mask, num_rows),) = candidate.select_vectors(["a"])
+            assert vectors["a"].to_list() == [_OLD_SENTINEL, 5, None]
+            (_, stats, nulls), = candidate.group_summaries()
+            assert nulls == {"a": 1}
+            assert stats["a"] == (_OLD_SENTINEL, 5)
+    table = lakehouse.create_table("sentinel", schema)
+    table.insert(rows)
+    # COUNT(a) is answered from the footer, the WHERE scan decodes
+    counted = query(lakehouse, "SELECT COUNT(a) AS n FROM sentinel")
+    everything = query(lakehouse, "SELECT COUNT(*) AS n FROM sentinel")
+    assert (counted, everything) == ([{"n": 2}], [{"n": 3}])
+    assert query(lakehouse, "SELECT a FROM sentinel WHERE a < 0") == \
+        [{"a": _OLD_SENTINEL}]
+
+
+@pytest.mark.parametrize("distinct", [1, 255, 256, 65_536])
+def test_dictionary_code_width(distinct):
+    """Codes are as wide as ``len(dictionary)`` — the NULL code — needs."""
+    words = [f"w{index:05d}" for index in range(distinct)]
+    values = (words + [None]) * 2
+    raw = _encode_strings(values)
+    assert raw[0] == 1  # dictionary
+    (dict_len,) = struct.unpack_from("<I", raw, 1)
+    width = {1: 1, 255: 1, 256: 2, 65_536: 4}[distinct]
+    assert len(raw) == 1 + 4 + dict_len + width * len(values)
+    vector = _strings_to_vector(raw, len(values))
+    assert vector.codes.dtype == np.uint32
+    assert vector.to_list() == _decode_strings(raw, len(values)) == values
+
+
+def _corrupt(raw, **fields):
+    """A numeric chunk with header fields overwritten."""
+    names = ("tag", "width", "nulls", "exponent", "count", "base", "stride",
+             "top")
+    header = dict(zip(names, _HEADER.unpack_from(raw)))
+    header.update(fields)
+    return zlib.compress(_HEADER.pack(*header.values()) + raw[_HEADER.size:])
+
+
+@pytest.mark.parametrize("type_, values", [
+    (ColumnType.INT64, [3, 1_000, None, 70_000]),
+    (ColumnType.TIMESTAMP, [86_400, 172_800, 0, 0]),
+    (ColumnType.FLOAT64, [0.5, 0.25, None, 9.75]),
+    (ColumnType.FLOAT64, [0.1 + 0.2, -0.0, None, 1.0]),   # raw layout
+])
+def test_corrupt_numeric_chunks_raise_corruption_error(type_, values):
+    count = len(values)
+    raw = zlib.decompress(_encode_column(values, type_))
+    broken = [
+        zlib.compress(raw[:-1]),                     # truncated planes
+        zlib.compress(raw + b"\x00"),                # trailing bytes
+        zlib.compress(raw[: _HEADER.size - 1]),      # truncated header
+        zlib.compress(b""),
+        _corrupt(raw, tag=7),                        # unknown layout
+        _corrupt(raw, count=count + 1),              # disagrees with footer
+    ]
+    if raw[0] == 1:
+        broken += [
+            _corrupt(raw, width=3), _corrupt(raw, width=0),
+            _corrupt(raw, width=16), _corrupt(raw, nulls=3),
+            _corrupt(raw, exponent=5), _corrupt(raw, top=2**64 - 1),
+        ]
+    for blob in broken:
+        with pytest.raises(CorruptionError):
+            _decode_vector(blob, type_, count)
+        with pytest.raises(CorruptionError):
+            _decode_column(blob, type_, count)
+    # a chunk cannot claim fewer rows than the footer either
+    with pytest.raises(CorruptionError):
+        _decode_vector(zlib.compress(raw), type_, count - 1)
+
+
+def test_raw_layout_is_only_for_floats():
+    raw = zlib.decompress(_encode_column([0.1 + 0.2], ColumnType.FLOAT64))
+    assert raw[0] == 0
+    with pytest.raises(CorruptionError):
+        _decode_vector(zlib.compress(raw), ColumnType.INT64, 1)
+
+
+def test_corrupt_dictionary_codes_raise_corruption_error():
+    values = ["a", "b", None, "a"] * 5
+    raw = _encode_strings(values)
+    assert raw[0] == 1
+    for broken in (raw[:-1], raw + b"\x00"):
+        with pytest.raises(CorruptionError):
+            _strings_to_vector(broken, len(values))
+        with pytest.raises(CorruptionError):
+            _decode_strings(broken, len(values))
+    with pytest.raises(CorruptionError):
+        _strings_to_vector(raw, len(values) + 1)
+
+
+# --- encoded size is a count: pinned per benchmark value domain ----------------
+
+_PIN_ROWS = 10_000
+_SHIPMODES = ("AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB", "REG AIR")
+
+
+def _pinned_domain(name):
+    """One seeded chunk drawn the way ``benchmarks/e2e/inputs.py`` draws
+    the column (``lineitem`` at 60k rows, the DPI packets)."""
+    rng = np.random.default_rng(22)
+    if name == "l_shipmode":
+        picks = rng.integers(0, len(_SHIPMODES), _PIN_ROWS).tolist()
+        return ColumnType.STRING, [_SHIPMODES[i] for i in picks]
+    type_, values = {
+        "l_orderkey": lambda: (
+            ColumnType.INT64, rng.integers(1, 15_001, _PIN_ROWS)),
+        "l_partkey": lambda: (
+            ColumnType.INT64, rng.integers(1, 200_000, _PIN_ROWS)),
+        "l_quantity": lambda: (
+            ColumnType.INT64, rng.integers(1, 51, _PIN_ROWS)),
+        "l_shipdate": lambda: (
+            ColumnType.TIMESTAMP,
+            694_224_000 + rng.integers(0, 2_526, _PIN_ROWS) * 86_400),
+        "l_extendedprice": lambda: (
+            ColumnType.FLOAT64,
+            np.round(rng.uniform(900.0, 105_000.0, _PIN_ROWS), 2)),
+        "l_discount": lambda: (
+            ColumnType.FLOAT64, rng.integers(0, 11, _PIN_ROWS) / 100.0),
+        "user_id": lambda: (
+            ColumnType.INT64, rng.integers(0, 1_000_000, _PIN_ROWS)),
+        "bytes_up": lambda: (
+            ColumnType.INT64, rng.integers(100, 100_000, _PIN_ROWS)),
+    }[name]()
+    return type_, values.tolist()
+
+
+# bytes per 10,000-row chunk as first written by the typed codec; the
+# 8-byte-word layout it replaced is beside each for scale
+@pytest.mark.parametrize("name, recorded", [
+    ("l_orderkey", 18_648),        # was 26,238
+    ("l_partkey", 23_448),         # was 30,992
+    ("l_quantity", 7_248),         # was 11,999
+    ("l_shipdate", 16_404),        # was 28,770
+    ("l_extendedprice", 29_762),   # was 42,263
+    ("l_discount", 5_266),         # was 8,657
+    ("user_id", 26_766),           # was 34,350
+    ("bytes_up", 22_153),          # was 29,661
+    ("l_shipmode", 4_438),         # was 5,839
+])
+def test_encoded_chunk_size_does_not_grow(name, recorded):
+    """A format change that fattens a chunk fails here, as an exact
+    count, rather than in a noisy timing."""
+    type_, values = _pinned_domain(name)
+    blob = _encode_column(values, type_)
+    assert _decode_column(blob, type_, _PIN_ROWS) == values
+    assert len(blob) <= recorded

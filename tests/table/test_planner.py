@@ -9,6 +9,7 @@ import pytest
 from repro.common.context import current_context
 from repro.common.stats import join_stats
 from repro.errors import PlanningError
+from repro.lakebrain.cardinality import SPNEstimator
 from repro.table.expr import Predicate
 from repro.table.join import join_rows
 from repro.table.planner import (
@@ -195,6 +196,57 @@ class TestPlanJoin:
         second = statistics.stats_for(table)
         assert second.snapshot_id == first.snapshot_id + 1
         assert second.row_count == first.row_count + 10
+
+    def test_refresh_equals_training_on_materialized_rows(
+            self, joined_lakehouse):
+        """Statistics read column data and build rows only where the
+        estimator samples; the model is the one the row-wise oracle
+        (``select_rows`` -> every row a dict) would have trained."""
+        lakehouse, _, _, _ = joined_lakehouse
+        probes = [
+            Predicate("l_quantity", "<", 10),
+            Predicate("l_orderkey", "=", 7),
+            Predicate("l_flag", "=", "N"),
+            Predicate("o_totalprice", ">=", 2500.0),
+            Predicate("s_nation", "<=", 2),
+        ]
+        for name in ("lineitem", "orders", "supplier"):
+            table = lakehouse.table(name)
+            table.insert(table.select_rows()[:40])  # a second live file
+            statistics = StatisticsCache()
+            chunk_cache = table.chunk_cache.stats.snapshot()
+            fetches = table.pool.stats.extents_read
+            clock_before = table.clock.now
+            entry = statistics.refresh(table)
+            rows = table.select_rows()
+            oracle = SPNEstimator(
+                rows, table.schema.names,
+                sample_fraction=statistics.sample_fraction,
+                seed=statistics.seed,
+            )
+            assert entry.row_count == len(rows)
+            assert entry.ndv == {
+                column: len({row[column] for row in rows} - {None})
+                for column in table.schema.names
+            }
+            assert entry.estimator.training_cost_s == oracle.training_cost_s
+            assert table.clock.now - clock_before == pytest.approx(
+                oracle.training_cost_s)
+            for probe in probes:
+                if probe.column in table.schema.names:
+                    assert (entry.estimator.cardinality(probe)
+                            == oracle.cardinality(probe))
+            # nothing entered the query caches
+            assert table.chunk_cache.stats.snapshot() == chunk_cache
+            # one pool read per live file, then select_rows' own two
+            assert table.pool.stats.extents_read - fetches == 2 + 2
+
+    def test_refresh_of_an_empty_table(self, lakehouse):
+        table = lakehouse.create_table("empty", SUPPLIER_SCHEMA)
+        entry = StatisticsCache().refresh(table)
+        assert entry.row_count == 0
+        assert entry.ndv == {"s_suppkey": 0, "s_nation": 0}
+        assert entry.estimator is None
 
 
 class TestJoinSQL:

@@ -24,7 +24,15 @@ COLUMN_POOL = [
     Column("s", ColumnType.STRING, nullable=True),
     Column("b", ColumnType.BOOL, nullable=True),
     Column("t", ColumnType.TIMESTAMP, nullable=True),
+    # one column per numeric chunk layout the codec can pick: whole days
+    # from a large base (strided planes) and two-decimal prices (decimal
+    # planes); "f" above draws arbitrary doubles, i.e. the raw layout
+    Column("d", ColumnType.TIMESTAMP, nullable=True),
+    Column("p", ColumnType.FLOAT64, nullable=True),
 ]
+
+_DAY = 86_400
+_EPOCH = 1_700_000_000 - 1_700_000_000 % _DAY
 
 _VALUE_STRATEGIES = {
     "i": st.one_of(st.none(), st.integers(-1000, 1000)),
@@ -35,6 +43,12 @@ _VALUE_STRATEGIES = {
     "s": st.one_of(st.none(), st.sampled_from(["ab", "cd", "ef", "and", "x <= y"])),
     "b": st.one_of(st.none(), st.booleans()),
     "t": st.one_of(st.none(), st.integers(0, 10_000)),
+    "d": st.one_of(
+        st.none(), st.integers(0, 400).map(lambda n: _EPOCH + n * _DAY)
+    ),
+    "p": st.one_of(
+        st.none(), st.integers(-20_000, 20_000).map(lambda n: n / 100)
+    ),
 }
 
 # literals matched to each column's type, plus = / IN against wrong types
@@ -45,6 +59,8 @@ _TYPED_LITERALS = {
     "s": st.sampled_from(["ab", "cd", "zz", ""]),
     "b": st.booleans(),
     "t": st.integers(0, 10_000),
+    "d": st.integers(-1, 401).map(lambda n: _EPOCH + n * _DAY),
+    "p": st.integers(-20_001, 20_001).map(lambda n: n / 100),
 }
 
 
@@ -81,7 +97,7 @@ def _expressions(names):
 @st.composite
 def _tables(draw):
     columns = draw(
-        st.lists(st.sampled_from(COLUMN_POOL), min_size=1, max_size=5,
+        st.lists(st.sampled_from(COLUMN_POOL), min_size=1, max_size=7,
                  unique_by=lambda c: c.name)
     )
     schema = Schema(columns)
