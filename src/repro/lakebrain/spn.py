@@ -254,15 +254,15 @@ class SPN:
         return ranges
 
     def _atom_range(self, atom: Predicate) -> tuple[float, float]:
-        code = self._code_of(atom.column, atom.literal)
         epsilon = self._epsilon_of(atom.column)
-        if atom.op == "=":
-            return code - epsilon / 2, code + epsilon / 2
-        if atom.op == "IN":
+        if atom.op == "IN":  # the literal is a tuple: code each member
             codes = [
                 self._code_of(atom.column, value) for value in atom.literal  # type: ignore[union-attr]
             ]
             return min(codes) - epsilon / 2, max(codes) + epsilon / 2
+        code = self._code_of(atom.column, atom.literal)
+        if atom.op == "=":
+            return code - epsilon / 2, code + epsilon / 2
         if atom.op in ("<", "<="):
             return -np.inf, code if atom.op == "<" else code + epsilon / 2
         return (code if atom.op == ">" else code - epsilon / 2), np.inf

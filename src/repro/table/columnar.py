@@ -6,13 +6,31 @@ data skipping within the file".  The binary layout is::
 
     [u32 footer_len][footer json][rowgroup 0 blocks...][rowgroup 1 ...]
 
-Every column chunk is one zlib stream (level 6).  What zlib is handed
-is typed, so that it never has to squeeze out bytes the value domain
-already rules out.  Compression is real, so the EC+Col-store space
-numbers of Fig 14(d) come from measured bytes, not a fudge factor.
+Compression is real (zlib level 6), so the EC+Col-store space numbers of
+Fig 14(d) come from measured bytes, not a fudge factor.  What zlib is
+handed is typed, so that it never has to squeeze out bytes the value
+domain already rules out, and it is handed one byte plane at a time, so
+a plane of random low bytes never shares a Huffman block with a plane
+of near-constant high bytes.
+
+**Plane frames.**  Every fixed-width chunk body is a list of byte
+planes of ``count`` bytes each (``count`` = the footer's row count for
+the group), written as one little-endian ``u32`` length per plane
+followed by the planes' frames, end to end::
+
+    u32 length[0] .. u32 length[k-1] | frame[0] .. frame[k-1]
+
+A frame whose length equals ``count`` is the plane's raw bytes
+(*stored*); a shorter frame is the plane as its own zlib stream
+(*deflated*), which must inflate to exactly ``count`` bytes.  The
+writer deflates a plane only when that is strictly smaller, so a plane
+of random bytes is stored and read back as a view, and a near-constant
+plane costs a few dozen bytes.  The lengths must add up to the rest of
+the chunk; the reader checks every length before it inflates anything.
+One framing serves every body below.
 
 **Numeric chunks** (INT64, TIMESTAMP, FLOAT64) open with one 32-byte
-little-endian header::
+little-endian header, written uncompressed, then their plane frames::
 
     u8 tag | u8 width | u8 nulls | u8 exponent | u32 count
     i64 base | u64 stride | u64 top
@@ -22,36 +40,39 @@ is the *planes* layout: every valid value is ``base + code * stride``
 with ``base`` the chunk minimum, ``stride`` the gcd of the distances
 to it (1 for a constant chunk) and ``top`` the largest code.  Codes
 are unsigned words of ``width`` in {1, 2, 4, 8} bytes — the smallest
-that holds ``top``, or ``top + 1`` when the chunk has NULLs — stored
-as ``width`` byte planes of ``count`` bytes each, least significant
-plane first, so the planes that are nearly constant sit together.
-``nulls`` is 0 for a chunk without NULLs, 1 when NULL is the code
-``top + 1`` (no in-band sentinel: every int64 round-trips) and 2 in
-the one case with no code to spare (``top`` = 2**64 - 1, i.e.
-``INT64_MIN`` and ``INT64_MAX`` at stride 1), where ``count``
-validity bytes follow the planes.  Arithmetic is modulo 2**64, which
-is exact because every result is an int64.
+that holds ``top``, or ``top + 1`` when the chunk has NULLs — framed as
+``width`` byte planes, least significant plane first.  ``nulls`` is 0
+for a chunk without NULLs, 1 when NULL is the code ``top + 1`` (no
+in-band sentinel: every int64 round-trips) and 2 in the one case with
+no code to spare (``top`` = 2**64 - 1, i.e. ``INT64_MIN`` and
+``INT64_MAX`` at stride 1), where one more plane follows the code
+planes: a validity byte per row (0 NULL, 1 valid).  Arithmetic is
+modulo 2**64, which is exact because every result is an int64.
 
 A FLOAT64 chunk takes the planes layout when every valid value is
 *bit for bit* ``integer / 10**exponent`` for one ``exponent`` in 0..4
 and ``|integer| < 2**53`` — checked on the whole chunk by dividing the
 rounded integers back — and then stores those integers.  ``-0.0``, a
 NaN, an infinity, a subnormal or any value with more digits fails the
-check, and the chunk takes ``tag`` 0, the raw layout: the header
-(``width`` 8, the other fields unused) followed by ``count`` float64
-words with NULL written as NaN.  A valid NaN therefore still reads
-back as NULL, as it always has; the footer statistics are computed
-from the values and order NaN arbitrarily, so that is out of scope
-here.  INT64/TIMESTAMP chunks never use the raw layout.
+check, and the chunk takes ``tag`` 0, the raw layout: the header with
+``width`` 8 (the other fields unused) and the IEEE-754 bits of the
+``count`` values as 8 byte planes, NULL written as NaN.  A valid NaN
+therefore still reads back as NULL, as it always has; the footer
+statistics are computed from the values and order NaN arbitrarily, so
+that is out of scope here.  INT64/TIMESTAMP chunks never use the raw
+layout.
 
-**BOOL chunks** are one byte per row: 0 NULL, 1 false, 2 true.
+**BOOL chunks** are one plane, one byte per row: 0 NULL, 1 false,
+2 true.
 
-**String chunks** pick per chunk, by size before compression, between
-plain JSON (tag 0) and dictionary encoding (tag 1): ``u32`` length of
-the JSON list of sorted distinct values, that list, then one code per
-row as byte planes at the smallest width holding ``len(dictionary)``,
-which is the NULL code — the classic columnar trick that makes
-low-cardinality log fields (provinces, URLs, flags) tiny.
+**String chunks** open with one uncompressed tag byte and pick per
+chunk, by size before compression, between plain JSON (tag 0: the JSON
+list of values as one zlib stream) and dictionary encoding (tag 1:
+``u32`` length of the dictionary stream, the JSON list of sorted
+distinct values as its own zlib stream, then one code per row as plane
+frames at the smallest width holding ``len(dictionary)``, which is the
+NULL code) — the classic columnar trick that makes low-cardinality log
+fields (provinces, URLs, flags) tiny.
 
 Scanning evaluates an :class:`~repro.table.expr.Expression` with row-group
 skipping first (footer stats), then a vectorized filter: chunks decode to
@@ -68,6 +89,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -96,6 +118,7 @@ _NULLS_MASK = 2
 _WIDTHS = (1, 2, 4, 8)
 _MAX_EXPONENT = 4
 _U64 = 2**64
+_ZLIB_LEVEL = 6
 
 _DTYPES = {
     ColumnType.INT64: np.int64,
@@ -110,77 +133,187 @@ def _width_for(limit: int) -> int:
     return next(width for width in _WIDTHS if limit >> (8 * width) == 0)
 
 
-def _pack_planes(codes: np.ndarray, width: int) -> bytes:
-    """Codes as ``width``-byte words, stored one byte plane at a time."""
-    words = codes.astype(f"<u{width}", copy=False)
-    return words.view(np.uint8).reshape(len(words), width).T.tobytes()
+def _word_planes(codes: np.ndarray, width: int) -> list[memoryview]:
+    """Codes as ``width``-byte words, cut into byte planes (least
+    significant first) from one transposed buffer."""
+    count = len(codes)
+    words = np.ascontiguousarray(codes, dtype=f"<u{width}")
+    buffer = memoryview(words.view(np.uint8).reshape(count, width).T.tobytes())
+    return [buffer[index * count : (index + 1) * count]
+            for index in range(width)]
 
 
-def _unpack_planes(raw: bytes, offset: int, width: int,
-                   count: int) -> np.ndarray:
-    """Inverse of :func:`_pack_planes`; the caller checked the length."""
-    planes = np.frombuffer(raw, np.uint8, width * count, offset)
-    words = np.ascontiguousarray(planes.reshape(width, count).T)
-    return words.view(f"<u{width}").reshape(count)
+def _frame_planes(planes: list) -> bytes:
+    """Length table + one frame per plane: deflated iff that is smaller."""
+    frames = []
+    for plane in planes:
+        deflated = zlib.compress(plane, _ZLIB_LEVEL)
+        frames.append(deflated if len(deflated) < len(plane) else plane)
+    lengths = struct.pack(f"<{len(frames)}I", *map(len, frames))
+    return lengths + b"".join(frames)
 
 
-def _encode_strings(values: list[object]) -> bytes:
-    """Pick plain-JSON or dictionary encoding, whichever is smaller.
+def _inflate(stream, size: int | None = None) -> bytes:
+    """One whole zlib stream, inflated to exactly ``size`` bytes if given."""
+    inflater = zlib.decompressobj()
+    try:
+        out = inflater.decompress(stream, size or 0)
+    except zlib.error as exc:
+        raise CorruptionError(f"chunk stream does not inflate: {exc}") from None
+    whole = inflater.eof and not (inflater.unused_data
+                                  or inflater.unconsumed_tail)
+    if not whole or size not in (None, len(out)):
+        raise CorruptionError(
+            f"chunk stream inflates to {len(out)} bytes, expected "
+            f"{'one whole stream' if size is None else size}"
+        )
+    return out
+
+
+def _read_planes(blob: bytes, offset: int, planes: int,
+                 count: int) -> list[np.ndarray]:
+    """Inverse of :func:`_frame_planes`: ``planes`` uint8 arrays of
+    ``count`` bytes, stored planes as views of ``blob``."""
+    table_end = offset + _LEN.size * planes
+    if len(blob) < table_end:
+        raise CorruptionError(
+            f"plane length table truncated: {len(blob) - offset} bytes "
+            f"for {planes} planes"
+        )
+    lengths = struct.unpack_from(f"<{planes}I", blob, offset)
+    if max(lengths, default=0) > count:
+        raise CorruptionError(
+            f"plane frame of {max(lengths)} bytes exceeds {count} rows"
+        )
+    if table_end + sum(lengths) != len(blob):
+        raise CorruptionError(
+            f"plane frames hold {len(blob) - table_end} bytes, "
+            f"length table says {sum(lengths)}"
+        )
+    view = memoryview(blob)
+    out = []
+    cursor = table_end
+    for length in lengths:
+        if length == count:
+            out.append(np.frombuffer(blob, np.uint8, count, cursor))
+        else:
+            plane = _inflate(view[cursor : cursor + length], count)
+            out.append(np.frombuffer(plane, np.uint8))
+        cursor += length
+    return out
+
+
+def _join_planes(planes: list[np.ndarray], dtype) -> np.ndarray:
+    """Words of ``dtype`` from little-endian byte planes, least
+    significant first (a width-1 chunk is one widening copy)."""
+    if len(planes) == 1:
+        return planes[0].astype(dtype)
+    size = np.dtype(dtype).itemsize
+    words = np.zeros((len(planes[0]), size), dtype=np.uint8)
+    for index, plane in enumerate(planes):
+        words[:, index] = plane
+    return words.view(f"<u{size}").reshape(-1).astype(dtype, copy=False)
+
+
+def _load_json(raw: bytes) -> object:
+    try:
+        return json.loads(raw)
+    except ValueError as exc:
+        raise CorruptionError(f"string chunk is not JSON: {exc}") from None
+
+
+def _encode_strings(values: list[object]
+                    ) -> tuple[bytes, tuple[object, object, int]]:
+    """The chunk and footer statistics ``(min, max, nulls)`` of a string
+    column, plain JSON or dictionary encoding, whichever is smaller.
 
     Dictionary encoding pays off exactly when the column is
     low-cardinality (provinces, URLs, status flags): distinct values are
-    stored once and rows become small integer codes.
+    stored once and rows become small integer codes.  The sorted
+    dictionary gives the codes; the codes' counts give the plain-JSON
+    size the choice is made against; the dictionary's ends and the NULL
+    count are the statistics; plain JSON is serialized only when chosen.
     """
+    present = set(values)
+    present.discard(None)
+    if not values or len(present) > max(1, len(values) // 2):
+        nulls = values.count(None)
+        stats = (min(present), max(present), nulls) if present else \
+            (None, None, nulls)
+        return _plain_strings(values), stats
+    distinct = sorted(present)
+    mapping = dict(zip(distinct, range(len(distinct))))
+    mapping[None] = len(distinct)
+    codes = np.fromiter(
+        map(mapping.__getitem__, values), dtype=np.uint32, count=len(values)
+    )
+    *counts, nulls = np.bincount(codes, minlength=len(distinct) + 1).tolist()
+    stats = (distinct[0], distinct[-1], nulls) if distinct else \
+        (None, None, nulls)
+    items = list(map(encode_basestring_ascii, distinct))
+    dictionary = f"[{','.join(items)}]".encode()
+    width = _width_for(len(distinct))
+    # "[" + values joined by "," + "]", NULL spelled "null"
+    plain_size = len(values) + 1 + 4 * nulls + sum(
+        map(int.__mul__, map(len, items), counts)
+    )
+    if _LEN.size + len(dictionary) + width * len(values) >= plain_size:
+        return _plain_strings(values), stats
+    stream = zlib.compress(dictionary, _ZLIB_LEVEL)
+    chunk = (
+        bytes([_ENC_DICT]) + _LEN.pack(len(stream)) + stream
+        + _frame_planes(_word_planes(codes, width))
+    )
+    return chunk, stats
+
+
+def _plain_strings(values: list[object]) -> bytes:
     plain = json.dumps(values, separators=(",", ":")).encode()
-    distinct = sorted({v for v in values if v is not None})
-    if values and len(distinct) <= max(1, len(values) // 2):
-        mapping = {value: code for code, value in enumerate(distinct)}
-        codes = np.array(
-            [len(distinct) if v is None else mapping[v] for v in values],
-            dtype=np.uint32,
-        )
-        dictionary = json.dumps(distinct, separators=(",", ":")).encode()
-        encoded = (
-            bytes([_ENC_DICT])
-            + _LEN.pack(len(dictionary)) + dictionary
-            + _pack_planes(codes, _width_for(len(distinct)))
-        )
-        plain_framed = bytes([_ENC_PLAIN]) + plain
-        return encoded if len(encoded) < len(plain_framed) else plain_framed
-    return bytes([_ENC_PLAIN]) + plain
+    return bytes([_ENC_PLAIN]) + zlib.compress(plain, _ZLIB_LEVEL)
 
 
-def _split_dictionary(body: bytes, count: int
+def _split_dictionary(blob: bytes, count: int
                       ) -> tuple[list[object], np.ndarray]:
-    """Dictionary and uint32 codes of a dictionary-encoded chunk body."""
-    (dict_len,) = _LEN.unpack_from(body)
-    start = _LEN.size + dict_len
-    dictionary = json.loads(body[_LEN.size : start])
-    width = _width_for(len(dictionary))
-    if len(body) - start != width * count:
+    """Dictionary and uint32 codes of a dictionary-encoded chunk."""
+    if len(blob) < 1 + _LEN.size:
+        raise CorruptionError("dictionary chunk shorter than its header")
+    (stream_len,) = _LEN.unpack_from(blob, 1)
+    start = 1 + _LEN.size + stream_len
+    if start > len(blob):
         raise CorruptionError(
-            f"dictionary codes hold {len(body) - start} bytes, "
-            f"expected {count} x {width}"
+            f"dictionary stream of {stream_len} bytes overruns the chunk"
         )
-    codes = _unpack_planes(body, start, width, count)
-    return dictionary, codes.astype(np.uint32, copy=False)
+    dictionary = _load_json(_inflate(memoryview(blob)[1 + _LEN.size : start]))
+    if not isinstance(dictionary, list):
+        raise CorruptionError("string dictionary is not a JSON list")
+    width = _width_for(len(dictionary))
+    codes = _join_planes(_read_planes(blob, start, width, count), np.uint32)
+    return dictionary, codes
 
 
-def _decode_strings(raw: bytes, count: int) -> list[object]:
-    tag = raw[0]
-    body = raw[1:]
-    if tag == _ENC_PLAIN:
-        values = json.loads(body)
-        if len(values) != count:
-            raise CorruptionError(
-                f"string column length {len(values)} != {count}"
-            )
-        return values
-    if tag != _ENC_DICT:
-        raise CorruptionError(f"unknown string chunk encoding {tag}")
-    dictionary, codes = _split_dictionary(body, count)
+def _plain_values(blob: bytes, count: int) -> list[object]:
+    values = _load_json(_inflate(memoryview(blob)[1:]))
+    if not isinstance(values, list) or len(values) != count:
+        raise CorruptionError(
+            f"plain string chunk is not a list of {count} values"
+        )
+    return values
+
+
+def _string_tag(blob: bytes) -> int:
+    if not blob:
+        raise CorruptionError("empty string chunk")
+    if blob[0] not in (_ENC_PLAIN, _ENC_DICT):
+        raise CorruptionError(f"unknown string chunk encoding {blob[0]}")
+    return blob[0]
+
+
+def _decode_strings(blob: bytes, count: int) -> list[object]:
+    if _string_tag(blob) == _ENC_PLAIN:
+        return _plain_values(blob, count)
+    dictionary, codes = _split_dictionary(blob, count)
     null_code = len(dictionary)
-    return [None if c == null_code else dictionary[c] for c in codes]
+    return [None if c == null_code else dictionary[c] for c in codes.tolist()]
 
 
 def _encode_integers(values: np.ndarray, valid: np.ndarray,
@@ -197,18 +330,21 @@ def _encode_integers(values: np.ndarray, valid: np.ndarray,
     if stride > 1:
         codes //= np.uint64(stride)
     top = (high - base) // stride
-    nulls, limit, mask = _NULLS_NONE, top, b""
+    nulls, limit = _NULLS_NONE, top
     if not all_valid and top + 1 < _U64:
         nulls, limit = _NULLS_CODE, top + 1
         codes[~valid] = limit
     elif not all_valid:  # every code is a value: spell validity out
-        nulls, mask = _NULLS_MASK, valid.tobytes()
+        nulls = _NULLS_MASK
         codes[~valid] = 0
     width = _width_for(limit)
     header = _HEADER.pack(
         _NUM_PLANES, width, nulls, exponent, len(values), base, stride, top
     )
-    return header + _pack_planes(codes, width) + mask
+    planes = _word_planes(codes, width)
+    if nulls == _NULLS_MASK:
+        planes.append(valid.tobytes())
+    return header + _frame_planes(planes)
 
 
 def _decimal_integers(present: np.ndarray) -> tuple[np.ndarray, int] | None:
@@ -233,7 +369,8 @@ def _encode_floats(values: np.ndarray, valid: np.ndarray) -> bytes:
     if decimal is None:
         header = _HEADER.pack(_NUM_RAW, 8, 0, 0, len(values), 0, 1, 0)
         words = values if all_valid else np.where(valid, values, np.nan)
-        return header + words.astype("<f8", copy=False).tobytes()
+        bits = words.astype("<f8", copy=False).view("<u8")
+        return header + _frame_planes(_word_planes(bits, 8))
     integers, exponent = decimal
     if not all_valid:
         spread = np.zeros(len(values), dtype=np.int64)
@@ -242,22 +379,22 @@ def _encode_floats(values: np.ndarray, valid: np.ndarray) -> bytes:
     return _encode_integers(integers, valid, exponent)
 
 
-def _decode_numeric(raw: bytes, type_: ColumnType, count: int) -> NumericVector:
+def _decode_numeric(blob: bytes, type_: ColumnType,
+                    count: int) -> NumericVector:
     """Inverse of :func:`_encode_integers` / :func:`_encode_floats`."""
-    if len(raw) < _HEADER.size:
+    if len(blob) < _HEADER.size:
         raise CorruptionError("numeric chunk shorter than its header")
     tag, width, nulls, exponent, stored, base, stride, top = \
-        _HEADER.unpack_from(raw)
+        _HEADER.unpack_from(blob)
     if stored != count:
         raise CorruptionError(f"numeric chunk holds {stored} rows != {count}")
     is_float = type_ is ColumnType.FLOAT64
-    body = len(raw) - _HEADER.size
     if tag == _NUM_RAW and is_float:
-        if body != 8 * count:
-            raise CorruptionError(
-                f"raw float chunk holds {body} bytes, expected {8 * count}"
-            )
-        array = np.frombuffer(raw, "<f8", count, _HEADER.size)
+        if width != 8:
+            raise CorruptionError(f"raw float chunk has width {width} != 8")
+        bits = _join_planes(_read_planes(blob, _HEADER.size, 8, count),
+                            np.uint64)
+        array = bits.view(np.float64)
         return NumericVector(array, ~np.isnan(array))
     if tag != _NUM_PLANES:
         raise CorruptionError(f"unknown numeric chunk layout {tag}")
@@ -268,21 +405,16 @@ def _decode_numeric(raw: bytes, type_: ColumnType, count: int) -> NumericVector:
             f"numeric chunk header out of range: width {width}, "
             f"nulls {nulls}, exponent {exponent}, top {top}"
         )
-    expected = (width + (nulls == _NULLS_MASK)) * count
-    if body != expected:
-        raise CorruptionError(
-            f"numeric chunk planes hold {body} bytes, expected {expected}"
-        )
-    codes = _unpack_planes(raw, _HEADER.size, width, count)
+    planes = _read_planes(
+        blob, _HEADER.size, width + (nulls == _NULLS_MASK), count
+    )
+    words = _join_planes(planes[:width], np.uint64)
     if nulls == _NULLS_NONE:
         valid = np.ones(count, dtype=bool)
     elif nulls == _NULLS_CODE:
-        valid = codes != top + 1
+        valid = words != top + 1
     else:
-        valid = np.frombuffer(
-            raw, np.uint8, count, _HEADER.size + width * count
-        ) != 0
-    words = codes.astype(np.uint64)
+        valid = planes[width] != 0
     if stride != 1:
         words *= np.uint64(stride)
     words += np.uint64(base % _U64)
@@ -302,34 +434,31 @@ def _numeric_vector(values: list[object], type_: ColumnType) -> NumericVector:
     )
 
 
-def _encode_column(values: list[object], type_: ColumnType) -> bytes:
+def _encode_column(values: list[object], type_: ColumnType
+                   ) -> tuple[bytes, tuple[object, object, int]]:
+    """Chunk + footer statistics ``(min, max, nulls)`` of Python values."""
     if type_ is ColumnType.STRING:
-        return zlib.compress(_encode_strings(values), level=6)
-    return _encode_vector(_numeric_vector(values, type_), type_)
+        return _encode_strings(values)
+    chunk = _encode_vector(_numeric_vector(values, type_), type_)
+    return chunk, _column_stats(values)
 
 
 def _decode_column(blob: bytes, type_: ColumnType, count: int) -> list[object]:
     if type_ is ColumnType.STRING:
-        return _decode_strings(zlib.decompress(blob), count)
+        return _decode_strings(blob, count)
     return _decode_vector(blob, type_, count).to_list()
 
 
-def _strings_to_vector(raw: bytes, count: int) -> DictStringVector:
+def _strings_to_vector(blob: bytes, count: int) -> DictStringVector:
     """Decode a string chunk to dictionary form without a row-dict detour.
 
     Dictionary-encoded chunks map straight through; plain-JSON chunks are
     factorized (distinct values + codes) so both representations share
     the vectorized compare/take path.
     """
-    tag = raw[0]
-    body = raw[1:]
-    if tag == _ENC_DICT:
-        return DictStringVector(*_split_dictionary(body, count))
-    if tag != _ENC_PLAIN:
-        raise CorruptionError(f"unknown string chunk encoding {tag}")
-    values = json.loads(body)
-    if len(values) != count:
-        raise CorruptionError(f"string column length {len(values)} != {count}")
+    if _string_tag(blob) == _ENC_DICT:
+        return DictStringVector(*_split_dictionary(blob, count))
+    values = _plain_values(blob, count)
     # distinct values in first-seen order; NULL takes the code past them
     distinct = dict.fromkeys(values)
     distinct.pop(None, None)
@@ -343,14 +472,13 @@ def _strings_to_vector(raw: bytes, count: int) -> DictStringVector:
 
 
 def _decode_vector(blob: bytes, type_: ColumnType, count: int) -> ColumnVector:
-    """Decompress + decode one chunk to its typed vector form."""
-    raw = zlib.decompress(blob)
+    """Decode one chunk to its typed vector form."""
     if type_ is ColumnType.STRING:
-        return _strings_to_vector(raw, count)
+        return _strings_to_vector(blob, count)
     if type_ is ColumnType.BOOL:
-        array = np.frombuffer(raw, dtype=np.uint8)
-        return NumericVector(array == 2, array != 0)
-    return _decode_numeric(raw, type_, count)
+        (codes,) = _read_planes(blob, 0, 1, count)
+        return NumericVector(codes == 2, codes != 0)
+    return _decode_numeric(blob, type_, count)
 
 
 def _column_stats(values: list[object]) -> tuple[object, object, int]:
@@ -362,23 +490,22 @@ def _column_stats(values: list[object]) -> tuple[object, object, int]:
 
 
 def _encode_vector(vector: NumericVector, type_: ColumnType) -> bytes:
-    """Encode a typed vector to its compressed chunk — no Python rows."""
+    """Encode a typed vector to its chunk — no Python rows."""
     valid = vector.valid()
     if type_ in (ColumnType.INT64, ColumnType.TIMESTAMP):
-        raw = _encode_integers(
+        return _encode_integers(
             vector.values.astype(np.int64, copy=False), valid
         )
-    elif type_ is ColumnType.FLOAT64:
-        raw = _encode_floats(
+    if type_ is ColumnType.FLOAT64:
+        return _encode_floats(
             vector.values.astype(np.float64, copy=False), valid
         )
-    elif type_ is ColumnType.BOOL:
-        raw = np.where(
+    if type_ is ColumnType.BOOL:
+        codes = np.where(
             valid, vector.values.astype(np.uint8, copy=False) + 1, 0
-        ).astype(np.uint8).tobytes()
-    else:
-        raise SchemaError("string column cannot encode from a NumericVector")
-    return zlib.compress(raw, level=6)
+        ).astype(np.uint8)
+        return _frame_planes([codes.tobytes()])
+    raise SchemaError("string column cannot encode from a NumericVector")
 
 
 def _vector_stats(vector: NumericVector,
@@ -439,8 +566,9 @@ class _RowGroup:
         self.null_counts: dict[str, int] = {}
         for column in schema.columns:
             values = [row.get(column.name) for row in rows]
-            self.chunks[column.name] = _encode_column(values, column.type)
-            low, high, nulls = _column_stats(values)
+            self.chunks[column.name], (low, high, nulls) = _encode_column(
+                values, column.type
+            )
             self.stats[column.name] = (low, high)
             self.null_counts[column.name] = nulls
 
@@ -473,8 +601,8 @@ class _RowGroup:
                     data[start:stop] if isinstance(data, list)
                     else data.take(np.arange(start, stop))
                 )
-                group.chunks[column.name] = _encode_column(values, column.type)
-                low, high, nulls = _column_stats(values)
+                group.chunks[column.name], (low, high, nulls) = \
+                    _encode_column(values, column.type)
             group.stats[column.name] = (low, high)
             group.null_counts[column.name] = nulls
         return group

@@ -125,3 +125,36 @@ def test_range_estimates_track_truth(low, width):
     )
     truth = sum(1 for r in rows if low <= r["x"] < low + width) / len(rows)
     assert spn.selectivity(predicate) == pytest.approx(truth, abs=0.15)
+
+
+@pytest.fixture(scope="module")
+def integer_spn():
+    """A uniform integer column over 0..256: its spread over 256 is 1, so
+    one ``=`` range covers exactly one integer."""
+    rng = np.random.default_rng(5)
+    rows = [
+        {"q": int(rng.integers(0, 257)), "cat": f"c{int(rng.integers(0, 4))}"}
+        for _ in range(3000)
+    ]
+    return SPN.learn(rows, ["q", "cat"], seed=1)
+
+
+@pytest.mark.parametrize("column, members", [
+    ("q", (40, 41, 42)),
+    ("q", (7,)),
+    ("q", tuple(range(100, 108))),
+    ("cat", ("c1", "c2")),
+    ("cat", ("c0",)),
+])
+def test_in_estimates_the_sum_of_its_equalities(integer_spn, column, members):
+    """``IN`` is the hull of its members' ``=`` ranges: for adjacent
+    members it estimates what their equalities add up to."""
+    estimate = integer_spn.selectivity(Predicate(column, "IN", members))
+    equalities = sum(
+        integer_spn.selectivity(Predicate(column, "=", value))
+        for value in members
+    )
+    assert estimate == pytest.approx(equalities, abs=0.07)
+    conjunction = And(Predicate(column, "IN", members),
+                      Predicate("q", ">=", 0))
+    assert 0.0 <= integer_spn.selectivity(conjunction) <= 1.0

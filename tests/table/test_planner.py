@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sqlite3
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.table.planner import (
 from repro.table.schema import Column, ColumnType, Schema
 from repro.table.sql import SQLError, query
 from repro.table.table import Lakehouse
+from repro.workloads import tpch
 
 LINEITEM_SCHEMA = Schema([
     Column("l_orderkey", ColumnType.INT64, nullable=True),
@@ -342,6 +344,36 @@ class TestJoinSQL:
                 "LEFT JOIN orders o ON l.l_orderkey = o.o_orderkey "
                 "WHERE o.o_totalprice < 300",
             )
+
+    def test_in_on_a_numeric_column_plans_and_matches_sqlite(self,
+                                                            lakehouse):
+        """``IN`` over an integer column used to crash the planner's
+        cardinality estimate (the SPN coded the whole tuple as one
+        literal) before any row was read."""
+        generator = tpch.TPCHGenerator(scale_factor=1, rows_per_sf=1_200)
+        tables = {
+            "lineitem": (tpch.LINEITEM_SCHEMA, generator.lineitem()),
+            "orders": (tpch.ORDERS_SCHEMA, generator.orders()),
+        }
+        oracle = sqlite3.connect(":memory:")
+        for name, (schema, rows) in tables.items():
+            lakehouse.create_table(name, schema).insert(rows)
+            oracle.execute(f"CREATE TABLE {name} ({', '.join(schema.names)})")
+            oracle.executemany(
+                f"INSERT INTO {name} VALUES "
+                f"({', '.join('?' * len(schema.names))})",
+                [[row[column] for column in schema.names] for row in rows],
+            )
+        sql = (
+            "SELECT l.l_returnflag, COUNT(*) AS n FROM lineitem l "
+            "JOIN orders o ON l.l_orderkey = o.o_orderkey "
+            "WHERE l.l_quantity IN (1, 2, 3) GROUP BY l.l_returnflag"
+        )
+        rows = query(lakehouse, sql)
+        expected = oracle.execute(sql).fetchall()
+        assert sorted((row["l.l_returnflag"], row["n"]) for row in rows) \
+            == sorted(expected)
+        assert sum(count for _, count in expected) > 0
 
     def test_ambiguous_and_unknown_refs_rejected(self, joined_lakehouse):
         lakehouse, _, _, _ = joined_lakehouse
