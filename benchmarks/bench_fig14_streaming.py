@@ -220,7 +220,9 @@ def test_fig14c_migration_contrast(benchmark) -> None:
     table.add_row("StreamLake (+1 worker)", result["sl_moved_bytes"],
                   result["sl_elapsed"])
     table.show()
-    assert result["kafka_moved"] > 100_000
+    # a quarter of 600 zlib-compressed 20-record batches x RF 3 moves to
+    # the new broker: 77,520 B with planar record batches
+    assert result["kafka_moved"] > 70_000
     assert result["sl_moved_bytes"] == 0
     assert result["sl_elapsed"] < result["kafka_elapsed"]
 

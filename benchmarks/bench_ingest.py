@@ -5,7 +5,7 @@ slice as per-record JSON wrapped in three nested length+CRC frames.  The
 batched path packs a whole ``send_batch`` straight into the columnar
 binary slice format, group-commits sealed slices through one PLog
 ``append_batch`` (one vectorized EC encode), and decodes reads through
-the slice offset index.
+the record bounds the slice's length planes imply.
 
 This bench runs the same 100k-record produce -> seal -> read-back
 workload through both paths (plus the packed path over a replicated

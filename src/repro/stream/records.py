@@ -6,19 +6,32 @@ holds up to 256 records (Section IV-A).
 
 Two wire formats exist:
 
-* **Packed** (current): the whole batch is one buffer — a magic-prefixed
-  header, a block of fixed-width per-record struct headers
-  (offset/timestamp/sequence plus the five varlen-region lengths), a
-  ``u32`` per-record offset index into the varlen blob (so a reader can
-  seek straight to record *i* without touching records ``0..i-1``), then
-  the varlen topic/key/producer/txn/value regions back-to-back.  The
-  header block and index are contiguous so both encode and decode handle
-  them as single NumPy arrays; one CRC32 covers the entire batch instead
-  of three nested per-record frames.
+* **Planar** (current): a whole batch of ``n`` records is one buffer::
+
+      [ 12-byte batch header | 44 * n header-plane bytes | varlen blob ]
+
+  - The batch header is ``magic "SLP1", u32 n, u32 crc32``, the CRC
+    covering every byte after the header.
+  - Each record has a 44-byte fixed-width header: ``offset i64,
+    timestamp f64, sequence i64`` then the ``u32`` lengths of its varlen
+    topic, key, producer_id, txn_id and value regions (``txn_len ==
+    0xFFFFFFFF`` means ``txn_id is None``, distinct from ``""``).  The
+    ``(n, 44)`` block of those headers is stored *transposed*: 44 byte
+    planes of ``n`` bytes, plane ``j`` holding byte ``j`` of every
+    header.  Constant fields become constant planes and the high bytes of
+    offsets, sequences and lengths become near-constant ones, which
+    deflate far better than the interleaved rows.
+  - The varlen blob holds each record's topic, key, producer_id, txn_id
+    and value bytes back-to-back, record after record.
+
+  No offset index is stored: record ``i`` starts at the exclusive cumsum
+  of the five lengths of records ``0..i-1``, computed in one NumPy pass,
+  so a reader still seeks straight to record ``i``.  Decoders check that
+  the lengths sum exactly to the blob before slicing anything.
 * **Legacy** (seed): each record is JSON metadata + value wrapped in three
   nested length+CRC frames, concatenated per slice.  Decoders dispatch on
-  the magic bytes, so slices persisted before the packed codec still read
-  (:func:`decode_legacy`).
+  the magic bytes, so a buffer without it reads through
+  :func:`decode_legacy`.
 """
 
 from __future__ import annotations
@@ -38,26 +51,27 @@ from repro.errors import CorruptionError
 #: Paper, Section IV-A: "Each slice contains up to 256 records."
 RECORDS_PER_SLICE = 256
 
-#: Magic prefix of the packed batch layout ("StreamLake Binary v1").  A
+#: Magic prefix of the planar batch layout ("StreamLake Planar v1").  A
 #: legacy slice starts with the little-endian length of its first record
 #: frame, which would have to be ~0.8 GB to collide with these bytes.
-PACKED_MAGIC = b"SLB1"
+PACKED_MAGIC = b"SLP1"
 
-#: magic, record count, crc32(header block + index + varlen blob)
+#: magic, record count, crc32(header planes + varlen blob)
 _BATCH_HEADER = struct.Struct("<4sII")
 #: one fixed-width header per record: offset:i64, timestamp:f64,
 #: sequence:i64, then u32 lengths of the varlen topic/key/producer_id/
-#: txn_id/value regions.  Headers are stored as one contiguous block so
-#: the whole batch encodes/decodes through a single NumPy record array.
+#: txn_id/value regions.  Stored as byte planes (see the module doc).
 _HEADER_DTYPE = np.dtype([
     ("offset", "<i8"), ("timestamp", "<f8"), ("sequence", "<i8"),
     ("topic_len", "<u4"), ("key_len", "<u4"), ("pid_len", "<u4"),
     ("txn_len", "<u4"), ("value_len", "<u4"),
 ])
-#: one header as an opaque fixed-width item (see :func:`repack_slices`)
-_HEADER_BLOCK = np.dtype((np.void, _HEADER_DTYPE.itemsize))
 #: txn_id length sentinel distinguishing ``None`` from an empty string.
 _NO_TXN = 0xFFFFFFFF
+#: first of the 20 planes holding the five u32 varlen lengths
+_LENGTH_PLANES = _HEADER_DTYPE.fields["topic_len"][1]
+#: the txn_id and value lengths among those five
+_TXN_COLUMN, _VALUE_COLUMN = 3, 4
 
 
 @dataclass(frozen=True)
@@ -128,8 +142,94 @@ class MessageRecord:
 
 
 def is_packed(data: bytes) -> bool:
-    """Does ``data`` carry the packed batch layout (vs legacy frames)?"""
+    """Does ``data`` carry the planar batch layout (vs legacy frames)?"""
     return len(data) >= _BATCH_HEADER.size and data[:4] == PACKED_MAGIC
+
+
+def _store(planes: np.ndarray, name: str, column) -> None:
+    """Write ``column`` (one value, or one per record) into the byte planes
+    of header field ``name``: plane ``at + b`` takes byte ``b`` of every
+    record's field, so each store is one strided copy."""
+    dtype, at = _HEADER_DTYPE.fields[name][:2]
+    raw = np.asarray(column, dtype=dtype).reshape(-1, 1).view(np.uint8)
+    planes[at:at + dtype.itemsize] = raw.T
+
+
+def _seal(planes: np.ndarray, body: bytes) -> bytes:
+    """Prefix ``planes`` + ``body`` with the batch header and its CRC."""
+    crc = zlib.crc32(body, zlib.crc32(planes))
+    return b"".join(
+        (_BATCH_HEADER.pack(PACKED_MAGIC, planes.shape[1], crc), planes, body)
+    )
+
+
+def _planes(data: bytes) -> tuple[np.ndarray, int]:
+    """(``(44, count)`` byte planes, varlen blob start) of a planar buffer."""
+    magic, count = _BATCH_HEADER.unpack_from(data)[:2]
+    if magic != PACKED_MAGIC:
+        raise CorruptionError("planar batch magic mismatch")
+    blob_start = _BATCH_HEADER.size + _HEADER_DTYPE.itemsize * count
+    if len(data) < blob_start:
+        raise CorruptionError("planar batch truncated in its header planes")
+    planes = np.frombuffer(
+        data, dtype=np.uint8, count=_HEADER_DTYPE.itemsize * count,
+        offset=_BATCH_HEADER.size,
+    ).reshape(_HEADER_DTYPE.itemsize, count)
+    return planes, blob_start
+
+
+def _bounds(lengths: np.ndarray, blob_start: int, size: int) -> np.ndarray:
+    """Record bounds of a planar buffer of ``size`` bytes, from its
+    ``(count, 5)`` varlen lengths.
+
+    Record ``i`` spans ``data[bounds[i]:bounds[i + 1]]`` and its value is
+    the last ``value_len`` bytes of that span.  The bounds are the
+    exclusive cumsum of the five varlen lengths, so they are checked to
+    end exactly at the end of the buffer before anything is sliced.
+    """
+    spans = lengths.astype(np.int64)
+    txn = spans[:, _TXN_COLUMN]
+    txn[txn == _NO_TXN] = 0
+    # one flat cumsum over the (count, 5) region lengths: record i's last
+    # region ends at flat entry 5i + 4 (a per-row sum first is slower)
+    bounds = np.empty(len(spans) + 1, dtype=np.int64)
+    bounds[0] = 0
+    bounds[1:] = spans.cumsum()[4::5]
+    bounds += blob_start
+    if bounds[-1] != size:
+        raise CorruptionError(
+            f"planar batch lengths cover {bounds[-1] - blob_start} varlen "
+            f"bytes, the blob holds {size - blob_start}"
+        )
+    return bounds
+
+
+def _layout(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(byte planes, ``(count, 5)`` varlen lengths, record bounds) of a
+    planar buffer, transposing only the 20 length planes."""
+    planes, blob_start = _planes(data)
+    lengths = np.ascontiguousarray(planes[_LENGTH_PLANES:].T).view("<u4")
+    return planes, lengths, _bounds(lengths, blob_start, len(data))
+
+
+def _check_crc(data: bytes) -> None:
+    crc = _BATCH_HEADER.unpack_from(data)[2]
+    if zlib.crc32(memoryview(data)[_BATCH_HEADER.size:]) != crc:
+        raise CorruptionError("planar batch checksum mismatch")
+
+
+def _verified_headers(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(header records, record bounds) of a CRC-checked planar buffer.
+
+    All 44 planes transpose back to rows once; the bounds come from the
+    length fields of those rows.
+    """
+    planes, blob_start = _planes(data)
+    rows = np.ascontiguousarray(planes.T)
+    bounds = _bounds(rows[:, _LENGTH_PLANES:].view("<u4"), blob_start,
+                     len(data))
+    _check_crc(data)
+    return rows.view(_HEADER_DTYPE)[:, 0], bounds
 
 
 def _encode_packed(records: list[MessageRecord],
@@ -141,7 +241,6 @@ def _encode_packed(records: list[MessageRecord],
     # fixed-width lengths live in small per-tuple LUTs expanded to
     # per-record columns with one fancy index each.
     memo: dict[tuple[str, str, str, str | None], tuple[int, bytes]] = {}
-    prefixes_len: list[int] = []
     topic_lens: list[int] = []
     key_lens: list[int] = []
     pid_lens: list[int] = []
@@ -163,9 +262,8 @@ def _encode_packed(records: list[MessageRecord],
             key_b = meta_key[1].encode()
             pid_b = meta_key[2].encode()
             txn_b = b"" if meta_key[3] is None else meta_key[3].encode()
-            prefix = topic_b + key_b + pid_b + txn_b
-            meta = memo[meta_key] = (len(memo), prefix)
-            prefixes_len.append(len(prefix))
+            meta = memo[meta_key] = (len(memo),
+                                     topic_b + key_b + pid_b + txn_b)
             topic_lens.append(len(topic_b))
             key_lens.append(len(key_b))
             pid_lens.append(len(pid_b))
@@ -179,49 +277,27 @@ def _encode_packed(records: list[MessageRecord],
         parts_append(meta[1])
         parts_append(value)
     mid = np.asarray(mids, dtype=np.intp)
-    vl = np.asarray(value_lens, dtype=np.int64)
-    headers = np.empty(n, dtype=_HEADER_DTYPE)
-    if offsets is None:
-        headers["offset"] = np.arange(base_offset, base_offset + n,
-                                      dtype=np.int64)
-    else:
-        headers["offset"] = offsets
-    headers["timestamp"] = timestamps
-    headers["sequence"] = sequences
-    headers["topic_len"] = np.asarray(topic_lens, dtype=np.int64)[mid]
-    headers["key_len"] = np.asarray(key_lens, dtype=np.int64)[mid]
-    headers["pid_len"] = np.asarray(pid_lens, dtype=np.int64)[mid]
-    headers["txn_len"] = np.asarray(txn_lens, dtype=np.uint32)[mid]
-    headers["value_len"] = vl
-    sizes = np.asarray(prefixes_len, dtype=np.int64)[mid] + vl
-    starts = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        np.cumsum(sizes[:-1], out=starts[1:])
-    header_bytes = headers.tobytes()
-    index_bytes = starts.astype("<u4").tobytes()
-    body = b"".join(parts)
-    crc = zlib.crc32(body, zlib.crc32(index_bytes, zlib.crc32(header_bytes)))
-    return (_BATCH_HEADER.pack(PACKED_MAGIC, n, crc)
-            + header_bytes + index_bytes + body)
+    planes = np.empty((_HEADER_DTYPE.itemsize, n), dtype=np.uint8)
+    _store(planes, "offset",
+           np.arange(base_offset, base_offset + n, dtype=np.int64)
+           if offsets is None else offsets)
+    _store(planes, "timestamp", timestamps)
+    _store(planes, "sequence", sequences)
+    _store(planes, "topic_len", np.asarray(topic_lens, dtype=np.int64)[mid])
+    _store(planes, "key_len", np.asarray(key_lens, dtype=np.int64)[mid])
+    _store(planes, "pid_len", np.asarray(pid_lens, dtype=np.int64)[mid])
+    _store(planes, "txn_len", np.asarray(txn_lens, dtype=np.uint32)[mid])
+    _store(planes, "value_len", value_lens)
+    return _seal(planes, b"".join(parts))
 
 
 def _decode_packed(data: bytes, start: int = 0) -> list[MessageRecord]:
-    magic, count, crc = _BATCH_HEADER.unpack_from(data)
-    if magic != PACKED_MAGIC:
-        raise CorruptionError("packed batch magic mismatch")
-    # one CRC over header block + index + varlen blob; it also catches
-    # truncation, so the per-record loop needs no bounds checks
-    if zlib.crc32(memoryview(data)[_BATCH_HEADER.size:]) != crc:
-        raise CorruptionError("packed batch checksum mismatch")
-    hdr_start = _BATCH_HEADER.size
-    expected = hdr_start + (_HEADER_DTYPE.itemsize + 4) * count
-    if len(data) < expected:
-        raise CorruptionError("packed batch truncated")
-    headers = np.frombuffer(data, dtype=_HEADER_DTYPE, count=count,
-                            offset=hdr_start)
-    index = np.frombuffer(data, dtype="<u4", count=count,
-                          offset=hdr_start + _HEADER_DTYPE.itemsize * count)
-    blob_start = expected
+    headers, bounds = _verified_headers(data)
+    return _records_from(data, headers, bounds, start)
+
+
+def _records_from(data: bytes, headers: np.ndarray, bounds: np.ndarray,
+                  start: int) -> list[MessageRecord]:
     # the whole header block converts to plain python columns in a few
     # vectorized passes; only string slicing remains per record
     offsets = headers["offset"].tolist()
@@ -231,21 +307,17 @@ def _decode_packed(data: bytes, start: int = 0) -> list[MessageRecord]:
     key_lens = headers["key_len"].tolist()
     txn_lens = headers["txn_len"].tolist()
     value_lens = headers["value_len"].tolist()
-    txn_real = np.where(headers["txn_len"] == _NO_TXN, 0,
-                        headers["txn_len"])
-    prefix_lens = (headers["topic_len"].astype(np.int64)
-                   + headers["key_len"] + headers["pid_len"]
-                   + txn_real).tolist()
-    starts = (index.astype(np.int64) + blob_start).tolist()
+    positions = bounds.tolist()
     # distinct (prefix bytes, lengths) tuples decode to strings once
     memo: dict[tuple[bytes, int, int, int], tuple[str, str, str, str | None]] = {}
     out: list[MessageRecord] = []
     append = out.append
     new = object.__new__
-    for i in range(start, count):
-        position = starts[i]
-        prefix_len = prefix_lens[i]
-        praw = data[position:position + prefix_len]
+    for i in range(start, len(value_lens)):
+        value_len = value_lens[i]
+        value_end = positions[i + 1]
+        value_start = value_end - value_len
+        praw = data[positions[i]:value_start]
         topic_len = topic_lens[i]
         key_len = key_lens[i]
         txn_len = txn_lens[i]
@@ -253,22 +325,20 @@ def _decode_packed(data: bytes, start: int = 0) -> list[MessageRecord]:
         meta = memo.get(mkey)
         if meta is None:
             key_end = topic_len + key_len
-            pid_end = prefix_len if txn_len == _NO_TXN else prefix_len - txn_len
+            pid_end = len(praw) if txn_len == _NO_TXN else len(praw) - txn_len
             meta = memo[mkey] = (
                 praw[:topic_len].decode(),
                 praw[topic_len:key_end].decode(),
                 praw[key_end:pid_end].decode(),
                 None if txn_len == _NO_TXN else praw[pid_end:].decode(),
             )
-        value_len = value_lens[i]
-        value_start = position + prefix_len
         # hot path: fill the instance dict directly instead of running the
         # dataclass __init__; pre-seat the cached size_bytes for free
         record = new(MessageRecord)
         d = record.__dict__
         d["topic"] = meta[0]
         d["key"] = meta[1]
-        d["value"] = data[value_start:value_start + value_len]
+        d["value"] = data[value_start:value_end]
         d["offset"] = offsets[i]
         d["timestamp"] = timestamps[i]
         d["producer_id"] = meta[2]
@@ -283,10 +353,10 @@ class PackedRecordBatch:
     """A producer-side pre-encoded run of records bound for one stream.
 
     The producer serializes one stream's share of a ``send_batch`` request
-    straight into the packed wire format (``pack_values``) — all records
+    straight into the planar wire format (``pack_values``) — all records
     share topic, producer and transaction and carry their own keys, so
-    the varlen prefix is built once per distinct key and the fixed-width
-    header block is filled by vectorized NumPy column stores.
+    the varlen prefix is built once per distinct key and the header
+    planes are filled by vectorized NumPy field stores.
     The stream object then splits/merges these buffers into slices with
     :func:`repack_slices` instead of re-encoding record objects, so the
     hot ingest path never runs per-record Python at all.
@@ -320,7 +390,7 @@ class PackedRecordBatch:
 def pack_values(topic: str, values: list[bytes], keys: str | list[str],
                 timestamp: float, producer_id: str, base_sequence: int,
                 txn_id: str | None) -> PackedRecordBatch:
-    """Encode ``values`` as one packed batch bound for one stream.
+    """Encode ``values`` as one planar batch bound for one stream.
 
     ``keys`` is one key shared by every record, or one key per record;
     equal keys give the same bytes either way.  Offsets are left at -1;
@@ -349,85 +419,55 @@ def pack_values(topic: str, values: list[bytes], keys: str | list[str],
         key_lens = np.fromiter(map(len, prefixes), dtype=np.int64, count=n)
     key_lens -= len(topic_b) + len(tail)
     value_lens = np.fromiter(map(len, values), dtype=np.int64, count=n)
-    headers = np.empty(n, dtype=_HEADER_DTYPE)
-    headers["offset"] = -1
-    headers["timestamp"] = timestamp
-    headers["sequence"] = np.arange(base_sequence, base_sequence + n,
-                                    dtype=np.int64)
-    headers["topic_len"] = len(topic_b)
-    headers["key_len"] = key_lens
-    headers["pid_len"] = len(pid_b)
-    headers["txn_len"] = _NO_TXN if txn_id is None else len(txn_b)
-    headers["value_len"] = value_lens
-    payload_lens = key_lens + value_lens
-    starts = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        np.cumsum(payload_lens[:-1] + (len(topic_b) + len(tail)),
-                  out=starts[1:])
+    # the producer writes the planes directly: constant fields broadcast
+    # their bytes across a plane, per-record ones are one strided store
+    planes = np.empty((_HEADER_DTYPE.itemsize, n), dtype=np.uint8)
+    _store(planes, "offset", -1)
+    _store(planes, "timestamp", timestamp)
+    _store(planes, "sequence",
+           np.arange(base_sequence, base_sequence + n, dtype=np.int64))
+    _store(planes, "topic_len", len(topic_b))
+    _store(planes, "key_len", key_lens)
+    _store(planes, "pid_len", len(pid_b))
+    _store(planes, "txn_len", _NO_TXN if txn_id is None else len(txn_b))
+    _store(planes, "value_len", value_lens)
     # interleave prefix/value pairs without a per-record loop
     parts: list[bytes] = prefixes * 2
     parts[0::2] = prefixes
     parts[1::2] = values
-    header_bytes = headers.tobytes()
-    index_bytes = starts.astype("<u4").tobytes()
-    body = b"".join(parts)
-    crc = zlib.crc32(body, zlib.crc32(index_bytes, zlib.crc32(header_bytes)))
-    data = (_BATCH_HEADER.pack(PACKED_MAGIC, n, crc)
-            + header_bytes + index_bytes + body)
-    wire_bytes = 48 * n + int(payload_lens.sum())
+    data = _seal(planes, b"".join(parts))
+    wire_bytes = 48 * n + int(key_lens.sum() + value_lens.sum())
     return PackedRecordBatch(data, n, producer_id, base_sequence, txn_id,
                              wire_bytes)
 
 
-def _packed_parts(data: bytes) -> tuple[int, np.ndarray, np.ndarray, int]:
-    """(count, header array, index array, varlen-blob start) of a buffer."""
-    count = _BATCH_HEADER.unpack_from(data)[1]
-    headers = np.frombuffer(data, dtype=_HEADER_DTYPE, count=count,
-                            offset=_BATCH_HEADER.size)
-    index = np.frombuffer(
-        data, dtype="<u4", count=count,
-        offset=_BATCH_HEADER.size + _HEADER_DTYPE.itemsize * count,
-    )
-    blob_start = _BATCH_HEADER.size + (_HEADER_DTYPE.itemsize + 4) * count
-    return count, headers, index, blob_start
-
-
 def repack_slices(pieces: list[tuple[bytes, int, int]],
                   base_offset: int) -> bytes:
-    """Merge record ranges of packed buffers into one packed slice.
+    """Merge record ranges of planar buffers into one planar slice.
 
-    ``pieces`` are (packed buffer, start record, stop record) ranges; the
+    ``pieces`` are (planar buffer, start record, stop record) ranges; the
     result holds their records back-to-back with offsets stamped to the
-    consecutive run ``base_offset + i``.  Everything is NumPy column work
-    and bytes copies — no records are materialized.
+    consecutive run ``base_offset + i``.  The pieces' plane columns are
+    concatenated along the record axis and the offset planes restamped
+    from one ``arange`` — no records are materialized.
     """
-    head_arrays: list[np.ndarray] = []
-    index_arrays: list[np.ndarray] = []
+    plane_views: list[np.ndarray] = []
     blobs: list[bytes] = []
-    blob_total = 0
     for data, start, stop in pieces:
-        count, headers, index, blob_start = _packed_parts(data)
-        first = int(index[start]) if start < count else 0
-        last = (int(index[stop]) if stop < count
-                else len(data) - blob_start)
-        head_arrays.append(headers[start:stop])
-        index_arrays.append(index[start:stop].astype(np.int64)
-                            - first + blob_total)
-        blobs.append(data[blob_start + first:blob_start + last])
-        blob_total += last - first
-    n = sum(a.shape[0] for a in head_arrays)
-    # joined as opaque fixed-width items: concatenating record arrays
-    # re-derives the common field layout once per piece
-    headers = np.concatenate(
-        [a.view(_HEADER_BLOCK) for a in head_arrays]).view(_HEADER_DTYPE)
-    headers["offset"] = np.arange(base_offset, base_offset + n,
-                                  dtype=np.int64)
-    header_bytes = headers.tobytes()
-    index_bytes = np.concatenate(index_arrays).astype("<u4").tobytes()
-    body = b"".join(blobs)
-    crc = zlib.crc32(body, zlib.crc32(index_bytes, zlib.crc32(header_bytes)))
-    return (_BATCH_HEADER.pack(PACKED_MAGIC, n, crc)
-            + header_bytes + index_bytes + body)
+        planes, blob_start = _planes(data)
+        if start == 0 and stop == planes.shape[1]:
+            # a whole buffer (most pieces) needs no record bounds
+            plane_views.append(planes)
+            blobs.append(data[blob_start:])
+            continue
+        planes, _, bounds = _layout(data)
+        plane_views.append(planes[:, start:stop])
+        blobs.append(data[bounds[start]:bounds[stop]])
+    planes = np.concatenate(plane_views, axis=1)
+    n = planes.shape[1]
+    _store(planes, "offset",
+           np.arange(base_offset, base_offset + n, dtype=np.int64))
+    return _seal(planes, b"".join(blobs))
 
 
 def encode_slice(records: list[MessageRecord],
@@ -448,8 +488,9 @@ def encode_slice(records: list[MessageRecord],
 def decode_slice(data: bytes, start: int = 0) -> list[MessageRecord]:
     """Inverse of :func:`encode_slice`, from record index ``start`` onward.
 
-    Packed slices seek straight to ``start`` via the offset index; legacy
-    slices (no magic) fall back to :func:`decode_legacy`.
+    Planar slices seek straight to ``start`` through the record bounds
+    derived from the length planes; legacy slices (no magic) fall back to
+    :func:`decode_legacy`.
     """
     if is_packed(data):
         return _decode_packed(data, start)
@@ -461,17 +502,17 @@ def decode_slice_full(
 ) -> tuple[list[MessageRecord], int, bool]:
     """Like :func:`decode_slice`, plus (total size_bytes, any txn record).
 
-    Both extras come from vectorized passes over the packed header block,
-    so readers taking a whole slice (the common case) can skip per-record
+    Both extras come from vectorized passes over the header records, so
+    readers taking a whole slice (the common case) can skip per-record
     size/transaction bookkeeping entirely.
     """
     if is_packed(data):
-        _, headers, _, _ = _packed_parts(data)
+        headers, bounds = _verified_headers(data)
         tail = headers[start:]
         size = int(tail["key_len"].sum() + tail["value_len"].sum()) \
             + 48 * tail.shape[0]
         has_txn = bool((tail["txn_len"] != _NO_TXN).any())
-        return _decode_packed(data, start), size, has_txn
+        return _records_from(data, headers, bounds, start), size, has_txn
     records = decode_legacy(data)[start:]
     size = sum(record.size_bytes for record in records)
     has_txn = any(record.txn_id is not None for record in records)
@@ -483,28 +524,22 @@ def slice_values(data: bytes, start: int = 0) -> tuple[list[bytes], bool]:
 
     The stream->table conversion fast path: converting a slice needs only
     the message payloads, so no :class:`MessageRecord` objects are built.
-    For packed slices the value byte ranges come from vectorized passes
-    over the header block and are sliced straight out of the buffer; the
-    txn flag (computed the same way) tells the caller whether it must fall
-    back to record-level visibility classification instead of using the
-    returned values.  Legacy slices decode through :func:`decode_legacy`.
+    For planar slices each value is the last ``value_len`` bytes of its
+    record's span, sliced straight out of the buffer; the txn flag
+    (computed the same way) tells the caller whether it must fall back to
+    record-level visibility classification instead of using the returned
+    values.  Legacy slices decode through :func:`decode_legacy`.
     """
     if not is_packed(data):
         records = decode_legacy(data)[start:]
         has_txn = any(record.txn_id is not None for record in records)
         return [record.value for record in records], has_txn
-    count, headers, index, blob_start = _packed_parts(data)
-    crc = _BATCH_HEADER.unpack_from(data)[2]
-    if zlib.crc32(memoryview(data)[_BATCH_HEADER.size:]) != crc:
-        raise CorruptionError("packed batch checksum mismatch")
-    tail = headers[start:]
-    has_txn = bool((tail["txn_len"] != _NO_TXN).any())
-    txn_real = np.where(tail["txn_len"] == _NO_TXN, 0, tail["txn_len"])
-    starts = (
-        index[start:].astype(np.int64) + blob_start
-        + tail["topic_len"] + tail["key_len"] + tail["pid_len"] + txn_real
-    ).astype(np.int64)
-    ends = starts + tail["value_len"]
+    _, lengths, bounds = _layout(data)
+    _check_crc(data)
+    tail = lengths[start:]
+    has_txn = bool((tail[:, _TXN_COLUMN] != _NO_TXN).any())
+    ends = bounds[start + 1:]
+    starts = ends - tail[:, _VALUE_COLUMN]
     return [
         data[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())
     ], has_txn

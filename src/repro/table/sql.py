@@ -72,6 +72,10 @@ _CLAUSE_RE = re.compile(
 _JOIN_SPLIT_RE = re.compile(
     r"\s+(LEFT(?:\s+OUTER)?\s+JOIN|INNER\s+JOIN|JOIN)\s+", re.IGNORECASE
 )
+_QUOTED = r"'[^']*'|\"[^\"]*\""
+_QUOTED_RE = re.compile(_QUOTED)
+#: a quoted literal (kept) or a ``--`` comment running to the line end
+_COMMENT_RE = re.compile(rf"({_QUOTED})|--[^\r\n]*")
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 _TABLE_NAME_RE = re.compile(r"^[A-Za-z_][\w.]*$")
 _COLREF_RE = re.compile(r"^(?:([A-Za-z_]\w*)\.)?([A-Za-z_]\w*)$")
@@ -138,7 +142,8 @@ class JoinSelectStatement:
 
 
 def _strip_comments(sql: str) -> str:
-    return "\n".join(line.split("--", 1)[0] for line in sql.splitlines())
+    # a quoted literal matches as a whole, so a "--" inside it is kept
+    return _COMMENT_RE.sub(lambda match: match.group(1) or "", sql)
 
 
 def normalize_sql(sql: str) -> str:
@@ -158,7 +163,9 @@ def _parse_literal(text: str) -> object:
     ):
         return text[1:-1]
     if text.startswith("(") and text.endswith(")"):
-        return tuple(_parse_literal(part) for part in text[1:-1].split(","))
+        return tuple(
+            _parse_literal(part) for part in _split_commas(text[1:-1])
+        )
     try:
         return int(text)
     except ValueError:
@@ -311,18 +318,23 @@ def _parse_select_items(clause: str) -> tuple[list[_SelectItem], bool]:
 
 
 def _split_commas(clause: str) -> list[str]:
-    """Split on commas not inside parentheses."""
-    parts, depth, current = [], 0, []
+    """Split on commas outside quoted literals and parentheses."""
+    parts, depth, quote, current = [], 0, None, []
     for char in clause:
-        if char == "(":
+        if quote is not None:
+            if char == quote:
+                quote = None
+        elif char in "'\"":
+            quote = char
+        elif char == "(":
             depth += 1
         elif char == ")":
             depth -= 1
-        if char == "," and depth == 0:
+        elif char == "," and depth == 0:
             parts.append("".join(current))
             current = []
-        else:
-            current.append(char)
+            continue
+        current.append(char)
     parts.append("".join(current))
     return parts
 
@@ -354,7 +366,7 @@ def _parse_order(order_clause: str) -> tuple[str, bool]:
 def parse_select(sql: str) -> SelectStatement | JoinSelectStatement:
     """Parse one SELECT statement (single- or multi-table)."""
     cleaned = normalize_sql(sql)
-    unquoted = re.sub(r"'[^']*'|\"[^\"]*\"", " ", cleaned)
+    unquoted = _QUOTED_RE.sub(" ", cleaned)
     for keyword in ("OFFSET", "HAVING", "UNION"):
         if re.search(rf"\b{keyword}\b", unquoted, re.IGNORECASE):
             raise SQLError(

@@ -114,3 +114,28 @@ def test_history_contiguous_across_archive_boundary(setup):
     assert offsets[: len(archived) + len(live)] == list(
         range(len(archived) + len(live))
     )
+
+
+def test_archive_roundtrips_planar_slices(setup):
+    """Producer-packed planar slices archive record for record, and the raw
+    byte count is the planar size: header, 44 B per record, varlen blob."""
+    from repro.stream.records import pack_values
+
+    service, obj, plogs, _ = setup
+    expected = []
+    for batch_no in range(4):
+        values = [bytes([i % 251]) * (1500 + i) for i in range(300)]
+        keys = [f"user-{i % 7}" for i in range(300)]
+        batch = pack_values("t", values, keys, float(batch_no), "p",
+                            300 * batch_no, "txn" if batch_no else None)
+        expected += batch.records()
+        obj.append(batch)
+    config = ArchiveConfig(enabled=True, archive_size_mb=1, row_2_col=False)
+    archived = service.maybe_archive(obj, config, plogs.read_key)
+    assert archived == 2 * RECORDS_PER_SLICE
+    records = service.read_archived("obj", 0)
+    assert records == [record.with_offset(i)
+                       for i, record in enumerate(expected[:archived])]
+    varlen = sum(len(r.topic) + len(r.key) + len(r.producer_id)
+                 + len(r.txn_id or "") + len(r.value) for r in records)
+    assert service.archived_bytes_raw == 2 * 12 + 44 * archived + varlen

@@ -1,11 +1,11 @@
 """Property tests: packed slice codec vs the seed's legacy JSON framing.
 
-The packed ``SLB1`` columnar format replaced the legacy JSON-in-triple-
-frame slice codec on the ingest path.  These tests pin that the two
-codecs agree record-for-record on arbitrary inputs (unicode topics and
-keys, empty and ``None`` transaction ids, 0-byte and multi-MB values),
-that legacy bytes still decode through the ``decode_slice`` dispatch,
-and that partial reads through the slice offset index equal suffixes of
+The planar binary batch format replaced the legacy JSON-in-triple-frame
+slice codec on the ingest path.  These tests pin that the two codecs
+agree record-for-record on arbitrary inputs (unicode topics and keys,
+empty and ``None`` transaction ids, 0-byte and multi-MB values), that
+legacy bytes still decode through the ``decode_slice`` dispatch, and
+that partial reads seeking through the record bounds equal suffixes of
 a full decode.
 """
 
@@ -66,7 +66,7 @@ def test_codecs_roundtrip_identically(batch):
 @settings(max_examples=100, deadline=None)
 @given(batch=slices, start=st.integers(min_value=0, max_value=40))
 def test_partial_read_equals_full_decode_suffix(batch, start):
-    """Seeking via the offset index == slicing a full decode, both codecs."""
+    """Seeking to ``start`` == slicing a full decode, both codecs."""
     for data in (encode_slice(batch), encode_slice_legacy(batch)):
         assert decode_slice(data, start=start) == batch[start:]
 

@@ -268,3 +268,77 @@ def test_single_table_statements_still_single(loaded_lakehouse):
 
     statement = parse_select("SELECT url FROM TB_DPI_LOG_HOURS")
     assert isinstance(statement, SelectStatement)
+
+
+#: literals holding a comment marker and a list separator
+QUOTED_STATEMENTS = {
+    "SELECT a FROM t WHERE s = 'x--y'": ("=", "x--y"),
+    "SELECT a FROM t WHERE s IN ('a,b', 'c')": ("IN", ("a,b", "c")),
+}
+
+
+@pytest.mark.parametrize("sql", sorted(QUOTED_STATEMENTS))
+def test_quoted_comment_and_comma_parse_to_the_literal(sql):
+    from repro.table.expr import Predicate
+
+    op, literal = QUOTED_STATEMENTS[sql]
+    assert parse_select(sql).predicate == Predicate("s", op, literal)
+
+
+@pytest.mark.parametrize("sql", sorted(QUOTED_STATEMENTS))
+def test_quoted_comment_and_comma_match_sqlite(lakehouse, sql):
+    import sqlite3
+
+    rows = [{"a": i, "s": s} for i, s in enumerate(
+        ["x--y", "x", "a,b", "a", "b", "c", "'c'", "x--y", "c"])]
+    schema = Schema([Column("a", ColumnType.INT64),
+                     Column("s", ColumnType.STRING)])
+    lakehouse.create_table("t", schema).insert(rows)
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("CREATE TABLE t (a INTEGER, s TEXT)")
+    oracle.executemany("INSERT INTO t VALUES (:a, :s)", rows)
+    expected = sorted(a for (a,) in oracle.execute(sql))
+    assert expected  # the literal selects something
+    assert sorted(row["a"] for row in query(lakehouse, sql)) == expected
+
+
+def test_normalize_sql_keeps_quoted_comment_marker():
+    from repro.table.sql import normalize_sql
+
+    assert normalize_sql(
+        "SELECT a FROM t\n  WHERE s = 'x--y' -- trailing note\n"
+    ) == "SELECT a FROM t WHERE s = 'x--y'"
+    assert normalize_sql(FIG13).endswith(
+        "and start_time < 1656892800 Group By province;")
+
+
+def _line_split_normalization(sql):
+    """How statements were normalized before comments became quote-aware."""
+    stripped = "\n".join(line.split("--", 1)[0] for line in sql.splitlines())
+    return " ".join(stripped.split())
+
+
+def test_e2e_statements_keep_their_result_cache_keys(monkeypatch):
+    """The result tier keys on normalized text: for every statement the
+    end-to-end benchmark issues, quote-aware stripping changes nothing."""
+    import pathlib
+
+    import numpy as np
+
+    from repro.table.sql import normalize_sql
+
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).parents[2] / "benchmarks" / "e2e"))
+    import inputs
+    import pipeline
+
+    rng = np.random.default_rng(1)
+    statements = [pipeline.DIRTY_LEFT, pipeline.TENANT_COUNTS]
+    for factory in (inputs.TpchQueries(rng, 1_000),
+                    inputs.DpiQueries(rng, 24)):
+        statements += inputs.mixed_batch(factory, rng, 5)
+    texts = [text for query in statements
+             for text in (query.sql, query.reference_sql)]
+    assert len(texts) > 200
+    for text in texts:
+        assert normalize_sql(text) == _line_split_normalization(text)
