@@ -18,8 +18,6 @@ from repro.parallel.query import (
     JoinShardResult,
     JoinShardTask,
     ShardedQueryResult,
-    ShardResult,
-    ShardTask,
     sharded_hash_join,
     sharded_join_kernel,
     sharded_select,
@@ -31,8 +29,6 @@ __all__ = [
     "JoinShardResult",
     "JoinShardTask",
     "ShardPool",
-    "ShardResult",
-    "ShardTask",
     "ShardedQueryResult",
     "WorkPartitioner",
     "lpt_makespan",

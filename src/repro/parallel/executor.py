@@ -11,7 +11,8 @@ count in one of three modes:
   serialization cost.  The default.
 * ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor` for
   fully isolated workers.  Tasks and results must pickle (the shard
-  task/result types in :mod:`repro.parallel.query` are designed to);
+  tasks in :mod:`repro.parallel.query` are module-level functions over
+  forked contexts, open files and ``functools.partial`` reads);
   worth it only when per-shard work dwarfs payload shipping.
 
 Whatever the mode, the *simulated* cost of a wave is identical: the

@@ -1,97 +1,51 @@
 """Sharded scan + aggregation over a worker pool.
 
-:func:`sharded_select` is the parallel twin of
-:meth:`repro.table.table.TableObject.select`: it runs the same scan
-plan, then partitions the surviving data files over workers by
-``shard_of(file path)`` (:mod:`repro.parallel.partition`) and fans the
-per-file decode/filter/aggregate work out to a
-:class:`~repro.parallel.executor.ShardPool`.  Each worker runs inside a
+:func:`sharded_select` is ``table.select`` with a shard fan-out: the
+table's one read path (:meth:`repro.table.table.TableObject.select`)
+plans, prunes and fetches every file on the driver, and the fan-out
+decides only *where* each file's read runs.  Files bucket over workers
+by ``shard_of(file path)`` (:mod:`repro.parallel.partition`) and each
+bucket runs on a :class:`~repro.parallel.executor.ShardPool` inside a
 **forked execution context** — its own counters, chunk cache, RNG and
-clock — so nothing is shared hot; the driver then *reunites* the
-per-shard pieces:
-
-* ``AggregateState`` partials merge into the final state with
-  ``counted=False`` (the single-process oracle only counts per-file
-  merges, so merged counters stay value-identical);
-* per-shard ``AggregationStats`` / ``CacheStats`` fold into the parent
-  context additively;
-* row results reassemble in scan-plan order from per-file indices.
-
-Results and merged counters are value-identical to the serial
-``table.select`` run — the equivalence tests and the scale-out bench
-assert exactly that.
+clock — so nothing is shared hot.  The per-file pieces come back to
+the driver, which merges them in scan-plan order exactly as the inline
+scan does, and each shard's counters fold back into the parent
+context, so rows and merged counters are value-identical to the inline
+``table.select`` run.
 
 Simulated time follows the shard assignment, not the wall clock: each
 worker's read costs sum serially, the wave costs the slowest worker
 (the fixed-assignment makespan — shard routing pins files to workers,
 so there is no LPT rebalancing within a query), and the result transfer
-is charged once on the driver.  At one worker this degenerates to the
-serial model exactly.
+is charged once on the driver.  At one worker this is the serial sum.
+Footer-answerable aggregates never fan out: the driver answers them
+from the footer tier.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.clock import SimClock
 from repro.common.context import ExecutionContext, current_context, use_context
-from repro.common.stats import AggregationStats, CacheStats, JoinStats, \
-    join_stats
+from repro.common.stats import JoinStats, join_stats
 from repro.parallel.executor import ShardPool
 from repro.parallel.partition import WorkPartitioner
-from repro.table.agg import AggregateState, aggregate_file, footer_answerable
 from repro.table.chunkcache import default_chunk_cache
 from repro.table.columnar import ColumnarFile
 from repro.table.expr import Expression
 from repro.table.join import BucketDirectory, ColumnSet, JoinResult, \
     prepare_join, probe_directory
-from repro.table.pushdown import AggregateSpec, result_size_bytes
-from repro.table.table import QueryStats, TableObject
+from repro.table.pushdown import AggregateSpec
+from repro.table.table import FileWork, QueryStats, TableObject
 
 __all__ = [
-    "ShardTask", "ShardResult", "ShardedQueryResult", "sharded_select",
+    "ShardedQueryResult", "sharded_select",
     "JoinShardTask", "JoinShardResult", "sharded_hash_join",
     "sharded_join_kernel",
 ]
-
-
-@dataclass
-class ShardTask:
-    """One worker's slice of a query: its files plus the query shape.
-
-    Everything here pickles (bytes payloads, frozen spec/expression
-    dataclasses, scalars), so the same task runs under thread *and*
-    process pools.
-    """
-
-    worker: int
-    #: (position in scan-plan order, raw file payload)
-    files: list[tuple[int, bytes]]
-    specs: list[AggregateSpec] | None
-    labels: list[str] | None
-    predicate: Expression | None
-    columns: list[str] | None
-    seed: int
-    clock_start: float
-    chunk_cache_capacity: int
-
-
-@dataclass
-class ShardResult:
-    """What comes back from one shard: partials plus that shard's stats."""
-
-    worker: int
-    wall_s: float
-    rows_scanned: int
-    row_groups_skipped: int
-    state: AggregateState | None
-    rows_by_file: dict[int, list[dict[str, object]]] | None
-    aggregation: AggregationStats
-    caches: dict[str, CacheStats]
 
 
 @dataclass
@@ -108,73 +62,20 @@ class ShardedQueryResult:
     files_per_worker: list[int] = field(default_factory=list)
 
 
-def _run_shard(task: ShardTask) -> ShardResult:
-    """Execute one shard task inside a fresh execution context.
+def _run_shard(task: tuple[ExecutionContext, FileWork, list[ColumnarFile]]
+               ) -> tuple[list[tuple[object, int]], ExecutionContext, float]:
+    """Read one worker's files inside its forked context.
 
     Module-level (not a closure) so process pools can pickle it.  The
-    context is built *here* rather than shipped: only the seed and the
-    clock origin cross the pool boundary.
+    context travels back for its counters; its decoded chunks do not.
     """
-    context = ExecutionContext(
-        name=f"shard-{task.worker}",
-        rng=random.Random(task.seed),
-        clock=SimClock(start=task.clock_start),
-        chunk_cache_capacity=task.chunk_cache_capacity,
-    )
+    context, work, files = task
     started = time.perf_counter()
-    rows_scanned = 0
-    row_groups_skipped = 0
     with use_context(context):
         cache = default_chunk_cache(context)
-        state: AggregateState | None = None
-        rows_by_file: dict[int, list[dict[str, object]]] | None = None
-        if task.specs is not None:
-            state = AggregateState(task.specs, task.labels)
-        else:
-            rows_by_file = {}
-        for position, payload in task.files:
-            data_file = ColumnarFile.from_bytes(payload)
-            if task.predicate is not None:
-                row_groups_skipped += data_file.skipped_row_groups(
-                    task.predicate
-                )
-            rows_scanned += data_file.num_rows
-            if state is not None:
-                state.merge(aggregate_file(
-                    data_file, task.specs, state.labels, task.predicate,
-                    cache,
-                ))
-            else:
-                assert rows_by_file is not None
-                rows_by_file[position] = data_file.scan(
-                    task.predicate, task.columns, cache=cache
-                )
-    return ShardResult(
-        worker=task.worker,
-        wall_s=time.perf_counter() - started,
-        rows_scanned=rows_scanned,
-        row_groups_skipped=row_groups_skipped,
-        state=state,
-        rows_by_file=rows_by_file,
-        aggregation=context.aggregation,
-        caches=context.caches,
-    )
-
-
-def _fold_tier_deltas(stats: QueryStats, hierarchy,
-                      block_before: tuple[int, int],
-                      footer_before: tuple[int, int]) -> None:
-    """Charge this query's block/footer tier lookups to its stats."""
-    stats.block_cache_hits += hierarchy.blocks.stats.hits - block_before[0]
-    stats.block_cache_misses += (
-        hierarchy.blocks.stats.misses - block_before[1]
-    )
-    stats.footer_cache_hits += (
-        hierarchy.footers.stats.hits - footer_before[0]
-    )
-    stats.footer_cache_misses += (
-        hierarchy.footers.stats.misses - footer_before[1]
-    )
+        results = [work(data_file, cache) for data_file in files]
+    context.chunk_cache = None
+    return results, context, time.perf_counter() - started
 
 
 def sharded_select(
@@ -188,175 +89,72 @@ def sharded_select(
     pool: ShardPool | None = None,
     stats: QueryStats | None = None,
     context: ExecutionContext | None = None,
-    chunk_cache_capacity: int | None = None,
 ) -> ShardedQueryResult:
-    """SELECT over ``table`` with shard-parallel execution.
+    """SELECT over ``table`` with its file reads fanned out over shards.
 
-    Returns a :class:`ShardedQueryResult` whose ``rows`` are
-    value-identical to ``table.select(...)`` with the same arguments,
-    and whose counter side effects (merged into ``context``, default
-    the ambient context) match the serial run's.  ``pool`` reuses an
-    existing :class:`ShardPool` across queries; otherwise one is built
-    for this call (and closed, unless serial).
+    Runs ``table.select(..., fan_out=...)`` inside ``context`` (default
+    the ambient context), so ``rows`` and the counter side effects equal
+    the inline ``table.select`` run's.  ``pool`` reuses an existing
+    :class:`ShardPool` across queries; otherwise one is built for this
+    call and closed.
     """
     context = context if context is not None else current_context()
     stats = stats if stats is not None else QueryStats()
-    specs: list[AggregateSpec] | None = None
-    labels: list[str] | None = None
-    if aggregate is not None:
-        specs = (
-            [aggregate] if isinstance(aggregate, AggregateSpec)
-            else list(aggregate)
-        )
-        labels = AggregateState(specs).labels  # validates shared GROUP BY
-    candidates = table.scan_plan(predicate, as_of=as_of, stats=stats)
-
-    hierarchy = table.cache_hierarchy
-    block_before = (hierarchy.blocks.stats.hits,
-                    hierarchy.blocks.stats.misses)
-    footer_before = (hierarchy.footers.stats.hits,
-                     hierarchy.footers.stats.misses)
-
-    if specs is not None and footer_answerable(specs, predicate):
-        # Metadata fast path: the driver answers every file from the
-        # footer tier — the exact lookup sequence the serial path runs —
-        # and nothing fans out, so per-tier counters (and the merged
-        # snapshot) stay value-identical to ``table.select``.
-        read_costs = []
-        with use_context(context):
-            final_state = AggregateState(specs, labels)
-            for meta in candidates:
-                stats.files_scanned += 1
-                stats.bytes_scanned += meta.size_bytes
-                footer, read_cost = hierarchy.load_footer(
-                    table.pool, meta.path, now=table.clock.now
-                )
-                read_costs.append(read_cost)
-                stats.rows_scanned += footer.num_rows
-                partial = AggregateState(specs, labels)
-                for rows_in_group, group_stats, nulls in \
-                        footer.group_summaries():
-                    partial.update_from_stats(
-                        rows_in_group, group_stats, nulls, footer.schema
-                    )
-                final_state.merge(partial)
-            context.aggregation.queries += 1
-            output = final_state.rows()
-        _fold_tier_deltas(stats, hierarchy, block_before, footer_before)
-        stats.data_cost_s += sum(read_costs)
-        stats.rows_returned = len(output)
-        stats.bytes_transferred = result_size_bytes(output)
-        stats.data_cost_s += table.bus.transfer(stats.bytes_transferred)
-        table.clock.advance(stats.data_cost_s)
-        return ShardedQueryResult(
-            rows=output,
-            stats=stats,
-            num_workers=num_workers,
-            mode=pool.mode if pool is not None else mode,
-            shard_walls=[],
-            files_per_worker=[0] * num_workers,
-        )
-
-    # Fetch payloads on the driver (the pool is a live object graph the
-    # workers can't hold) through the block tier, tracking per-file read
-    # cost for sim charging.  The footer tier warms alongside — the same
-    # two lookups per file the serial path performs.
-    payloads: list[bytes] = []
-    read_costs: list[float] = []
-    for meta in candidates:
-        payload, read_cost = hierarchy.load_payload(
-            table.pool, meta.path, now=table.clock.now
-        )
-        hierarchy.footer_for(table.pool, meta.path, payload)
-        payloads.append(payload)
-        read_costs.append(read_cost)
-        stats.files_scanned += 1
-        stats.bytes_scanned += meta.size_bytes
-    _fold_tier_deltas(stats, hierarchy, block_before, footer_before)
-
-    partitioner = WorkPartitioner(num_workers)
-    buckets = partitioner.partition([meta.path for meta in candidates])
-    capacity = (
-        chunk_cache_capacity if chunk_cache_capacity is not None
-        else context.chunk_cache_capacity
-    )
-    tasks = [
-        ShardTask(
-            worker=worker,
-            files=[(position, payloads[position]) for position in bucket],
-            specs=specs,
-            labels=labels,
-            predicate=predicate,
-            columns=columns,
-            seed=context.rng.randrange(2 ** 63),
-            clock_start=context.clock.now,
-            chunk_cache_capacity=capacity,
-        )
-        for worker, bucket in enumerate(buckets)
-        if bucket
-    ]
-
     owned_pool = pool is None
     if pool is None:
         pool = ShardPool(num_workers, mode)
+    shard_walls: list[float] = []
+    files_per_worker = [0] * num_workers
+
+    def fan_out(paths: list[str], files: list[ColumnarFile],
+                read_costs: list[float], work: FileWork
+                ) -> tuple[list[tuple[object, int]], float]:
+        buckets = WorkPartitioner(num_workers).partition(paths)
+        files_per_worker[:] = [len(bucket) for bucket in buckets]
+        busy = [
+            (worker, bucket) for worker, bucket in enumerate(buckets)
+            if bucket
+        ]
+        tasks = [
+            (context.fork(f"shard-{worker}",
+                          seed=context.rng.randrange(2 ** 63)),
+             work, [files[position] for position in bucket])
+            for worker, bucket in busy
+        ]
+        by_position: dict[int, tuple[object, int]] = {}
+        for (_, bucket), (results, shard, wall_s) in zip(
+            busy, pool.map(_run_shard, tasks)
+        ):
+            by_position.update(zip(bucket, results))
+            context.merge(shard)
+            chunk = shard.cache_stats("table.chunk_cache")
+            stats.chunk_cache_hits += chunk.hits
+            stats.chunk_cache_misses += chunk.misses
+            shard_walls.append(wall_s)
+        # each worker reads its files serially; the wave costs the slowest
+        wave_s = max(
+            sum(read_costs[position] for position in bucket)
+            for bucket in buckets
+        )
+        ordered = [by_position[position] for position in range(len(files))]
+        return ordered, wave_s
+
     try:
-        results = pool.map(_run_shard, tasks)
+        with use_context(context):
+            rows = table.select(
+                predicate, columns, aggregate, as_of=as_of, stats=stats,
+                fan_out=fan_out,
+            )
     finally:
         if owned_pool:
             pool.close()
-
-    # --- reunion: fold per-shard pieces back into one answer ---------------
-    with use_context(context):
-        final_state: AggregateState | None = (
-            AggregateState(specs, labels) if specs is not None else None
-        )
-        rows: list[dict[str, object]] = []
-        rows_by_file: dict[int, list[dict[str, object]]] = {}
-        for result in results:
-            stats.rows_scanned += result.rows_scanned
-            stats.row_groups_skipped += result.row_groups_skipped
-            if final_state is not None and result.state is not None:
-                # uncounted: the serial oracle only counts per-file merges,
-                # which already happened (and were counted) shard-side
-                final_state.merge(result.state, counted=False)
-            if result.rows_by_file is not None:
-                rows_by_file.update(result.rows_by_file)
-            context.aggregation.merge(result.aggregation)
-            for name, cache_stats in result.caches.items():
-                context.cache_stats(name).merge(cache_stats)
-                # only the decoded-chunk tier runs shard-side; the block
-                # and footer tiers are driver-only and already charged
-                if name == "table.chunk_cache":
-                    stats.chunk_cache_hits += cache_stats.hits
-                    stats.chunk_cache_misses += cache_stats.misses
-        if final_state is not None:
-            context.aggregation.queries += 1
-            output = final_state.rows()
-        else:
-            for position in range(len(candidates)):
-                rows.extend(rows_by_file.get(position, []))
-            output = rows
-
-    # Sim time: each worker reads its assigned files serially; the wave
-    # costs the slowest worker.  One worker degenerates to the serial sum.
-    per_worker_read = [0.0] * num_workers
-    for worker, bucket in enumerate(buckets):
-        per_worker_read[worker] = sum(
-            read_costs[position] for position in bucket
-        )
-    stats.data_cost_s += max(per_worker_read) if per_worker_read else 0.0
-    stats.rows_returned = len(output)
-    stats.bytes_transferred = result_size_bytes(output)
-    stats.data_cost_s += table.bus.transfer(stats.bytes_transferred)
-    table.clock.advance(stats.data_cost_s)
-
     return ShardedQueryResult(
-        rows=output,
+        rows=rows,
         stats=stats,
         num_workers=num_workers,
         mode=pool.mode,
-        shard_walls=[result.wall_s for result in results],
-        files_per_worker=[len(bucket) for bucket in buckets],
+        shard_walls=shard_walls,
+        files_per_worker=files_per_worker,
     )
 
 
@@ -376,8 +174,8 @@ class JoinShardTask:
     probe: np.ndarray
     directory: BucketDirectory
     how: str
-    seed: int
-    clock_start: float
+    #: the shard's forked execution context
+    context: ExecutionContext
 
 
 @dataclass
@@ -396,11 +194,7 @@ def _run_join_shard(task: JoinShardTask) -> JoinShardResult:
 
     Module-level so process pools can pickle it, like :func:`_run_shard`.
     """
-    context = ExecutionContext(
-        name=f"join-shard-{task.worker}",
-        rng=random.Random(task.seed),
-        clock=SimClock(start=task.clock_start),
-    )
+    context = task.context
     started = time.perf_counter()
     with use_context(context):
         probe_indices, build_indices = probe_directory(
@@ -452,8 +246,8 @@ def sharded_hash_join(
             probe=left_codes[bounds[worker]:bounds[worker + 1]],
             directory=directory,
             how=how,
-            seed=context.rng.randrange(2 ** 63),
-            clock_start=context.clock.now,
+            context=context.fork(f"join-shard-{worker}",
+                                 seed=context.rng.randrange(2 ** 63)),
         )
         for worker in range(num_workers)
         if bounds[worker + 1] > bounds[worker]

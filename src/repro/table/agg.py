@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.common.stats import aggregation_stats
 from repro.table.chunkcache import ChunkCache
-from repro.table.columnar import ColumnarFile
+from repro.table.columnar import ColumnarFile, FileFooter
 from repro.table.expr import Expression
 from repro.table.pushdown import AggregateSpec, result_labels
 from repro.table.schema import ColumnType, Schema
@@ -306,16 +306,9 @@ class AggregateState:
             if column.maximum is None or high > column.maximum:  # type: ignore[operator]
                 column.maximum = high
 
-    def merge(self, other: "AggregateState", counted: bool = True) -> None:
-        """Fold another state's partials in (cross-file combination).
-
-        ``counted=False`` leaves the ``partials_merged`` counter alone —
-        the sharded driver's final cross-shard reunion uses it so merged
-        per-shard stats stay value-identical to a single-process run,
-        which only ever counts the per-file merges.
-        """
-        if counted:
-            aggregation_stats().partials_merged += len(other.groups)
+    def merge(self, other: "AggregateState") -> None:
+        """Fold another state's partials in (cross-file combination)."""
+        aggregation_stats().partials_merged += len(other.groups)
         for key, partial in other.groups.items():
             mine = self.groups.get(key)
             if mine is None:
@@ -364,6 +357,19 @@ def footer_answerable(specs: list[AggregateSpec],
     )
 
 
+def footer_state(footer: FileFooter | ColumnarFile,
+                 specs: list[AggregateSpec],
+                 labels: list[str] | None = None) -> AggregateState:
+    """One file's partials from row-group statistics alone (the footer
+    fast path; valid only when :func:`footer_answerable`).  ``footer`` is
+    a cached :class:`~repro.table.columnar.FileFooter` or an open file —
+    both expose the same ``group_summaries()`` and ``schema``."""
+    state = AggregateState(specs, labels)
+    for num_rows, stats, null_counts in footer.group_summaries():
+        state.update_from_stats(num_rows, stats, null_counts, footer.schema)
+    return state
+
+
 def aggregate_file(data_file: ColumnarFile, specs: list[AggregateSpec],
                    labels: list[str] | None = None,
                    predicate: Expression | None = None,
@@ -374,13 +380,9 @@ def aggregate_file(data_file: ColumnarFile, specs: list[AggregateSpec],
     (:meth:`AggregateState.merge`), so a multi-file SELECT combines
     partials instead of rows.
     """
-    state = AggregateState(specs, labels)
     if footer_answerable(specs, predicate):
-        for num_rows, stats, null_counts in data_file.group_summaries():
-            state.update_from_stats(
-                num_rows, stats, null_counts, data_file.schema
-            )
-        return state
+        return footer_state(data_file, specs, labels)
+    state = AggregateState(specs, labels)
     needed = sorted(set(state.group_by) | set(state.agg_columns))
     for vectors, mask, num_rows in data_file.select_vectors(
         needed, predicate, cache

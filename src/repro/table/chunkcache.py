@@ -23,8 +23,6 @@ fold back on join.
 
 from __future__ import annotations
 
-import warnings
-
 from repro.cache.policy import EvictionPolicy
 from repro.cache.tier import CacheTier
 from repro.common.context import ExecutionContext, current_context
@@ -83,24 +81,3 @@ def default_chunk_cache(context: ExecutionContext | None = None) -> ChunkCache:
             policy=config.chunk_policy,
         )
     return cache
-
-
-def configure_chunk_cache(capacity: int,
-                          context: ExecutionContext | None = None
-                          ) -> ChunkCache:
-    """Resize a context's cache — **deprecated**.
-
-    This used to mutate process-global cache state; configuration is
-    per-context now.  Use
-    ``context.configure_caches(chunk_capacity_bytes=...)`` instead (CI
-    greps for new imports of this helper).
-    """
-    warnings.warn(
-        "configure_chunk_cache is deprecated; use "
-        "ExecutionContext.configure_caches(chunk_capacity_bytes=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    context = context if context is not None else current_context()
-    context.configure_caches(chunk_capacity_bytes=capacity)
-    return default_chunk_cache(context)

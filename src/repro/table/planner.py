@@ -507,7 +507,6 @@ def execute_plan(lakehouse: Lakehouse, plan: JoinPlan,
                  columns: Mapping[str, list[str]],
                  as_of: float | None = None,
                  stats: QueryStats | None = None,
-                 read_parallelism: int = 1,
                  join_kernel: JoinKernel | None = None) -> ColumnSet:
     """Run a plan; returns a :class:`ColumnSet` of ``alias.column`` vectors.
 
@@ -540,8 +539,7 @@ def execute_plan(lakehouse: Lakehouse, plan: JoinPlan,
         table = lakehouse.table(choice.table)
         relation = table.column_set(
             choice.predicate if choice.pushdown else None,
-            needed[alias], as_of=as_of,
-            read_parallelism=read_parallelism, stats=stats,
+            needed[alias], as_of=as_of, stats=stats,
         )
         if choice.predicate is not None and not choice.pushdown:
             mask = choice.predicate.mask(relation.columns, relation.num_rows)

@@ -21,11 +21,13 @@ UPDATE / DROP over columnar data files in a storage pool, with:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from repro.cache.hierarchy import CacheHierarchy, default_hierarchy
-from repro.common.clock import SimClock, lpt_makespan
+from repro.common.clock import SimClock
 from repro.common.context import ExecutionContext
 from repro.common.stats import aggregation_stats
 from repro.errors import (
@@ -36,7 +38,12 @@ from repro.errors import (
 from repro.storage.bus import DataBus
 from repro.storage.kv import KVEngine
 from repro.storage.pool import StoragePool
-from repro.table.agg import AggregateState, aggregate_file, footer_answerable
+from repro.table.agg import (
+    AggregateState,
+    aggregate_file,
+    footer_answerable,
+    footer_state,
+)
 from repro.table.catalog import Catalog, TableInfo
 from repro.table.chunkcache import ChunkCache, default_chunk_cache
 from repro.table.columnar import (
@@ -91,13 +98,43 @@ class QueryStats:
         return self.metadata_cost_s + self.data_cost_s
 
 
-#: Makespan of I/O tasks over N workers — now shared with the sharded
-#: execution layer; see :func:`repro.common.clock.lpt_makespan`.  Used
-#: for both read waves (SELECT/compact fetches) and per-partition
-#: data-file write waves: the paper's conversion/compaction tasks write
-#: partitions concurrently, so wall time is the slowest worker's sum,
-#: not the total.
-_parallel_read_time = lpt_makespan
+#: One file's read: ``(data_file, chunk cache) -> (piece, row groups
+#: skipped)`` — :func:`read_file` with the query bound by ``partial``.
+FileWork = Callable[[ColumnarFile, ChunkCache], "tuple[object, int]"]
+#: Where a scan's file reads run: ``(paths, files, read costs, work) ->
+#: (per-file work results in input order, the read wave's sim seconds)``.
+FanOut = Callable[
+    [list[str], list[ColumnarFile], list[float], FileWork],
+    "tuple[list[tuple[object, int]], float]",
+]
+
+
+def read_file(data_file: ColumnarFile, cache: ChunkCache, *,
+              predicate: Expression | None,
+              columns: list[str] | None,
+              specs: list[AggregateSpec] | None,
+              labels: list[str] | None,
+              vectors: bool) -> tuple[object, int]:
+    """One data file's share of a scan: ``(piece, row groups skipped)``.
+
+    The piece is the file's partial aggregates when ``specs`` is given,
+    its surviving rows as a :class:`ColumnSet` when ``vectors`` is set,
+    and its surviving row dicts otherwise.  Module-level, so a
+    ``partial`` of it pickles into process pools.
+    """
+    skipped = (
+        data_file.skipped_row_groups(predicate) if predicate is not None
+        else 0
+    )
+    if specs is not None:
+        piece: object = aggregate_file(
+            data_file, specs, labels, predicate, cache
+        )
+    elif vectors:
+        piece = ColumnSet.from_file(data_file, columns, predicate, cache)
+    else:
+        piece = data_file.scan(predicate, columns, cache=cache)
+    return piece, skipped
 
 
 class TableObject:
@@ -109,10 +146,7 @@ class TableObject:
                  commit_protocol_s: float = 0.0,
                  chunk_cache: ChunkCache | None = None,
                  cache_hierarchy: CacheHierarchy | None = None,
-                 write_parallelism: int = 1,
                  context: ExecutionContext | None = None) -> None:
-        if write_parallelism < 1:
-            raise ValueError("write_parallelism must be >= 1")
         self.info = info
         self._catalog = catalog
         self._pool = pool
@@ -120,10 +154,6 @@ class TableObject:
         self._bus = bus
         self._clock = clock
         self._row_group_size = row_group_size
-        #: concurrent per-partition data-file write tasks (the write-side
-        #: twin of ``select``'s ``read_parallelism``): write costs within
-        #: one operation aggregate as a makespan over this many workers
-        self.write_parallelism = write_parallelism
         #: decoded-chunk LRU shared across scans of this table (repeated
         #: SELECTs stop re-decompressing the same zlib blobs); defaults
         #: to the owning execution context's cache
@@ -159,8 +189,7 @@ class TableObject:
 
     @property
     def pool(self) -> StoragePool:
-        """The persistence pool backing this table (read by the sharded
-        execution layer, which fetches payloads itself)."""
+        """The persistence pool backing this table."""
         return self._pool
 
     @property
@@ -298,10 +327,9 @@ class TableObject:
         ]
 
     def _advance_writes(self, write_costs: list[float]) -> float:
-        """Charge a wave of data-file writes: makespan over the write
-        task pool (``write_parallelism``), like ``_parallel_read_time``
-        does for read tasks."""
-        cost = _parallel_read_time(write_costs, self.write_parallelism)
+        """Charge one operation's data-file writes (one write task, so
+        the wave costs their sum)."""
+        cost = sum(write_costs)
         self._clock.advance(cost)
         return cost
 
@@ -381,10 +409,8 @@ class TableObject:
 
         Returns the data files surviving file-level skipping on commit
         value ranges, charging the metadata-read cost and populating
-        ``stats``.  :meth:`select` runs this before fetching payloads;
-        the sharded execution layer (:mod:`repro.parallel.query`) calls
-        it directly, then partitions the surviving files over shard
-        workers instead of scanning them inline.
+        ``stats``.  Every scan (:meth:`select`, :meth:`column_set`) runs
+        this before fetching payloads.
 
         Raises :class:`~repro.errors.OutOfMemoryError` when planning
         over the file-based metadata path exceeds
@@ -432,13 +458,79 @@ class TableObject:
         """True when metadata stays storage-side (no compute-side OOM)."""
         return isinstance(self._meta, AcceleratedMetadataStore)
 
+    def _scan(self, predicate: Expression | None, as_of: float | None,
+              stats: QueryStats, memory_budget_bytes: int | None,
+              work: FileWork, fan_out: FanOut | None = None,
+              footer_specs: list[AggregateSpec] | None = None
+              ) -> list[object]:
+        """The read path (Section V-B): plan, fetch, read; one piece per file.
+
+        Plans against the snapshot (:meth:`scan_plan`), then fetches
+        every surviving file in plan order through the block/footer
+        tiers and runs ``work`` on it — inline through this table's
+        chunk cache, or wherever ``fan_out`` places it.  Footer-
+        answerable aggregates (``footer_specs``) fetch only footers and
+        fold them here; ``work`` never runs.  Every counter and the read
+        wave's sim seconds land in ``stats``; pieces come back in
+        scan-plan order.
+        """
+        candidates = self.scan_plan(
+            predicate, as_of=as_of,
+            memory_budget_bytes=memory_budget_bytes, stats=stats,
+        )
+        hierarchy = self._hierarchy
+        blocks, footers = hierarchy.blocks.stats, hierarchy.footers.stats
+        tiers_before = (blocks.hits, blocks.misses, footers.hits,
+                        footers.misses)
+        loaded: list = []
+        read_costs: list[float] = []
+        for meta in candidates:
+            stats.files_scanned += 1
+            stats.bytes_scanned += meta.size_bytes
+            if footer_specs is not None:
+                # metadata fast path: a footer-tier hit answers a whole
+                # file with zero IO
+                item, read_cost = hierarchy.load_footer(
+                    self._pool, meta.path, now=self._clock.now
+                )
+            else:
+                item, read_cost = hierarchy.load_file(
+                    self._pool, meta.path, now=self._clock.now
+                )
+            stats.rows_scanned += item.num_rows
+            loaded.append(item)
+            read_costs.append(read_cost)
+        stats.block_cache_hits += blocks.hits - tiers_before[0]
+        stats.block_cache_misses += blocks.misses - tiers_before[1]
+        stats.footer_cache_hits += footers.hits - tiers_before[2]
+        stats.footer_cache_misses += footers.misses - tiers_before[3]
+        if footer_specs is not None:
+            results = [
+                (footer_state(footer, footer_specs), 0) for footer in loaded
+            ]
+            wave_s = sum(read_costs)
+        elif fan_out is not None:
+            results, wave_s = fan_out(
+                [meta.path for meta in candidates], loaded, read_costs, work
+            )
+        else:
+            cache = self._chunk_cache
+            hits_before, misses_before = cache.stats.hits, cache.stats.misses
+            results = [work(data_file, cache) for data_file in loaded]
+            stats.chunk_cache_hits += cache.stats.hits - hits_before
+            stats.chunk_cache_misses += cache.stats.misses - misses_before
+            wave_s = sum(read_costs)
+        stats.row_groups_skipped += sum(skipped for _, skipped in results)
+        stats.data_cost_s += wave_s
+        return [piece for piece, _ in results]
+
     def select(self, predicate: Expression | None = None,
                columns: list[str] | None = None,
                aggregate: "AggregateSpec | list[AggregateSpec] | None" = None,
                as_of: float | None = None,
                memory_budget_bytes: int | None = None,
-               read_parallelism: int = 1,
-               stats: QueryStats | None = None) -> list[dict[str, object]]:
+               stats: QueryStats | None = None, *,
+               fan_out: FanOut | None = None) -> list[dict[str, object]]:
         """SELECT with pushdown; populates ``stats`` when provided.
 
         ``aggregate`` accepts one :class:`AggregateSpec` or a list of
@@ -450,24 +542,17 @@ class TableObject:
         Un-predicated, un-grouped COUNT/MIN/MAX queries are answered
         from row-group footers without decoding any data chunk.
 
-        ``read_parallelism`` models the paper's parallel read tasks
-        ("data is read from the persistence pool by read tasks",
-        Section V-B): per-file read costs aggregate in waves of that many
-        concurrent tasks instead of strictly serially.
+        ``fan_out`` decides where each file's read runs (the paper's
+        read tasks, Section V-B); by default every file reads inline, in
+        one task.  :func:`repro.parallel.query.sharded_select` passes a
+        shard fan-out.
 
         Raises :class:`~repro.errors.OutOfMemoryError` when the compute-side
         planning/working set exceeds ``memory_budget_bytes`` (only possible
         on the file-based metadata path — the acceleration cache
         "partially complements the allocated memory", Section VII-D).
         """
-        if read_parallelism < 1:
-            raise ValueError("read_parallelism must be >= 1")
         stats = stats if stats is not None else QueryStats()
-        candidates = self.scan_plan(
-            predicate, as_of=as_of,
-            memory_budget_bytes=memory_budget_bytes, stats=stats,
-        )
-        rows: list[dict[str, object]] = []
         specs: list[AggregateSpec] | None = None
         state: AggregateState | None = None
         if aggregate is not None:
@@ -476,68 +561,24 @@ class TableObject:
                 else list(aggregate)
             )
             state = AggregateState(specs)  # validates the shared GROUP BY
-        read_costs: list[float] = []
-        cache = self._chunk_cache
-        hierarchy = self._hierarchy
-        hits_before = cache.stats.hits
-        misses_before = cache.stats.misses
-        block_before = (hierarchy.blocks.stats.hits,
-                        hierarchy.blocks.stats.misses)
-        footer_before = (hierarchy.footers.stats.hits,
-                         hierarchy.footers.stats.misses)
-        # metadata fast path: footer-answerable aggregates never need the
-        # payload — a footer-tier hit answers a whole file with zero IO
-        footer_only = state is not None and footer_answerable(
-            specs, predicate  # type: ignore[arg-type]
+        work = partial(
+            read_file, predicate=predicate, columns=columns, specs=specs,
+            labels=state.labels if state is not None else None,
+            vectors=False,
         )
-        for meta in candidates:
-            now = self._clock.now
-            stats.files_scanned += 1
-            stats.bytes_scanned += meta.size_bytes
-            if footer_only:
-                footer, read_cost = hierarchy.load_footer(
-                    self._pool, meta.path, now=now
-                )
-                read_costs.append(read_cost)
-                stats.rows_scanned += footer.num_rows
-                partial = AggregateState(specs, state.labels)
-                for rows_in_group, group_stats, nulls in \
-                        footer.group_summaries():
-                    partial.update_from_stats(
-                        rows_in_group, group_stats, nulls, footer.schema
-                    )
-                state.merge(partial)
-                continue
-            data_file, read_cost = hierarchy.load_file(
-                self._pool, meta.path, now=now
-            )
-            read_costs.append(read_cost)
-            if predicate is not None:
-                stats.row_groups_skipped += data_file.skipped_row_groups(
-                    predicate
-                )
-            stats.rows_scanned += data_file.num_rows
+        footer_only = specs is not None and footer_answerable(
+            specs, predicate
+        )
+        pieces = self._scan(
+            predicate, as_of, stats, memory_budget_bytes, work,
+            fan_out=fan_out, footer_specs=specs if footer_only else None,
+        )
+        rows: list[dict[str, object]] = []
+        for piece in pieces:
             if state is not None:
-                state.merge(aggregate_file(
-                    data_file, specs, state.labels, predicate, cache
-                ))
+                state.merge(piece)
             else:
-                rows.extend(data_file.scan(predicate, columns, cache=cache))
-        stats.chunk_cache_hits += cache.stats.hits - hits_before
-        stats.chunk_cache_misses += cache.stats.misses - misses_before
-        stats.block_cache_hits += (
-            hierarchy.blocks.stats.hits - block_before[0]
-        )
-        stats.block_cache_misses += (
-            hierarchy.blocks.stats.misses - block_before[1]
-        )
-        stats.footer_cache_hits += (
-            hierarchy.footers.stats.hits - footer_before[0]
-        )
-        stats.footer_cache_misses += (
-            hierarchy.footers.stats.misses - footer_before[1]
-        )
-        stats.data_cost_s += _parallel_read_time(read_costs, read_parallelism)
+                rows.extend(piece)
         if memory_budget_bytes is not None and not self.metadata_accelerated:
             # aggregates hold group partials, never rows, on the compute side
             held = len(state.groups) if state is not None else len(rows)
@@ -562,65 +603,22 @@ class TableObject:
                    columns: list[str] | None = None,
                    as_of: float | None = None,
                    memory_budget_bytes: int | None = None,
-                   read_parallelism: int = 1,
                    stats: QueryStats | None = None) -> ColumnSet:
         """Scan into typed vectors — the join engine's table input.
 
         Runs the same plan/prune/fetch path as :meth:`select` (metadata
         cost, file- and row-group-level skipping, block/footer/chunk
-        tiers, parallel read waves) but stops *before* row
-        materialization: surviving rows stay decoded column vectors,
-        concatenated across files into one :class:`ColumnSet`.  The
-        planner joins these directly and only the final projection ever
-        builds Python rows.
+        tiers) but stops *before* row materialization: surviving rows
+        stay decoded column vectors, concatenated across files into one
+        :class:`ColumnSet`.  The planner joins these directly and only
+        the final projection ever builds Python rows.
         """
-        if read_parallelism < 1:
-            raise ValueError("read_parallelism must be >= 1")
         stats = stats if stats is not None else QueryStats()
-        candidates = self.scan_plan(
-            predicate, as_of=as_of,
-            memory_budget_bytes=memory_budget_bytes, stats=stats,
+        parts = self._scan(
+            predicate, as_of, stats, memory_budget_bytes,
+            partial(read_file, predicate=predicate, columns=columns,
+                    specs=None, labels=None, vectors=True),
         )
-        cache = self._chunk_cache
-        hierarchy = self._hierarchy
-        hits_before = cache.stats.hits
-        misses_before = cache.stats.misses
-        block_before = (hierarchy.blocks.stats.hits,
-                        hierarchy.blocks.stats.misses)
-        footer_before = (hierarchy.footers.stats.hits,
-                         hierarchy.footers.stats.misses)
-        read_costs: list[float] = []
-        parts: list[ColumnSet] = []
-        for meta in candidates:
-            stats.files_scanned += 1
-            stats.bytes_scanned += meta.size_bytes
-            data_file, read_cost = hierarchy.load_file(
-                self._pool, meta.path, now=self._clock.now
-            )
-            read_costs.append(read_cost)
-            if predicate is not None:
-                stats.row_groups_skipped += data_file.skipped_row_groups(
-                    predicate
-                )
-            stats.rows_scanned += data_file.num_rows
-            parts.append(
-                ColumnSet.from_file(data_file, columns, predicate, cache)
-            )
-        stats.chunk_cache_hits += cache.stats.hits - hits_before
-        stats.chunk_cache_misses += cache.stats.misses - misses_before
-        stats.block_cache_hits += (
-            hierarchy.blocks.stats.hits - block_before[0]
-        )
-        stats.block_cache_misses += (
-            hierarchy.blocks.stats.misses - block_before[1]
-        )
-        stats.footer_cache_hits += (
-            hierarchy.footers.stats.hits - footer_before[0]
-        )
-        stats.footer_cache_misses += (
-            hierarchy.footers.stats.misses - footer_before[1]
-        )
-        stats.data_cost_s += _parallel_read_time(read_costs, read_parallelism)
         self._clock.advance(stats.data_cost_s)
         if not parts:
             return ColumnSet.from_rows(self.schema, [], columns)
@@ -821,40 +819,34 @@ class TableObject:
         return expected, live
 
     def compact(self, partition: str, target_file_bytes: int,
-                expected_version: int | None = None,
-                read_parallelism: int = 1) -> float:
+                expected_version: int | None = None) -> float:
         """Merge a partition's small files toward ``target_file_bytes``.
 
         The merge happens at the decoded-vector level: each input file
         decodes to per-column vectors (through the shared chunk cache, so
         recently scanned files merge without re-decompressing), columns
         concatenate with NumPy, and the merged file builds via
-        ``from_columns`` — no Python row dict exists anywhere.  Reads
-        aggregate as a makespan over ``read_parallelism`` tasks, writes
-        over the table's ``write_parallelism``.
+        ``from_columns`` — no Python row dict exists anywhere.
 
         Used by LakeBrain's auto-compaction; conflicts with concurrent
         commits that replaced the same files raise CommitConflictError.
         """
-        if read_parallelism < 1:
-            raise ValueError("read_parallelism must be >= 1")
         expected, live = self._compaction_plan(
             partition, target_file_bytes, expected_version
         )
         if len(live) < 2:
             return 0.0
-        read_costs: list[float] = []
+        cost = 0.0
         parts = []
         num_rows = 0
         for meta in live:
             data_file, read_cost = self._hierarchy.load_file(
                 self._pool, meta.path, now=self._clock.now
             )
-            read_costs.append(read_cost)
+            cost += read_cost
             parts.append(data_file.to_columns(cache=self._chunk_cache))
             num_rows += data_file.num_rows
         columns = concat_columns(self.schema, parts)
-        cost = _parallel_read_time(read_costs, read_parallelism)
         new_meta, write_cost = self._write_columns_file(
             partition, columns, num_rows
         )
@@ -938,7 +930,6 @@ class Lakehouse:
                  commit_protocol_s: float = 0.0,
                  chunk_cache: ChunkCache | None = None,
                  cache_hierarchy: CacheHierarchy | None = None,
-                 write_parallelism: int = 1,
                  context: ExecutionContext | None = None) -> None:
         self._pool = pool
         self._bus = bus
@@ -965,7 +956,6 @@ class Lakehouse:
         )
         self._row_group_size = row_group_size
         self._commit_protocol_s = commit_protocol_s
-        self._write_parallelism = write_parallelism
         self._tables: dict[str, TableObject] = {}
 
     def create_table(self, name: str, schema: Schema,
@@ -979,7 +969,6 @@ class Lakehouse:
             self._clock, self._row_group_size, self._commit_protocol_s,
             chunk_cache=self.chunk_cache,
             cache_hierarchy=self.cache_hierarchy,
-            write_parallelism=self._write_parallelism,
         )
         self._tables[name] = table
         return table

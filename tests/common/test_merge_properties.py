@@ -142,7 +142,7 @@ def test_sharded_aggregate_state_equals_unsharded_oracle(rows, cuts):
     lo, hi = sorted(min(cut, len(rows)) for cut in cuts)
     merged = AggregateState(SPECS)
     for part in (rows[:lo], rows[lo:hi], rows[hi:]):
-        merged.merge(_state_of(part), counted=False)
+        merged.merge(_state_of(part))
     assert merged.rows() == _state_of(rows).rows()
     oracle = execute_pushdown_multi(
         [{"g": g, "v": v} for g, v in rows], SPECS

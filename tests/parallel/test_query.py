@@ -32,31 +32,50 @@ COUNTERS = (
 )
 
 
+#: time-travel target: after the builder's inserts, before a later one
+AS_OF = 1_000.0
+
+
 def _serial_oracle(build_table, aggregate=None, predicate=None,
-                   columns=None):
+                   columns=None, as_of=None):
     context = ExecutionContext(name="oracle")
     table = build_table(context)
     stats = QueryStats()
     with use_context(context):
         rows = table.select(
             predicate=predicate, columns=columns, aggregate=aggregate,
-            stats=stats,
+            as_of=as_of, stats=stats,
         )
     return rows, stats, context.snapshot()
 
 
 def _sharded(build_table, num_workers, mode, aggregate=None,
-             predicate=None, columns=None):
+             predicate=None, columns=None, as_of=None):
     context = ExecutionContext(name=f"sharded-{num_workers}-{mode}")
     table = build_table(context)
     stats = QueryStats()
     with use_context(context):
         result = sharded_select(
             table, predicate=predicate, columns=columns,
-            aggregate=aggregate, num_workers=num_workers, mode=mode,
-            stats=stats, context=context,
+            aggregate=aggregate, as_of=as_of, num_workers=num_workers,
+            mode=mode, stats=stats, context=context,
         )
     return result, stats, context.snapshot()
+
+
+def _with_later_insert(table_builder):
+    """The standard table, plus one batch committed after ``AS_OF``."""
+    def build(context):
+        table = table_builder(context)
+        assert table.clock.now < AS_OF
+        table.clock.advance_to(AS_OF + 1.0)
+        with use_context(context):
+            table.insert([
+                {"city": "xian", "amount": 999, "score": 1.0}
+                for _ in range(50)
+            ])
+        return table
+    return build
 
 
 @pytest.mark.parametrize("num_workers,mode", [
@@ -110,6 +129,40 @@ def test_footer_fast_path_matches(table_builder):
     assert snapshot == serial_snapshot
 
 
+#: query shapes the matrix below runs through both execution paths
+SHAPES = {
+    "row_scan": {"predicate": PREDICATE, "columns": ["city", "amount"]},
+    "time_travel": {
+        "aggregate": SPECS, "predicate": PREDICATE, "as_of": AS_OF,
+    },
+    "footer": {"aggregate": [AggregateSpec("COUNT", None),
+                             AggregateSpec("MAX", "amount")]},
+}
+
+
+@pytest.mark.parametrize("num_workers,mode,shape", [
+    (3, "process", "row_scan"),
+    (1, "serial", "time_travel"),
+    (3, "thread", "time_travel"),
+    (1, "serial", "footer"),
+])
+def test_equivalence_matrix(table_builder, num_workers, mode, shape):
+    """Rows, every counter and the context snapshot equal the inline
+    ``table.select`` — rows across a process boundary, ``as_of`` reads
+    that must not see a later insert, the footer path at width 1."""
+    build = _with_later_insert(table_builder)
+    query = SHAPES[shape]
+    rows, serial_stats, serial_snapshot = _serial_oracle(build, **query)
+    result, stats, snapshot = _sharded(build, num_workers, mode, **query)
+    assert result.rows == rows
+    assert snapshot == serial_snapshot
+    for counter in COUNTERS:
+        assert getattr(stats, counter) == getattr(serial_stats, counter)
+    if shape == "time_travel":
+        assert stats.files_total == 6  # the later insert is invisible
+        assert all(row["MIN(amount)"] >= 250 for row in rows)
+
+
 def test_sim_cost_shrinks_with_workers(table_builder):
     """The fixed-assignment makespan beats the serial read-cost sum."""
     _, serial_stats, _ = _serial_oracle(table_builder, aggregate=SPECS)
@@ -122,10 +175,8 @@ def test_sim_cost_shrinks_with_workers(table_builder):
 def test_one_worker_charges_exactly_the_serial_cost(table_builder):
     _, serial_stats, _ = _serial_oracle(table_builder, aggregate=SPECS)
     _, stats, _ = _sharded(table_builder, 1, "serial", aggregate=SPECS)
-    assert stats.data_cost_s == pytest.approx(serial_stats.data_cost_s)
-    assert stats.metadata_cost_s == pytest.approx(
-        serial_stats.metadata_cost_s
-    )
+    assert stats.data_cost_s == serial_stats.data_cost_s
+    assert stats.metadata_cost_s == serial_stats.metadata_cost_s
 
 
 def test_reuses_caller_pool(table_builder):

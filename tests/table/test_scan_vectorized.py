@@ -251,17 +251,3 @@ def test_configure_default_cache_registers_stats():
         cache = default_chunk_cache()
         assert cache.capacity == 64 * MiB
         assert cache_stats("table.chunk_cache") is cache.stats
-
-
-def test_configure_chunk_cache_is_deprecated():
-    from repro.table import chunkcache
-
-    context = ExecutionContext(name="cache-deprecated")
-    with use_context(context):
-        # via getattr: the helper only survives for back-compat and CI
-        # greps direct imports of it
-        legacy = getattr(chunkcache, "configure_chunk_cache")
-        with pytest.warns(DeprecationWarning):
-            cache = legacy(64 * MiB)
-        assert cache.capacity == 64 * MiB
-        assert cache is default_chunk_cache()

@@ -265,23 +265,6 @@ def test_unpartitioned_table(lakehouse):
     assert len(table.select(Predicate("value", ">=", 5))) == 5
 
 
-def test_parallel_read_tasks_shrink_data_cost(table):
-    for _ in range(8):
-        table.insert(rows_for(40))
-    serial = QueryStats()
-    table.select(stats=serial)
-    parallel = QueryStats()
-    rows = table.select(read_parallelism=8, stats=parallel)
-    assert parallel.data_cost_s < serial.data_cost_s
-    assert len(rows) == 8 * 40  # same answer either way
-
-
-def test_parallel_read_validation(table):
-    table.insert(rows_for(4))
-    with pytest.raises(ValueError):
-        table.select(read_parallelism=0)
-
-
 def test_count_star_fast_path_matches_general_aggregate(table):
     table.insert(rows_for(40))
     predicate = Predicate("value", ">=", 10)
@@ -319,6 +302,87 @@ def test_query_stats_report_chunk_cache_traffic(lakehouse):
     table.select(predicate=predicate, stats=second)
     assert second.chunk_cache_misses == 0
     assert second.chunk_cache_hits > 0
+
+
+# --- column_set: the same scan, stopped before rows ----------------------
+
+COLUMN_SET_COUNTERS = (
+    "files_total", "files_scanned", "files_skipped", "bytes_scanned",
+    "bytes_skipped", "row_groups_skipped", "rows_scanned",
+    "chunk_cache_hits", "chunk_cache_misses",
+    "block_cache_hits", "block_cache_misses",
+    "footer_cache_hits", "footer_cache_misses", "data_cost_s",
+)
+
+
+@pytest.fixture
+def small_groups(clock, ec_pool, bus):
+    """Ten-row groups and private caches, so pruning and every tier
+    counter are exercised and no other test's entries can hit."""
+    from repro.cache.hierarchy import CacheHierarchy
+    from repro.table.chunkcache import ChunkCache
+    from repro.table.table import Lakehouse
+
+    lake = Lakehouse(
+        ec_pool, bus, clock, row_group_size=10,
+        chunk_cache=ChunkCache(), cache_hierarchy=CacheHierarchy(),
+    )
+    table = lake.create_table("groups", SCHEMA, PartitionSpec.by("city"))
+    table.insert(rows_for(60))
+    table.insert(rows_for(40, days=(3,)))
+    return table
+
+
+def _cold(table):
+    table.cache_hierarchy.clear()
+    table.chunk_cache.clear()
+
+
+def test_column_set_vectors_equal_select_rows(small_groups):
+    predicate = Predicate("value", ">=", 25)
+    columns = ["city", "value"]
+    rows = small_groups.select(predicate, columns)
+    relation = small_groups.column_set(predicate, columns)
+    assert relation.num_rows == len(rows) > 0
+    for name in columns:
+        assert relation.columns[name].to_list() == [row[name] for row in rows]
+
+
+def test_column_set_counters_equal_select(small_groups):
+    predicate = Predicate("value", ">=", 25)
+    # a projection disjoint from the predicate: a row scan looks a
+    # predicate column up again when it also projects it, while the
+    # vector kernels reuse the decoded mask column
+    columns = ["city", "day"]
+    _cold(small_groups)
+    selected = QueryStats()
+    small_groups.select(predicate, columns, stats=selected)
+    _cold(small_groups)
+    scanned = QueryStats()
+    small_groups.column_set(predicate, columns, stats=scanned)
+    assert selected.row_groups_skipped > 0
+    assert selected.chunk_cache_misses > 0
+    # the result is small I/O, buffered on the bus at no charge, so
+    # select's data cost is the read wave alone — like column_set's
+    assert selected.bytes_transferred > 0
+    for counter in COLUMN_SET_COUNTERS:
+        assert getattr(scanned, counter) == getattr(selected, counter), counter
+    assert scanned.rows_returned == selected.rows_returned
+
+
+def test_column_set_on_empty_table_is_typed_and_empty(lakehouse):
+    from repro.table.join import ColumnSet
+    from repro.table.vector import ColumnVector
+
+    table = lakehouse.create_table("nothing", SCHEMA)
+    stats = QueryStats()
+    relation = table.column_set(columns=["city", "value"], stats=stats)
+    assert isinstance(relation, ColumnSet)
+    assert relation.num_rows == 0
+    assert list(relation.columns) == ["city", "value"]
+    for vector in relation.columns.values():
+        assert isinstance(vector, ColumnVector) and len(vector) == 0
+    assert stats.files_scanned == 0 and stats.data_cost_s == 0.0
 
 
 # --- vectorized aggregation through SELECT -------------------------------
