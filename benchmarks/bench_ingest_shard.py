@@ -1,9 +1,9 @@
 """Sharded ingest: PLog group commits fanned over write-wave workers.
 
-The serial write path charges a sealed slice group as back-to-back
-extent writes; the sharded committer (:mod:`repro.parallel.ingest`)
-partitions each group by PLog shard ownership and charges the LPT
-makespan of per-partition write waves instead.  This bench offers a
+Every group commit is one write wave (:mod:`repro.parallel.ingest`):
+it partitions the sealed slice group by PLog shard ownership and
+charges the LPT makespan of the per-partition costs, which at width 1
+is their back-to-back sum.  This bench offers a
 10M+-record produce load through the full producer -> worker -> stream
 object -> group commit path at ``write_parallelism`` 1/2/4/8 and
 records, per width:
@@ -17,8 +17,8 @@ records, per width:
 * **wall seconds** — honest wall clock, with ``cores_available``
   recorded so a 1-core CI box is not misread as real 8-way hardware.
 
-Every width must leave bit-identical PLog state to the width-1 serial
-oracle — same index contents (which pin the addresses), same
+Every width must leave bit-identical PLog state to width 1 — same
+index contents (which pin the addresses), same
 ``appends``/``bytes_appended``, same merged ingest counters — a scaling
 number for a diverged replica is worthless.  Results merge into
 ``BENCH_ingest.json`` under ``"sharded_ingest"``.
@@ -55,9 +55,8 @@ def _build_service(width: int, mode: str) -> MessageStreamingService:
     clock = SimClock()
     pool = StoragePool("ssd", clock, policy=erasure_coding_policy(4, 2))
     pool.add_disks(NVME_SSD_PROFILE, 8)
-    plogs = PLogManager(
-        pool, clock, write_parallelism=width, write_mode=mode
-    )
+    plogs = PLogManager(pool, clock)
+    plogs.configure_write_parallelism(width, mode)
     bus = DataBus(clock, transport=TransportKind.RDMA)
     return MessageStreamingService(
         plogs, bus, clock, num_workers=2, slice_codec="binary"
@@ -67,7 +66,7 @@ def _build_service(width: int, mode: str) -> MessageStreamingService:
 def _run_width(width: int, mode: str, num_records: int,
                values: list[bytes]) -> dict:
     """One full produce run at a write parallelism; returns metrics +
-    the PLog state fingerprint used for the oracle comparison."""
+    the PLog state fingerprint compared against width 1."""
     context = ExecutionContext(f"ingest-shard-{width}-{mode}")
     with use_context(context):
         service = _build_service(width, mode)
@@ -133,29 +132,29 @@ def run_ingest_shard_bench(num_records: int = NUM_RECORDS,
     ]
 
     points = []
-    oracle_state = None
+    base_state = None
     for width in worker_counts:
         point = _run_width(width, "serial", num_records, values)
         state = point.pop("_state")
-        if oracle_state is None:
-            oracle_state = state
+        if base_state is None:
+            base_state = state
         else:
-            assert state["index"] == oracle_state["index"], (
-                f"width {width} diverged from the serial oracle's index"
+            assert state["index"] == base_state["index"], (
+                f"width {width} diverged from width 1's index"
             )
-            assert state["appends"] == oracle_state["appends"]
-            assert state["bytes_appended"] == oracle_state["bytes_appended"]
-            assert state["ingest"] == oracle_state["ingest"], (
-                f"width {width} merged counters diverged: "
-                f"{state['ingest']} != {oracle_state['ingest']}"
+            assert state["appends"] == base_state["appends"]
+            assert state["bytes_appended"] == base_state["bytes_appended"]
+            assert state["ingest"] == base_state["ingest"], (
+                f"width {width} counters diverged: "
+                f"{state['ingest']} != {base_state['ingest']}"
             )
         points.append(point)
 
     # honesty run: a real thread pool at the top width must match too
     threaded = _run_width(worker_counts[-1], "thread", num_records, values)
     threaded_state = threaded.pop("_state")
-    assert threaded_state["index"] == oracle_state["index"]
-    assert threaded_state["ingest"] == oracle_state["ingest"]
+    assert threaded_state["index"] == base_state["index"]
+    assert threaded_state["ingest"] == base_state["ingest"]
 
     base, top = points[0], points[-1]
     results = {

@@ -3,10 +3,13 @@
 The data plane's singletons became per-context state
 (:mod:`repro.common.context`) precisely so this package can exist:
 work partitions over the same 4096-shard rendezvous namespace that
-places data slices, every shard runs under a forked execution context
-on a real ``concurrent.futures`` pool, and the driver merges partial
-aggregates, online stats and cache counters back into one answer that
-is value-identical to the single-shard oracle.
+places data slices, every read, join and conversion shard runs under a
+forked execution context on a real ``concurrent.futures`` pool, and the
+driver merges partial aggregates, online stats and cache counters back
+into one answer that is value-identical to the single-shard oracle.
+Write waves (:mod:`repro.parallel.ingest`) fork nothing: their
+partitions write only lock-guarded counters, straight into the
+caller's context.
 """
 
 from repro.common.clock import lpt_makespan

@@ -1,42 +1,41 @@
-"""Sharded ingest: parallel PLog group commit with makespan charging.
+"""Sharded ingest: every PLog group commit is one write wave.
 
 The paper's write path (Fig 4) distributes slices across 4096 logical
 shards by DHT hash precisely so appends land in parallel on independent
-PLog units.  The serial :meth:`~repro.storage.plog.PLogManager.append_batch_serial`
-models the opposite: one monolithic EC encode and a placement loop whose
-cost is the *sum* of per-extent write times, as if every extent queued
-behind the previous one on a single device path.
-
-:func:`sharded_append_batch` restores the paper's concurrency to the
-cost model.  One group commit becomes per-shard-owner *write waves*:
+PLog units.  :func:`sharded_append_batch` is the only group commit
+(:meth:`~repro.storage.plog.PLogManager.append_batch` always calls it);
+at any width, one slice or many, it runs the same four steps:
 
 1. **Reserve** — PLog addresses are reserved on the driver, in input
-   order, through the same :meth:`~repro.storage.plog.PLogManager._reserve`
-   the serial path uses, so both paths assign bit-identical addresses.
+   order (:meth:`~repro.storage.plog.PLogManager._reserve`), so every
+   width assigns bit-identical addresses.
 2. **Partition** — keys bucket by PLog shard ownership via
    :class:`~repro.parallel.partition.WorkPartitioner` (rendezvous-hashed
    :meth:`~repro.storage.dht.ShardMap.owner_index_of_key`), the same
-   placement scheme that buckets scan and conversion work.
-3. **Encode + place** — each partition runs in a forked
-   :class:`~repro.common.context.ExecutionContext` on a
-   :class:`~repro.parallel.executor.ShardPool` worker: the Reed-Solomon
-   ``fragment_batch`` runs concurrently (NumPy releases the GIL) with
-   ``counted=False``, then placement goes through one
+   placement scheme that buckets scan and conversion work.  Width 1 is
+   one partition holding the whole group.
+3. **Encode + place** — each non-empty partition runs on a
+   :class:`~repro.parallel.executor.ShardPool` worker inside the
+   caller's own execution context (thread workers do not inherit the
+   ``ContextVar``): the Reed-Solomon ``fragment_batch`` runs
+   concurrently (NumPy releases the GIL) with ``counted=False``, then
+   placement goes through one
    :meth:`~repro.storage.pool.StoragePool.store_batch` per partition
    under a lock — pool/disk metadata is shared mutable state, and disks
-   already model fragment-level parallelism internally.
-4. **Reconcile** — the driver merges the forked counters, charges the
-   encode counters once (``count_fragment_batch``, matching the serial
-   oracle's single counted encode), indexes the acked keys in input
-   order through the shared ``_index_acked`` bookkeeping, and reports
-   the **LPT makespan** of per-partition costs
+   already model fragment-level parallelism internally.  The only
+   counter a partition writes is ``torn_commits``, under that lock, so
+   no context is forked.
+4. **Reconcile** — the driver charges the encode counters once
+   (``count_fragment_batch``: one counted encode for the whole group),
+   indexes the acked keys in input order through ``_index_acked``, and
+   reports the **LPT makespan** of per-partition costs
    (:func:`repro.common.clock.lpt_makespan`) as the wave's simulated
-   seconds instead of their sum.
+   seconds; at width 1 that is the back-to-back sum.
 
-Cost-model note: like the serial path, this function does *not* advance
-any clock — sim time propagates by return value, and disks charge their
-busy meters against the pool's own clock during placement (additive and
-order-independent, so meter totals match the serial oracle too).
+Cost-model note: the wave does *not* advance any clock — sim time
+propagates by return value, and disks charge their busy meters against
+the pool's own clock during placement (additive and order-independent,
+so meter totals do not depend on the width).
 
 Acked-write semantics under tears: each partition is its own
 ``store_batch``, so a :class:`~repro.errors.TornWriteError` in partition
@@ -44,23 +43,23 @@ Acked-write semantics under tears: each partition is its own
 commit (or tear) independently.  The global acked set is the union of
 per-partition durable prefixes — never a cross-partition false ack —
 and the raised ``TornWriteError`` names acked and lost keys in input
-order, exactly as the serial path does for its single prefix.
+order; at width 1 that is the group's durable prefix.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.common.clock import lpt_makespan
-from repro.common.context import ExecutionContext, current_context, use_context
+from repro.common.context import current_context, use_context
 from repro.errors import TornWriteError
 from repro.parallel.executor import ShardPool
 from repro.parallel.partition import WorkPartitioner
+from repro.storage.plog import validate_write_wave
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.plog import PLogAddress, PLogManager
 
 __all__ = ["IngestWave", "sharded_append_batch"]
@@ -84,27 +83,16 @@ def _partitioner(num_workers: int) -> WorkPartitioner:
 
 @dataclass
 class IngestWave:
-    """Outcome of one sharded group commit."""
+    """Outcome of one group commit."""
 
-    #: PLog addresses in input order (bit-identical to the serial oracle)
+    #: PLog addresses in input order (identical at every width)
     addresses: list["PLogAddress"]
-    #: keys acknowledged (all of them on a clean commit), input order
-    acked_keys: list[str]
     #: sim seconds of the wave: LPT makespan of per-partition costs
     sim_elapsed_s: float
-    #: back-to-back sum of per-extent costs (the serial oracle's charge)
+    #: back-to-back sum of the per-extent costs, in input order
     sim_serial_s: float
-    partition_costs: list[float] = field(default_factory=list)
-    partition_sizes: list[int] = field(default_factory=list)
-    partition_walls: list[float] = field(default_factory=list)
-    workers: int = 1
-
-    @property
-    def speedup(self) -> float:
-        """Serial-over-makespan sim-time ratio (>= 1.0)."""
-        if self.sim_elapsed_s <= 0.0:
-            return 1.0
-        return self.sim_serial_s / self.sim_elapsed_s
+    #: summed per-extent costs of each non-empty partition
+    partition_costs: list[float]
 
 
 def sharded_append_batch(
@@ -112,111 +100,77 @@ def sharded_append_batch(
     items: list[tuple[str, bytes]],
     num_workers: int,
     mode: str = "thread",
-    pool: ShardPool | None = None,
-    context: ExecutionContext | None = None,
 ) -> IngestWave:
-    """Group-commit ``items`` through per-shard-owner write waves.
+    """Group-commit ``items`` as one write wave ``num_workers`` wide.
 
-    Semantically identical to
-    :meth:`~repro.storage.plog.PLogManager.append_batch_serial` — same
-    addresses, same index contents, same acked keys, same merged
-    counters — but the simulated cost is the LPT makespan of the
-    per-partition waves over ``num_workers`` instead of the serial sum.
+    Addresses, index contents, acked keys and counters do not depend on
+    ``num_workers``; only the simulated cost does — the LPT makespan of
+    the per-partition costs over ``num_workers``.
 
     On a tear anywhere in the group, indexes the union of per-partition
     durable prefixes and raises :class:`TornWriteError` naming acked and
-    lost keys (input order), mirroring the serial contract.  ``mode``
-    follows :class:`~repro.parallel.executor.ShardPool` except that
-    ``process`` is rejected: partitions mutate the live pool/PLog object
-    graph in place.
+    lost keys (input order).  ``mode`` is a
+    :class:`~repro.parallel.executor.ShardPool` mode other than
+    ``process``: partitions mutate the live pool/PLog object graph in
+    place.  Width and mode are checked before any address is reserved.
     """
-    if mode == "process":
-        raise ValueError(
-            "sharded ingest cannot use process pools: partitions mutate "
-            "the live storage pool and PLog index in place"
-        )
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    context = context if context is not None else current_context()
+    validate_write_wave(num_workers, mode)
+    context = current_context()
     placements = plogs._reserve(items)
     buckets = _partitioner(num_workers).partition([key for key, _ in items])
     work = [positions for positions in buckets if positions]
-    forks = [context.fork(f"ingest-{index}") for index in range(len(work))]
     storage = plogs.pool
     place_lock = threading.Lock()
 
-    def _run(index: int) -> tuple[float, int, float]:
+    def _run(positions: list[int]) -> list[float]:
         """One partition's write wave: encode, then place under the lock.
 
-        Returns (sim cost, durable count, wall seconds).  A torn
-        partition reports its durable prefix instead of raising — the
-        driver reconciles the global acked set and raises once.
+        Returns the sim cost of each durable extent, in partition order.
+        A torn partition reports its durable prefix instead of raising —
+        the driver reconciles the global acked set and raises once.
         """
-        positions = work[index]
         part = [placements[position] for position in positions]
         batch = [(address.extent_id(), payload)
                  for _, payload, address in part]
-        started = time.perf_counter()
-        with use_context(forks[index]):
+        with use_context(context):
             fragments = storage.policy.fragment_batch(
                 [payload for _, payload in batch], counted=False
             )
             with place_lock:
                 try:
-                    cost = storage.store_batch(batch, fragments_per=fragments)
-                    durable_count = len(batch)
-                except TornWriteError as exc:
-                    # read under the lock: another partition's wave would
-                    # overwrite last_batch_costs
-                    cost = sum(storage.last_batch_costs)
-                    durable_count = len(exc.durable)
-        return cost, durable_count, time.perf_counter() - started
+                    storage.store_batch(batch, fragments_per=fragments)
+                except TornWriteError:
+                    pass  # last_batch_costs holds the durable prefix
+                # read under the lock: another partition's wave rebinds it
+                return storage.last_batch_costs
 
-    owned_pool = pool is None
-    if pool is None:
-        pool = ShardPool(min(num_workers, len(work)) or 1, mode)
-    try:
-        outcomes = pool.map(_run, range(len(work)))
-    finally:
-        if owned_pool:
-            pool.close()
-
-    for fork in forks:
-        context.merge(fork)
-    # one counted encode for the whole group, like the serial oracle
+    with ShardPool(min(num_workers, len(work)) or 1, mode) as pool:
+        durable_costs = pool.map(_run, work)
+    # one counted encode for the whole group
     storage.policy.count_fragment_batch(len(items))
 
-    costs = [cost for cost, _, _ in outcomes]
-    makespan = lpt_makespan(costs, num_workers)
-    acked_positions = sorted(
-        position
-        for positions, (_, durable_count, _) in zip(work, outcomes)
-        if durable_count
-        for position in positions[:durable_count]
-    )
+    extent_costs = {
+        position: cost
+        for positions, costs in zip(work, durable_costs)
+        for position, cost in zip(positions, costs)
+    }
+    acked_positions = sorted(extent_costs)
     acked = [placements[position] for position in acked_positions]
     plogs._index_acked(acked)
 
-    torn = any(
-        durable_count < len(positions)
-        for positions, (_, durable_count, _) in zip(work, outcomes)
-    )
-    if torn:
-        acked_set = set(acked_positions)
+    if len(acked) < len(items):
         raise TornWriteError(
-            f"PLog sharded group commit torn: {len(acked)} of "
+            f"PLog group commit torn: {len(acked)} of "
             f"{len(items)} appends durable",
             durable=[key for key, _, __ in acked],
             lost=[key for position, (key, _) in enumerate(items)
-                  if position not in acked_set],
+                  if position not in extent_costs],
         )
+    partition_costs = [sum(costs) for costs in durable_costs]
     return IngestWave(
         addresses=[address for *_, address in placements],
-        acked_keys=[key for key, _, __ in placements],
-        sim_elapsed_s=makespan,
-        sim_serial_s=sum(costs),
-        partition_costs=costs,
-        partition_sizes=[len(positions) for positions in work],
-        partition_walls=[wall for _, _, wall in outcomes],
-        workers=num_workers,
+        sim_elapsed_s=lpt_makespan(partition_costs, num_workers),
+        sim_serial_s=sum(extent_costs[position]
+                         for position in acked_positions),
+        partition_costs=partition_costs,
     )

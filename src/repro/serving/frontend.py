@@ -126,12 +126,13 @@ class ServingFrontend:
         """Fan the PLog group commits behind every tenant ``workers`` wide.
 
         Dispatched batches drain through the producer/group-commit path
-        unchanged; only the backing
-        :class:`~repro.storage.plog.PLogManager` routes each sealed
-        slice group through the sharded committer
-        (:func:`repro.parallel.ingest.sharded_append_batch`), charging
-        the LPT makespan of per-partition write waves instead of the
-        serial sum.  ``workers=1`` restores the serial path.
+        unchanged; only the width of the backing
+        :class:`~repro.storage.plog.PLogManager`'s write waves
+        (:func:`repro.parallel.ingest.sharded_append_batch`) changes, and
+        with it the charge: the LPT makespan of the per-partition costs
+        over ``workers``, which at ``workers=1`` is their sum.  ``mode``
+        is ``"serial"`` or ``"thread"``; anything else raises
+        ``ValueError`` here.
         """
         self.service.plogs.configure_write_parallelism(workers, mode)
 

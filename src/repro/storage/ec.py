@@ -220,10 +220,9 @@ class ReedSolomon:
         """Charge the counters one counted :meth:`encode_batch` of
         ``payload_count`` payloads would have charged.
 
-        The sharded committer (:mod:`repro.parallel.ingest`) encodes its
-        partitions with ``counted=False`` inside forked contexts and then
-        calls this once on the driver context, so merged counters stay
-        value-identical to the serial oracle's single counted encode.
+        The write wave (:mod:`repro.parallel.ingest`) encodes its
+        partitions with ``counted=False`` and then calls this once, so
+        the counters show one encode per group commit at every width.
         """
         ingest = stats.ingest_stats()
         ingest.ec_encode_calls += 1

@@ -8,6 +8,12 @@ logical keys to PLog addresses for fast record lookup.
 
 When a PLog's 128 MB address space fills, the shard seals it and opens the
 next generation — mirroring how OceanStor rotates PLog extents.
+
+Appends arrive as group commits (:meth:`PLogManager.append_batch`), and
+every group is one write wave of :mod:`repro.parallel.ingest`: addresses
+are reserved here in input order, the wave encodes and places the
+extents per shard-owner partition, and the acked keys are indexed here.
+A width of 1 is a one-partition wave.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from repro.common import stats
 from repro.common.clock import SimClock
 from repro.common.units import MiB
-from repro.errors import ObjectNotFoundError, TornWriteError
+from repro.errors import ObjectNotFoundError
 from repro.storage.dht import NUM_SHARDS, shard_of
 from repro.storage.kv import KVEngine
 from repro.storage.pool import StoragePool
@@ -65,70 +71,81 @@ class PLogUnit:
         self.sealed = True
 
 
+#: ShardPool modes a write wave may run in: its partitions mutate the live
+#: pool and PLog index in place, so process pools are out.
+WRITE_MODES = ("serial", "thread")
+
+
+def validate_write_wave(workers: int, mode: str) -> None:
+    """Raise ValueError unless ``workers``/``mode`` can run a write wave."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if mode not in WRITE_MODES:
+        raise ValueError(
+            f"write waves run in one of {WRITE_MODES}, got {mode!r}"
+        )
+
+
 class PLogManager:
     """Routes appends to per-shard PLogs over a redundant storage pool."""
 
     def __init__(self, pool: StoragePool, clock: SimClock,
                  num_shards: int = NUM_SHARDS,
                  address_space: int = PLOG_ADDRESS_SPACE,
-                 index: KVEngine | None = None,
-                 write_parallelism: int = 1,
-                 write_mode: str = "thread") -> None:
+                 index: KVEngine | None = None) -> None:
         self.pool = pool
         self._clock = clock
         self.num_shards = num_shards
         self.address_space = address_space
         self.index = index if index is not None else KVEngine("plog-index", clock)
         self._active: dict[int, PLogUnit] = {}
-        self._history: dict[int, list[PLogUnit]] = {}
         self.appends = 0
         self.bytes_appended = 0
-        #: group commits fan over this many write-wave workers (1 = serial)
-        self.write_parallelism = write_parallelism
-        #: ShardPool mode for the write waves ("serial"/"thread")
-        self.write_mode = write_mode
+        #: group commits run as write waves this many workers wide
+        self.write_parallelism = 1
+        #: ShardPool mode of the write waves (one of :data:`WRITE_MODES`)
+        self.write_mode = "thread"
 
     def configure_write_parallelism(self, workers: int,
                                     mode: str = "thread") -> None:
-        """Route group commits through the sharded committer
-        (:func:`repro.parallel.ingest.sharded_append_batch`) ``workers``
-        wide; ``workers=1`` restores the serial path."""
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        """Run every group commit as a write wave ``workers`` wide, its
+        partitions on a ``mode`` :class:`~repro.parallel.executor.ShardPool`
+        (see :func:`repro.parallel.ingest.sharded_append_batch`)."""
+        validate_write_wave(workers, mode)
         self.write_parallelism = workers
         self.write_mode = mode
 
     def _unit_for(self, shard: int, size: int) -> tuple[PLogUnit, int]:
+        """Reserve ``size`` bytes (at most the address space) on ``shard``,
+        sealing its active unit and opening the next generation when the
+        payload does not fit."""
         unit = self._active.get(shard)
         if unit is not None:
             offset = unit.reserve(size)
             if offset is not None:
                 return unit, offset
             unit.seal()
-        generation = len(self._history.get(shard, [])) + (1 if unit else 0)
-        if unit is not None:
-            self._history.setdefault(shard, []).append(unit)
-            generation = unit.generation + 1
-        unit = PLogUnit(shard, generation, self.address_space)
-        offset = unit.reserve(size)
-        if offset is None:
-            raise ValueError(
-                f"payload of {size} bytes exceeds PLog address space "
-                f"{self.address_space}"
-            )
+        unit = PLogUnit(shard, unit.generation + 1 if unit else 0,
+                        self.address_space)
         self._active[shard] = unit
-        return unit, offset
+        return unit, unit.reserve(size)
 
     def _reserve(
         self, items: list[tuple[str, bytes]]
     ) -> list[tuple[str, bytes, PLogAddress]]:
         """Reserve an address per item, in input order.
 
-        Shared by the serial commit and the sharded committer
-        (:mod:`repro.parallel.ingest`): reservation always happens on the
-        driver in input order, so both paths assign bit-identical
-        addresses — the first leg of the equivalence oracle.
+        Reservation happens on the driver in input order, so addresses
+        depend only on arrival order, never on the write wave's width.
+        Every member is checked against the address space first: a
+        rejected group reserves nothing and seals no unit.
         """
+        for key, payload in items:
+            if len(payload) > self.address_space:
+                raise ValueError(
+                    f"payload of {len(payload)} bytes for {key!r} exceeds "
+                    f"PLog address space {self.address_space}"
+                )
         placements: list[tuple[str, bytes, PLogAddress]] = []
         for key, payload in items:
             shard = shard_of(key, self.num_shards)
@@ -141,14 +158,7 @@ class PLogManager:
     def _index_acked(
         self, placements: list[tuple[str, bytes, PLogAddress]]
     ) -> None:
-        """Index acknowledged appends and charge the append counters.
-
-        The single bookkeeping path for every ack — :meth:`append`,
-        :meth:`append_batch_serial` (clean and torn) and the sharded
-        committer all come through here, so no commit path can drift
-        ``appends``/``bytes_appended`` or the context-routed ingest
-        counters relative to another.
-        """
+        """Index acknowledged appends and charge the append counters."""
         ingest = stats.ingest_stats()
         index_put = self.index.put
         for key, payload, address in placements:
@@ -158,85 +168,37 @@ class PLogManager:
         self.appends += len(placements)
         ingest.plog_appends_acked += len(placements)
 
-    def append(self, key: str, payload: bytes) -> tuple[PLogAddress, float]:
-        """Persist ``payload`` for ``key``; returns (address, sim seconds).
-
-        The shard is chosen by the DHT hash of ``key`` so slices distribute
-        evenly (Fig 4(d)); the index records key -> address for lookup.
-        """
-        shard = shard_of(key, self.num_shards)
-        unit, offset = self._unit_for(shard, len(payload))
-        address = PLogAddress(shard, unit.generation, offset)
-        cost = self.pool.store(address.extent_id(), payload)
-        self._index_acked([(key, payload, address)])
-        return address, cost
-
     def append_batch(
         self, items: list[tuple[str, bytes]]
     ) -> tuple[list[PLogAddress], float]:
-        """Group-commit several payloads; returns (addresses in input
-        order, simulated seconds).
+        """Group-commit payloads; returns (addresses in input order,
+        simulated seconds).
 
-        With ``write_parallelism == 1`` (the default) this is the serial
-        path: one :meth:`StoragePool.store_batch` charging extents
-        back-to-back.  A wider setting routes the group through
-        :func:`repro.parallel.ingest.sharded_append_batch`, which
-        partitions the group by PLog shard ownership, fans EC encode and
-        placement over workers, and charges the LPT makespan of the
-        per-partition write waves — with this serial path as its
-        equivalence oracle (identical addresses, index contents, acked
-        keys and merged counters; only the returned sim seconds shrink).
+        Each key's shard is chosen by its DHT hash so slices distribute
+        evenly (Fig 4(d)), and the index records key -> address.  Every
+        group, one slice or many, is one write wave
+        (:func:`repro.parallel.ingest.sharded_append_batch`) at
+        :attr:`write_parallelism`: the LPT makespan of its per-partition
+        costs is the charge, which at width 1 is the back-to-back sum.
+
+        Acked-write semantics: a group that tears (see
+        :meth:`StoragePool.store_batch`) indexes only the durable
+        members and raises :class:`TornWriteError` naming the acked and
+        the lost keys; lost reservations become dead holes in their PLog
+        units.
         """
         if not items:
             return [], 0.0
-        if self.write_parallelism > 1 and len(items) > 1:
-            # imported lazily: repro.parallel sits above the storage layer
-            from repro.parallel.ingest import sharded_append_batch
+        # resolved per call: repro.parallel sits above the storage layer, and
+        # code that wraps the module global sees every group commit
+        from repro.parallel.ingest import sharded_append_batch
 
-            wave = sharded_append_batch(
-                self, items,
-                num_workers=self.write_parallelism,
-                mode=self.write_mode,
-            )
-            return wave.addresses, wave.sim_elapsed_s
-        return self.append_batch_serial(items)
-
-    def append_batch_serial(
-        self, items: list[tuple[str, bytes]]
-    ) -> tuple[list[PLogAddress], float]:
-        """The serial group commit (and the sharded committer's oracle):
-        reserve all addresses, store the extents through one
-        :meth:`StoragePool.store_batch` call (one EC encode for the whole
-        group), then index the keys.
-
-        Acked-write semantics: a group commit that tears mid-batch (see
-        :meth:`StoragePool.store_batch`) indexes only the durable prefix
-        — those keys are acknowledged and will be served — then re-raises
-        :class:`TornWriteError` naming the acked keys and the
-        lost-in-flight ones, which were never acknowledged and whose
-        address-space reservations become dead holes in their PLog units.
-        """
-        if not items:
-            return [], 0.0
-        placements = self._reserve(items)
-        try:
-            cost = self.pool.store_batch(
-                [(address.extent_id(), payload)
-                 for _, payload, address in placements]
-            )
-        except TornWriteError as exc:
-            # the pool stored extents in placement order: the durable
-            # prefix maps back onto the first len(exc.durable) keys
-            durable = placements[: len(exc.durable)]
-            self._index_acked(durable)
-            raise TornWriteError(
-                f"PLog group commit torn: {len(durable)} of "
-                f"{len(placements)} appends durable",
-                durable=[key for key, _, __ in durable],
-                lost=[key for key, _, __ in placements[len(durable):]],
-            ) from exc
-        self._index_acked(placements)
-        return [address for *_, address in placements], cost
+        wave = sharded_append_batch(
+            self, items,
+            num_workers=self.write_parallelism,
+            mode=self.write_mode,
+        )
+        return wave.addresses, wave.sim_elapsed_s
 
     def read(self, address: PLogAddress) -> tuple[bytes, float]:
         """Read a payload back by address."""

@@ -71,9 +71,8 @@ class StoragePool:
         self._provisioned: dict[str, int] = {}
         self._torn_armings: list[int] = []
         #: per-extent simulated seconds of the most recent
-        #: :meth:`store_batch` (durable prefix only when it tore) — callers
-        #: that overlap commits makespan-charge from these instead of the
-        #: summed return value.
+        #: :meth:`store_batch`; only the durable prefix when it tore, since
+        #: a torn commit raises instead of returning the sum
         self.last_batch_costs: list[float] = []
         self.stats = PoolStats()
 
@@ -137,13 +136,12 @@ class StoragePool:
         Returns the summed simulated seconds — the *serial* cost model,
         where extents land back-to-back on the device queue.  The
         per-extent costs behind that sum are exposed in
-        :attr:`last_batch_costs` so callers that overlap commits (the
-        sharded committer in :mod:`repro.parallel.ingest`) can charge the
-        LPT makespan of their write waves instead of the sum; the summed
-        return value stays the equivalence oracle for those callers.
+        :attr:`last_batch_costs`, so a caller still knows what a torn
+        commit's durable prefix cost (the write wave in
+        :mod:`repro.parallel.ingest` charges that for a torn partition).
 
-        ``fragments_per`` lets such callers pass in fragments they already
-        encoded (e.g. per-partition, in a forked context); when omitted
+        ``fragments_per`` lets callers pass in fragments they already
+        encoded (e.g. per partition of a write wave); when omitted
         the policy encodes here.
 
         Acked-write semantics: when the commit tears mid-batch — a storage

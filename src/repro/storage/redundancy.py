@@ -38,9 +38,9 @@ class RedundancyPolicy(ABC):
         The default just loops; policies with per-call setup cost (erasure
         coding) override this to amortize it across the batch.
         ``counted=False`` defers the policy's stats charge to a later
-        :meth:`count_fragment_batch` call — the sharded committer encodes
-        per-partition in forked contexts and charges the driver context
-        once, keeping merged counters identical to a serial commit.
+        :meth:`count_fragment_batch` call — the write wave encodes per
+        partition and charges once per group commit, so the counters do
+        not depend on its width.
         """
         del counted  # replication charges no encode counters
         return [self.fragment(payload) for payload in payloads]

@@ -364,8 +364,8 @@ class StreamObject:
             # the slices the PLogs acked stay served; the lost slices'
             # records were never acked and their offsets become holes
             # readers skip over.  Matched by key, not prefix length: a
-            # sharded group commit (write_parallelism > 1) acks the union
-            # of per-partition durable prefixes, which need not be a
+            # write wave wider than one partition acks the union of
+            # per-partition durable prefixes, which need not be a
             # prefix of the whole group.
             durable_keys = set(exc.durable)
             self._sealed.extend(

@@ -7,11 +7,11 @@ optionally with an open transaction id for exactly-once pipelines.
 
 Large ``batch_size`` settings matter beyond amortized dispatch: every
 ``batch_size`` records the owning stream object seals a *group* of
-slices in one PLog group commit, and when the backing
-:class:`~repro.storage.plog.PLogManager` is configured with
-``write_parallelism > 1`` that group fans out over per-shard write
-waves (:mod:`repro.parallel.ingest`) — so the wider the producer
-batches, the more partitions each commit can spread across.
+slices in one PLog group commit, and every group commit is one write
+wave (:mod:`repro.parallel.ingest`) partitioned by PLog shard owner
+across the backing :class:`~repro.storage.plog.PLogManager`'s
+``write_parallelism`` workers — so the wider the producer batches, the
+more partitions each commit can spread across.
 """
 
 from __future__ import annotations

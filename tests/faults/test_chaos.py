@@ -99,8 +99,8 @@ class DurabilityMachine(RuleBasedStateMachine):
         #: waves per commit, serial pool mode for determinism
         self.plogs = PLogManager(
             self.pool, self.clock, num_shards=64, address_space=1 * MiB,
-            write_parallelism=4, write_mode="serial",
         )
+        self.plogs.configure_write_parallelism(4, mode="serial")
         #: the model: extent -> payload for every ACKED write
         self.acked: dict[str, bytes] = {}
         self.injected = 0

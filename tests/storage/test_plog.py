@@ -32,15 +32,21 @@ def test_unit_reserve_and_seal():
     assert unit.sealed
 
 
+def append(manager, key, payload):
+    """A one-item group commit: (address, sim seconds)."""
+    addresses, cost = manager.append_batch([(key, payload)])
+    return addresses[0], cost
+
+
 def test_append_read_roundtrip(manager):
-    address, cost = manager.append("stream/a", b"hello")
+    address, cost = append(manager, "stream/a", b"hello")
     assert cost > 0
     assert manager.read(address)[0] == b"hello"
 
 
 def test_read_by_key(manager):
-    manager.append("stream/a", b"payload-a")
-    manager.append("stream/b", b"payload-b")
+    manager.append_batch([("stream/a", b"payload-a"),
+                          ("stream/b", b"payload-b")])
     assert manager.read_key("stream/a")[0] == b"payload-a"
     assert manager.read_key("stream/b")[0] == b"payload-b"
 
@@ -51,7 +57,7 @@ def test_read_unknown_key_raises(manager):
 
 
 def test_delete_key(manager):
-    manager.append("stream/a", b"x")
+    append(manager, "stream/a", b"x")
     manager.delete_key("stream/a")
     with pytest.raises(ObjectNotFoundError):
         manager.read_key("stream/a")
@@ -65,9 +71,9 @@ def test_delete_unknown_raises(manager):
 def test_generation_rollover(manager):
     """Filling a shard's 1 MiB address space opens the next generation."""
     big = b"z" * (600 * 1024)
-    first, _ = manager.append("same-shard-key", big)
+    first, _ = append(manager, "same-shard-key", big)
     # force the same shard by reusing the key (same hash)
-    second, _ = manager.append("same-shard-key", big)
+    second, _ = append(manager, "same-shard-key", big)
     assert first.shard == second.shard
     assert second.generation == first.generation + 1
     assert manager.read(first)[0] == big
@@ -76,66 +82,49 @@ def test_generation_rollover(manager):
 
 def test_oversized_payload_raises(manager):
     with pytest.raises(ValueError):
-        manager.append("k", b"z" * (2 * MiB))
+        append(manager, "k", b"z" * (2 * MiB))
+
+
+def test_rejected_oversized_payload_keeps_the_active_unit(manager):
+    """An oversized payload is refused before it touches the shard's
+    active unit: the next append still fills generation 0."""
+    first, _ = append(manager, "k", b"a" * 100)
+    with pytest.raises(ValueError):
+        append(manager, "k", b"z" * (2 * MiB))
+    after, _ = append(manager, "k", b"b" * 100)
+    assert (after.generation, after.offset) == (0, 100)
+    assert after.shard == first.shard
+
+
+def test_group_with_oversized_member_reserves_nothing(manager):
+    """Every member is checked before any address is reserved, so a
+    rejected group leaves every shard's address space untouched."""
+    append(manager, "k", b"a" * 100)
+    before = manager.shard_utilization()
+    with pytest.raises(ValueError):
+        manager.append_batch([(f"m{i}", b"x" * 50) for i in range(8)]
+                             + [("k", b"z" * (2 * MiB))])
+    assert manager.shard_utilization() == before
+    after, _ = append(manager, "k", b"b" * 100)
+    assert (after.generation, after.offset) == (0, 100)
 
 
 def test_counters(manager):
-    manager.append("a", b"12")
-    manager.append("b", b"345")
+    append(manager, "a", b"12")
+    append(manager, "b", b"345")
     assert manager.appends == 2
     assert manager.bytes_appended == 5
 
 
 def test_shard_utilization(manager):
-    manager.append("a", b"x" * 1000)
+    append(manager, "a", b"x" * 1000)
     utilization = manager.shard_utilization()
     assert utilization
     assert all(0 < value <= 1 for value in utilization.values())
 
 
 def test_keys_spread_over_shards(manager):
-    shards = {manager.append(f"key-{i}", b"x")[0].shard for i in range(200)}
-    assert len(shards) > 30  # even distribution over 64 shards
-
-
-def test_append_and_batch_share_bookkeeping(manager):
-    """One bookkeeping helper for every ack path: N singleton appends and
-    one N-item group commit charge identical counters."""
-    from repro.common.context import ExecutionContext, use_context
-
-    items = [(f"k{i}", bytes([i]) * (100 + i)) for i in range(6)]
-    singles = ExecutionContext("singles")
-    with use_context(singles):
-        for key, payload in items:
-            manager.append(key, payload)
-    single_appends = manager.appends
-    single_bytes = manager.bytes_appended
-
-    clock = SimClock()
-    pool = StoragePool("p2", clock, policy=Replication(2))
-    pool.add_disks(NVME_SSD_PROFILE, 3)
-    other = PLogManager(pool, clock, num_shards=64, address_space=1 * MiB)
-    batched = ExecutionContext("batched")
-    with use_context(batched):
-        other.append_batch([(key, payload) for key, payload in items])
-
-    assert other.appends == single_appends
-    assert other.bytes_appended == single_bytes
-    assert singles.ingest.plog_appends_acked == len(items)
-    assert batched.ingest.plog_appends_acked == len(items)
-    assert batched.ingest.plog_bytes_acked == singles.ingest.plog_bytes_acked
-
-
-def test_append_batch_serial_is_the_default_path(manager):
-    """write_parallelism=1 dispatches to the serial oracle unchanged."""
-    items = [(f"s{i}", bytes([i]) * 128) for i in range(4)]
-    addresses, cost = manager.append_batch(items)
-
-    clock = SimClock()
-    pool = StoragePool("p3", clock, policy=Replication(2))
-    pool.add_disks(NVME_SSD_PROFILE, 3)
-    oracle = PLogManager(pool, clock, num_shards=64, address_space=1 * MiB)
-    oracle_addresses, oracle_cost = oracle.append_batch_serial(items)
-
-    assert addresses == oracle_addresses
-    assert cost == pytest.approx(oracle_cost)
+    addresses, _ = manager.append_batch(
+        [(f"key-{i}", b"x") for i in range(200)]
+    )
+    assert len({address.shard for address in addresses}) > 30  # even spread

@@ -194,8 +194,8 @@ def test_failed_store_rolls_back_partial_fragments():
 
 
 def test_store_batch_exposes_per_extent_costs():
-    """Satellite of the sharded committer: the summed return value stays
-    the serial oracle, but per-extent costs surface for makespan math."""
+    """The return value is the back-to-back sum, and the per-extent
+    costs behind it surface for the write wave's torn-partition charge."""
     pool = make_pool(erasure_coding_policy(4, 2))
     items = [(f"e{i}", bytes([i]) * (400 + 100 * i)) for i in range(5)]
     total = pool.store_batch(items)
