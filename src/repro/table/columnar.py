@@ -816,9 +816,7 @@ class ColumnarFile:
         needed = set(projection)
         if predicate is not None:
             needed |= predicate.columns()
-        unknown = needed - set(self.schema.names)
-        if unknown:
-            raise SchemaError(f"scan references unknown columns {sorted(unknown)}")
+        self.schema.check_columns(needed)
         return projection, needed
 
     def _vector(self, group: _RowGroup, name: str,

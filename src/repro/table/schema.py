@@ -88,6 +88,12 @@ class Schema:
             raise SchemaError(f"no column {name!r} in schema {self.names}")
         return column
 
+    def check_columns(self, names: set[str]) -> None:
+        """Raise :class:`SchemaError` naming every column not in the schema."""
+        unknown = names - self._by_name.keys()
+        if unknown:
+            raise SchemaError(f"scan references unknown columns {sorted(unknown)}")
+
     def validate_row(self, row: dict[str, object]) -> None:
         """Check a row dict has exactly the schema's columns, typed right."""
         extra = set(row) - set(self._by_name)

@@ -56,11 +56,7 @@ from repro.table.commit import CommitFile, DataFileMeta
 from repro.table.expr import Expression
 from repro.table.join import ColumnSet, concat_column_sets
 from repro.table.metacache import AcceleratedMetadataStore, MetadataStore
-from repro.table.pushdown import (
-    AggregateSpec,
-    execute_pushdown_multi,
-    result_size_bytes,
-)
+from repro.table.pushdown import AggregateSpec, result_size_bytes
 from repro.table.schema import PartitionSpec, Schema
 from repro.table.snapshot import SnapshotLog
 from repro.table.vector import ColumnVector, NumericVector
@@ -135,6 +131,22 @@ def read_file(data_file: ColumnarFile, cache: ChunkCache, *,
     else:
         piece = data_file.scan(predicate, columns, cache=cache)
     return piece, skipped
+
+
+def _assign(data: "ColumnVector | list[object]", mask: np.ndarray,
+            value: object) -> "NumericVector | list[object]":
+    """One SET: ``value`` written into ``data`` at ``mask``.
+
+    Numeric columns are assigned in place, so ``data`` must be a fresh
+    column (``concat_columns`` output), never a cached vector.
+    """
+    if isinstance(data, NumericVector):
+        data.values[mask] = 0 if value is None else value
+        data.valid()[mask] = value is not None
+        return data
+    values = np.array(data, dtype=object)
+    values[mask] = value
+    return values.tolist()
 
 
 class TableObject:
@@ -264,34 +276,45 @@ class TableObject:
             raise ValueError("insert requires at least one row")
         added = []
         write_costs = []
-        if not self.partition_spec.is_partitioned:
+        for partition, part_columns, part_rows in self._split_partitions(
+                columns, num_rows):
             meta, write_cost = self._write_columns_file(
-                "all", columns, num_rows
+                partition, part_columns, part_rows
             )
             added.append(meta)
             write_costs.append(write_cost)
-        else:
-            keys = self._partition_keys(columns, num_rows)
-            groups: dict[str, list[int]] = {}
-            for index, key in enumerate(keys):
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = []
-                group.append(index)
-            for partition in sorted(groups):
-                indices = np.asarray(groups[partition], dtype=np.intp)
-                part_columns = {
-                    name: gather_column(data, indices)
-                    for name, data in columns.items()
-                }
-                meta, write_cost = self._write_columns_file(
-                    partition, part_columns, len(indices)
-                )
-                added.append(meta)
-                write_costs.append(write_cost)
         cost = self._advance_writes(write_costs)
         cost += self._commit("insert", added=added, removed=[])
         return cost
+
+    def _split_partitions(self, columns: "dict[str, object]", num_rows: int
+                          ) -> "list[tuple[str, dict[str, object], int]]":
+        """Column data split by partition key: ``(partition, columns,
+        rows)`` per key in key order, rows in their input order.
+
+        The one split INSERT and UPDATE share; data in a single
+        partition passes through ungathered.
+        """
+        if not self.partition_spec.is_partitioned:
+            return [("all", columns, num_rows)]
+        keys = self._partition_keys(columns, num_rows)
+        partitions = sorted(set(keys))
+        if len(partitions) == 1:
+            return [(partitions[0], columns, num_rows)]
+        rank = dict(zip(partitions, range(len(partitions))))
+        codes = np.fromiter(map(rank.__getitem__, keys), dtype=np.intp,
+                            count=num_rows)
+        # a stable sort keeps each partition's rows in input order
+        order = np.argsort(codes, kind="stable")
+        bounds = np.cumsum(np.bincount(codes, minlength=len(partitions)))
+        out = []
+        for partition, indices in zip(partitions,
+                                      np.split(order, bounds[:-1])):
+            out.append((partition, {
+                name: gather_column(data, indices)
+                for name, data in columns.items()
+            }, len(indices)))
+        return out
 
     def _partition_keys(self, columns: "dict[str, object]",
                         num_rows: int) -> list[str]:
@@ -645,53 +668,14 @@ class TableObject:
             return self.snapshots.current_version
         return self.snapshots.snapshot_at(as_of).snapshot_id
 
-    def select_rows(self, predicate: Expression | None = None,
-                    columns: list[str] | None = None,
-                    aggregate: "AggregateSpec | list[AggregateSpec] | None" = None,
-                    as_of: float | None = None) -> list[dict[str, object]]:
-        """Row-at-a-time SELECT (the pre-vectorization path).
-
-        Kept as the equivalence oracle, matching the repo's ``scan_rows``
-        / ``compact_rows`` pattern: every row materializes as a Python
-        dict and aggregates run through the row-wise accumulator
-        (:func:`~repro.table.pushdown.execute_pushdown_multi`).  Charges
-        no simulated time — it exists to assert :meth:`select` returns
-        identical rows, not to model a query.
-        """
-        snapshot = (
-            self.snapshots.snapshot_at(as_of) if as_of is not None else None
-        )
-        specs: list[AggregateSpec] | None = None
-        if aggregate is not None:
-            specs = (
-                [aggregate] if isinstance(aggregate, AggregateSpec)
-                else list(aggregate)
-            )
-            columns = sorted(
-                {name for spec in specs for name in spec.columns()}
-            ) or []
-        rows: list[dict[str, object]] = []
-        for meta in self.snapshots.live_files(snapshot):
-            if predicate is not None and not predicate.possibly_matches(
-                meta.stats()
-            ):
-                continue
-            payload, _ = self._pool.fetch(meta.path)
-            rows.extend(
-                ColumnarFile.from_bytes(payload).scan_rows(predicate, columns)
-            )
-        if specs is not None:
-            return execute_pushdown_multi(rows, specs)
-        return rows
-
     def read_columns(self
                      ) -> "tuple[dict[str, ColumnVector | list[object]], int]":
         """The current snapshot as ``(column data, row count)``.
 
-        What statistics collection reads.  Like :meth:`select_rows` it
-        fetches every live file straight from the pool and charges no
-        simulated time, but each file decodes once to typed vectors and
-        no row is built.  Nothing it decodes enters the query caches.
+        What statistics collection reads.  It fetches every live file
+        straight from the pool and charges no simulated time; each file
+        decodes once to typed vectors and no row is built.  Nothing it
+        decodes enters the query caches.
         """
         scratch = ChunkCache(1)  # too small to admit a chunk
         parts = []
@@ -711,81 +695,90 @@ class TableObject:
         Files fully covered by the predicate are dropped metadata-only;
         partially matching files are rewritten without the doomed rows.
         """
-        expected = self.begin()
-        live = self.snapshots.live_files()
-        removed: list[str] = []
-        added: list[DataFileMeta] = []
-        cost = 0.0
-        write_costs: list[float] = []
-        for meta in live:
-            if not predicate.possibly_matches(meta.stats()):
-                continue
-            data_file, read_cost = self._hierarchy.load_file(
-                self._pool, meta.path, now=self._clock.now
-            )
-            cost += read_cost
-            survivors = [
-                row for row in data_file.scan(cache=self._chunk_cache)
-                if not predicate.matches(row)
-            ]
-            if len(survivors) == data_file.num_rows:
-                continue  # statistics overlapped but nothing matched
-            removed.append(meta.path)
-            if survivors:
-                # survivors came straight out of a validated data file
-                new_meta, write_cost = self._write_data_file(
-                    meta.partition, survivors, pre_validated=True
-                )
-                added.append(new_meta)
-                write_costs.append(write_cost)
-        cost += self._advance_writes(write_costs)
-        if not removed:
-            return cost
-        cost += self._commit(
-            "delete", added=added, removed=removed, expected_version=expected
-        )
+
+        def survivors(partition: str, columns: "dict[str, object]",
+                      mask: np.ndarray):
+            keep = np.flatnonzero(~mask)
+            if not keep.size:
+                return []
+            return [(partition, {
+                name: gather_column(data, keep)
+                for name, data in columns.items()
+            }, int(keep.size))]
+
         # removed files stay in the pool: older snapshots still reference
         # them (time travel); expire_snapshots reclaims the space later
-        return cost
+        return self._mutate("delete", predicate, survivors)
 
     def update(self, predicate: Expression,
                set_values: dict[str, object]) -> float:
-        """UPDATE rows matching ``predicate`` with ``set_values``."""
-        for column in set_values:
-            self.schema.column(column)  # validates existence
+        """UPDATE rows matching ``predicate`` with ``set_values``.
+
+        Every SET value is checked against its column before any file
+        is read.  Rows whose partition column changes move to their new
+        partition's file.
+        """
+        if not set_values:
+            raise ValueError("update requires at least one SET value")
+        for name, value in set_values.items():
+            self.schema.column(name).validate(value)
+
+        def assign(_partition: str, columns: "dict[str, object]",
+                   mask: np.ndarray):
+            for name, value in set_values.items():
+                columns[name] = _assign(columns[name], mask, value)
+            # re-keyed, not the file's partition: a SET may move rows
+            return self._split_partitions(columns, len(mask))
+
+        return self._mutate("update", predicate, assign)
+
+    def _mutate(self, operation: str, predicate: Expression,
+                rewrite: Callable) -> float:
+        """The one DELETE/UPDATE path, on decoded columns.
+
+        Every live file the predicate may touch decodes once through
+        the chunk tier, row group by row group in schema order; the
+        predicate's mask over those vectors picks the rows.  A file
+        with a match is replaced by ``rewrite(partition, columns,
+        mask)``'s ``(partition, columns, rows)`` pieces, each written
+        through ``from_columns``; a file without one is left alone.
+        """
+        self.schema.check_columns(predicate.columns())
         expected = self.begin()
-        live = self.snapshots.live_files()
+        names = self.schema.names
         removed: list[str] = []
         added: list[DataFileMeta] = []
         cost = 0.0
         write_costs: list[float] = []
-        for meta in live:
+        for meta in self.snapshots.live_files():
             if not predicate.possibly_matches(meta.stats()):
                 continue
             data_file, read_cost = self._hierarchy.load_file(
                 self._pool, meta.path, now=self._clock.now
             )
             cost += read_cost
-            changed = False
-            new_rows = []
-            for row in data_file.scan(cache=self._chunk_cache):
-                if predicate.matches(row):
-                    row = {**row, **set_values}
-                    changed = True
-                new_rows.append(row)
-            if not changed:
-                continue
+            groups = [
+                (vectors, num_rows) for vectors, _, num_rows in
+                data_file.select_vectors(names, cache=self._chunk_cache)
+            ]
+            mask = np.concatenate([
+                predicate.mask(vectors, num_rows)
+                for vectors, num_rows in groups
+            ])
+            if not mask.any():
+                continue  # statistics overlapped but nothing matched
             removed.append(meta.path)
-            # rows may move partitions when a partition column changes
-            by_partition: dict[str, list[dict[str, object]]] = {}
-            for row in new_rows:
-                self.schema.validate_row(row)
-                by_partition.setdefault(
-                    self.partition_spec.key_of(row), []
-                ).append(row)
-            for partition, partition_rows in sorted(by_partition.items()):
-                new_meta, write_cost = self._write_data_file(
-                    partition, partition_rows, pre_validated=True
+            # string columns leave as value lists: their encoders take
+            # Python values, as compaction's do
+            columns = concat_columns(self.schema, [
+                {name: vector if isinstance(vector, NumericVector)
+                 else vector.to_list() for name, vector in vectors.items()}
+                for vectors, _ in groups
+            ])
+            for partition, part_columns, num_rows in rewrite(
+                    meta.partition, columns, mask):
+                new_meta, write_cost = self._write_columns_file(
+                    partition, part_columns, num_rows
                 )
                 added.append(new_meta)
                 write_costs.append(write_cost)
@@ -793,7 +786,7 @@ class TableObject:
         if not removed:
             return cost
         cost += self._commit(
-            "update", added=added, removed=removed, expected_version=expected
+            operation, added=added, removed=removed, expected_version=expected
         )
         return cost
 

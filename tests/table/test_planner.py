@@ -25,6 +25,7 @@ from repro.table.schema import Column, ColumnType, Schema
 from repro.table.sql import SQLError, query
 from repro.table.table import Lakehouse
 from repro.workloads import tpch
+from rowwise import select_rows
 
 LINEITEM_SCHEMA = Schema([
     Column("l_orderkey", ColumnType.INT64, nullable=True),
@@ -214,13 +215,13 @@ class TestPlanJoin:
         ]
         for name in ("lineitem", "orders", "supplier"):
             table = lakehouse.table(name)
-            table.insert(table.select_rows()[:40])  # a second live file
+            table.insert(select_rows(table)[:40])  # a second live file
             statistics = StatisticsCache()
             chunk_cache = table.chunk_cache.stats.snapshot()
             fetches = table.pool.stats.extents_read
             clock_before = table.clock.now
             entry = statistics.refresh(table)
-            rows = table.select_rows()
+            rows = select_rows(table)
             oracle = SPNEstimator(
                 rows, table.schema.names,
                 sample_fraction=statistics.sample_fraction,

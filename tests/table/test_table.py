@@ -12,6 +12,7 @@ from repro.table.expr import And, Predicate
 from repro.table.pushdown import AggregateSpec
 from repro.table.schema import Column, ColumnType, PartitionSpec, Schema
 from repro.table.table import QueryStats
+from rowwise import select_rows
 
 
 SCHEMA = Schema([
@@ -414,7 +415,7 @@ def test_select_aggregate_matches_select_rows_oracle(table):
          AggregateSpec("MAX", "value", group_by=("day",))],
     ]:
         assert table.select(predicate=predicate, aggregate=aggregate) == (
-            table.select_rows(predicate=predicate, aggregate=aggregate)
+            select_rows(table, predicate=predicate, aggregate=aggregate)
         )
 
 
@@ -424,7 +425,7 @@ def test_select_rows_oracle_matches_plain_select(table):
     assert sorted(
         table.select(predicate=predicate), key=lambda r: r["value"]
     ) == sorted(
-        table.select_rows(predicate=predicate), key=lambda r: r["value"]
+        select_rows(table, predicate=predicate), key=lambda r: r["value"]
     )
 
 
