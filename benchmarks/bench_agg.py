@@ -22,6 +22,7 @@ from repro.bench import ResultTable
 from repro.common.stats import aggregation_stats
 from repro.table.agg import aggregate_file
 from repro.table.chunkcache import ChunkCache
+from repro.table.colbuild import columns_from_rows
 from repro.table.columnar import ColumnarFile
 from repro.table.expr import Predicate
 from repro.table.pushdown import AggregateSpec, execute_pushdown_multi
@@ -51,7 +52,9 @@ def _build_file(num_rows: int) -> ColumnarFile:
         }
         for index in range(num_rows)
     ]
-    return ColumnarFile.from_rows(SCHEMA, rows, ROW_GROUP_SIZE)
+    return ColumnarFile.from_columns(
+        SCHEMA, *columns_from_rows(SCHEMA, rows), ROW_GROUP_SIZE
+    )
 
 
 def _specs() -> list[AggregateSpec]:

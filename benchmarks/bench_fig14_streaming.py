@@ -22,6 +22,7 @@ from repro.storage.pool import StoragePool
 from repro.storage.redundancy import erasure_coding_policy
 from repro.storage.replication import Replication
 from repro.stream.config import TopicConfig
+from repro.table.colbuild import columns_from_rows
 from repro.table.columnar import ColumnarFile
 from repro.table.schema import Schema
 from repro.workloads.openmessaging import OpenMessagingDriver
@@ -237,7 +238,9 @@ def test_fig14d_space_consumption(benchmark) -> None:
         raw = "\n".join(
             json.dumps(row, separators=(",", ":")) for row in rows
         ).encode()
-        columnar = ColumnarFile.from_rows(schema, rows).to_bytes()
+        columnar = ColumnarFile.from_columns(
+            schema, *columns_from_rows(schema, rows)
+        ).to_bytes()
         col_factor = len(raw) / len(columnar)
         out = []
         for fault_tolerance in (1, 2, 3, 4):

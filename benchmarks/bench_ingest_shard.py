@@ -58,9 +58,7 @@ def _build_service(width: int, mode: str) -> MessageStreamingService:
     plogs = PLogManager(pool, clock)
     plogs.configure_write_parallelism(width, mode)
     bus = DataBus(clock, transport=TransportKind.RDMA)
-    return MessageStreamingService(
-        plogs, bus, clock, num_workers=2, slice_codec="binary"
-    )
+    return MessageStreamingService(plogs, bus, clock, num_workers=2)
 
 
 def _run_width(width: int, mode: str, num_records: int,

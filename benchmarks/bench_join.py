@@ -35,6 +35,8 @@ from repro.storage.disk import NVME_SSD_PROFILE
 from repro.storage.kv import KVEngine
 from repro.storage.pool import StoragePool
 from repro.storage.redundancy import erasure_coding_policy
+from repro.table.colbuild import columns_from_rows
+from repro.table.columnar import ColumnarFile
 from repro.table.expr import Predicate
 from repro.table.join import ColumnSet, hash_join, join_rows
 from repro.table.metacache import AcceleratedMetadataStore
@@ -88,6 +90,14 @@ def _best_of(repeats: int, fn) -> tuple[float, object]:
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def _column_set(schema, rows) -> ColumnSet:
+    """Rows as one relation, decoded from a one-group data file."""
+    columns, num_rows = columns_from_rows(schema, rows)
+    return ColumnSet.from_file(
+        ColumnarFile.from_columns(schema, columns, num_rows, num_rows)
+    )
 
 
 def _oracle_pairs(left_rows, right_rows, how):
@@ -152,8 +162,8 @@ def run_join_bench(num_lineitem: int = NUM_LINEITEM,
     supplier_rows = generator.supplier()
 
     # --- kernel vs nested-loop oracle -------------------------------------
-    left = ColumnSet.from_rows(LINEITEM_SCHEMA, lineitem_rows)
-    right = ColumnSet.from_rows(ORDERS_SCHEMA, orders_rows)
+    left = _column_set(LINEITEM_SCHEMA, lineitem_rows)
+    right = _column_set(ORDERS_SCHEMA, orders_rows)
     kernel_s, kernel_result = _best_of(REPEATS, lambda: hash_join(
         left, right, ["l_orderkey"], ["o_orderkey"], "inner"
     ))
@@ -161,8 +171,8 @@ def run_join_bench(num_lineitem: int = NUM_LINEITEM,
 
     sub_left_rows = lineitem_rows[:oracle_left]
     sub_right_rows = orders_rows[:oracle_right]
-    sub_left = ColumnSet.from_rows(LINEITEM_SCHEMA, sub_left_rows)
-    sub_right = ColumnSet.from_rows(ORDERS_SCHEMA, sub_right_rows)
+    sub_left = _column_set(LINEITEM_SCHEMA, sub_left_rows)
+    sub_right = _column_set(ORDERS_SCHEMA, sub_right_rows)
     oracle_start = time.perf_counter()
     oracle_inner = _oracle_pairs(sub_left_rows, sub_right_rows, "inner")
     oracle_s = time.perf_counter() - oracle_start

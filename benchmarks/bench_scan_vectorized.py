@@ -18,6 +18,7 @@ from pathlib import Path
 from repro.bench import ResultTable
 from repro.common.context import current_context
 from repro.table.chunkcache import ChunkCache
+from repro.table.colbuild import columns_from_rows
 from repro.table.columnar import ColumnarFile
 from repro.table.expr import And, Predicate
 from repro.table.schema import Column, ColumnType, Schema
@@ -49,7 +50,9 @@ def _build_file(num_rows: int) -> ColumnarFile:
         }
         for index in range(num_rows)
     ]
-    return ColumnarFile.from_rows(SCHEMA, rows, ROW_GROUP_SIZE)
+    return ColumnarFile.from_columns(
+        SCHEMA, *columns_from_rows(SCHEMA, rows), ROW_GROUP_SIZE
+    )
 
 
 def _predicate(num_rows: int) -> And:

@@ -68,8 +68,7 @@ def build_streamlake(ssd_disks: int = 6, hdd_disks: int = 6,
                      data_shards: int = 4, parity_shards: int = 2,
                      scm_cache_bytes: int | None = None,
                      ssd_profile: DiskProfile = NVME_SSD_PROFILE,
-                     hdd_profile: DiskProfile = HDD_PROFILE,
-                     slice_codec: str = "binary") -> StreamLake:
+                     hdd_profile: DiskProfile = HDD_PROFILE) -> StreamLake:
     """Assemble a StreamLake cluster on simulated hardware.
 
     Defaults mirror the paper's three-node evaluation cluster: NVMe SSD
@@ -90,7 +89,7 @@ def build_streamlake(ssd_disks: int = 6, hdd_disks: int = 6,
     scm = SCMCache(clock, scm_cache_bytes) if scm_cache_bytes else None
     streaming = MessageStreamingService(
         plogs, bus, clock, num_workers=num_workers, scm_cache=scm,
-        archive_pool=hdd_pool, slice_codec=slice_codec,
+        archive_pool=hdd_pool,
     )
     lakehouse = Lakehouse(
         hdd_pool, bus, clock,

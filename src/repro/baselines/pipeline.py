@@ -38,6 +38,7 @@ from repro.baselines.kafka import KafkaCluster
 from repro.stream.config import ConvertToTableConfig, TopicConfig
 from repro.stream.records import MessageRecord
 from repro.stream.service import MessageStreamingService
+from repro.table.colbuild import columns_from_rows
 from repro.table.columnar import ColumnarFile
 from repro.table.conversion import StreamTableConverter
 from repro.table.expr import And, Predicate
@@ -225,7 +226,9 @@ class KafkaHdfsPipeline:
         out_rows = [transform(row) for row in rows]
         cost += len(rows) * self.cpu_per_row_s
         for hour, hour_rows in sorted(self._by_hour(out_rows).items()):
-            data_file = ColumnarFile.from_rows(self._schema, hour_rows)
+            data_file = ColumnarFile.from_columns(
+                self._schema, *columns_from_rows(self._schema, hour_rows)
+            )
             cost += self.hdfs.write(
                 f"{output_prefix}/hour={hour}", data_file.size_bytes
             )

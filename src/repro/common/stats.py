@@ -94,8 +94,8 @@ class IngestStats(_AdditiveCounters):
     """Counters for the stream ingestion path (produce -> seal -> EC).
 
     The global :data:`INGEST` instance is incremented by the stream object
-    seal path and the Reed-Solomon codec; ``bench_ingest.py`` surfaces a
-    snapshot the way ``QueryStats`` surfaces cache hits.
+    seal path and the Reed-Solomon codec; the end-to-end benchmark
+    (``benchmarks/e2e``) reports a snapshot among each pass's facts.
 
     ``bytes_encoded`` counts sealed slices in the planar batch layout
     (:mod:`repro.stream.records`): 12 header bytes, 44 header-plane bytes
@@ -114,7 +114,6 @@ class IngestStats(_AdditiveCounters):
         self.plog_bytes_acked = 0     # payload bytes behind those acks
         self.ec_encode_calls = 0      # ReedSolomon.encode/encode_batch calls
         self.ec_payloads_encoded = 0  # payloads erasure-coded in those calls
-        self.legacy_slices_decoded = 0
 
     @property
     def compression_ratio(self) -> float:
@@ -138,7 +137,6 @@ class IngestStats(_AdditiveCounters):
             "plog_bytes_acked": self.plog_bytes_acked,
             "ec_encode_calls": self.ec_encode_calls,
             "ec_payloads_encoded": self.ec_payloads_encoded,
-            "legacy_slices_decoded": self.legacy_slices_decoded,
         }
 
 
@@ -158,8 +156,8 @@ class ConversionStats(_AdditiveCounters):
 
     The global :data:`CONVERSION` instance is incremented by
     :class:`~repro.table.conversion.StreamTableConverter` and the
-    vectorized column builder; ``bench_reunion.py`` surfaces a snapshot
-    alongside the conversion throughput numbers.
+    vectorized column builder; the end-to-end benchmark's
+    ``pipeline_mixed`` workload reports a snapshot among its facts.
     """
 
     def __init__(self) -> None:
@@ -247,8 +245,7 @@ class AggregationStats(_AdditiveCounters):
 
     The global :data:`AGGREGATION` instance is incremented by
     :mod:`repro.table.agg` (the GROUP BY kernel and footer fast path)
-    and by ``TableObject.select``; ``bench_agg.py`` surfaces a snapshot
-    the way ``bench_ingest.py`` surfaces :class:`IngestStats`.
+    and by ``TableObject.select``; ``bench_agg.py`` surfaces a snapshot.
     """
 
     def __init__(self) -> None:

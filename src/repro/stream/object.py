@@ -41,7 +41,6 @@ from repro.stream.records import (
     decode_slice,
     decode_slice_full,
     encode_slice,
-    encode_slice_legacy,
     repack_slices,
     slice_values,
 )
@@ -107,12 +106,9 @@ class StreamObject:
     """One partition's append-only record log backed by PLogs."""
 
     def __init__(self, object_id: str, plogs: PLogManager, clock: SimClock,
-                 redundancy: str = "ec", codec: str = "binary") -> None:
-        if codec not in ("binary", "legacy"):
-            raise ValueError(f"codec must be 'binary' or 'legacy', got {codec!r}")
+                 redundancy: str = "ec") -> None:
         self.object_id = object_id
         self.redundancy = redundancy
-        self.codec = codec
         self._plogs = plogs
         self._clock = clock
         self._sealed: list[_SliceInfo] = []
@@ -313,7 +309,7 @@ class StreamObject:
     def _materialize(
         items: list[MessageRecord | _Segment]
     ) -> list[MessageRecord]:
-        """Expand buffered items into records (legacy seal / open reads)."""
+        """Expand buffered items into records (open-slice reads)."""
         records: list[MessageRecord] = []
         for item in items:
             if type(item) is _Segment:
@@ -328,7 +324,6 @@ class StreamObject:
         self, batches: list[tuple[int, list[MessageRecord | _Segment]]]
     ) -> float:
         """Group-commit ``batches`` (each (base offset, slice)) to PLogs."""
-        binary = self.codec == "binary"
         ingest = stats.ingest_stats()
         items: list[tuple[str, bytes]] = []
         infos: list[_SliceInfo] = []
@@ -337,15 +332,8 @@ class StreamObject:
             count = sum(
                 item.count if type(item) is _Segment else 1 for item in batch
             )
-            if binary:
-                # offsets are stamped straight into the wire format
-                encoded = self._encode_slice_items(batch, start)
-            else:
-                materialized = self._materialize(batch)
-                encoded = encode_slice_legacy([
-                    r if r.offset == start + i else r.with_offset(start + i)
-                    for i, r in enumerate(materialized)
-                ])
+            # offsets are stamped straight into the wire format
+            encoded = self._encode_slice_items(batch, start)
             # slices compress before persistence: one of the stream object's
             # advantages over file-based logs (Section I "well store, compress")
             payload = zlib.compress(encoded, level=1)
@@ -605,12 +593,10 @@ class StreamObjectStore:
     """
 
     def __init__(self, plogs: PLogManager, clock: SimClock,
-                 replicated_plogs: PLogManager | None = None,
-                 codec: str = "binary") -> None:
+                 replicated_plogs: PLogManager | None = None) -> None:
         self._plogs = plogs
         self._replicated_plogs = replicated_plogs
         self._clock = clock
-        self.default_codec = codec
         self._objects: dict[str, StreamObject] = {}
         self._ids = itertools.count()
 
@@ -620,8 +606,7 @@ class StreamObjectStore:
         return self._plogs
 
     def create(self, redundancy: str = "ec",
-               object_id: str | None = None,
-               codec: str | None = None) -> StreamObject:
+               object_id: str | None = None) -> StreamObject:
         """CreateServerStreamObject: allocate a new stream object."""
         if redundancy not in ("ec", "replicate"):
             raise ValueError(
@@ -632,8 +617,7 @@ class StreamObjectStore:
         if object_id in self._objects:
             raise ValueError(f"stream object {object_id!r} already exists")
         obj = StreamObject(
-            object_id, self._manager_for(redundancy), self._clock, redundancy,
-            codec=codec if codec is not None else self.default_codec,
+            object_id, self._manager_for(redundancy), self._clock, redundancy
         )
         self._objects[object_id] = obj
         return obj

@@ -1,42 +1,36 @@
-"""Message records and their binary codec.
+"""Message records and their one wire format, the planar batch.
 
 A record is a key-value pair published to a topic (Fig 4(a-c)): records are
 assigned to stream-object slices based on topic, key and offset.  Each slice
 holds up to 256 records (Section IV-A).
 
-Two wire formats exist:
+A whole batch of ``n`` records is one buffer::
 
-* **Planar** (current): a whole batch of ``n`` records is one buffer::
+    [ 12-byte batch header | 44 * n header-plane bytes | varlen blob ]
 
-      [ 12-byte batch header | 44 * n header-plane bytes | varlen blob ]
+* The batch header is ``magic "SLP1", u32 n, u32 crc32``, the CRC
+  covering every byte after the header.  Every reader rejects a buffer
+  without the magic with :class:`~repro.errors.CorruptionError`.
+* Each record has a 44-byte fixed-width header: ``offset i64, timestamp
+  f64, sequence i64`` then the ``u32`` lengths of its varlen topic, key,
+  producer_id, txn_id and value regions (``txn_len == 0xFFFFFFFF`` means
+  ``txn_id is None``, distinct from ``""``).  The ``(n, 44)`` block of
+  those headers is stored *transposed*: 44 byte planes of ``n`` bytes,
+  plane ``j`` holding byte ``j`` of every header.  Constant fields become
+  constant planes and the high bytes of offsets, sequences and lengths
+  become near-constant ones, which deflate far better than the
+  interleaved rows.
+* The varlen blob holds each record's topic, key, producer_id, txn_id and
+  value bytes back-to-back, record after record.
 
-  - The batch header is ``magic "SLP1", u32 n, u32 crc32``, the CRC
-    covering every byte after the header.
-  - Each record has a 44-byte fixed-width header: ``offset i64,
-    timestamp f64, sequence i64`` then the ``u32`` lengths of its varlen
-    topic, key, producer_id, txn_id and value regions (``txn_len ==
-    0xFFFFFFFF`` means ``txn_id is None``, distinct from ``""``).  The
-    ``(n, 44)`` block of those headers is stored *transposed*: 44 byte
-    planes of ``n`` bytes, plane ``j`` holding byte ``j`` of every
-    header.  Constant fields become constant planes and the high bytes of
-    offsets, sequences and lengths become near-constant ones, which
-    deflate far better than the interleaved rows.
-  - The varlen blob holds each record's topic, key, producer_id, txn_id
-    and value bytes back-to-back, record after record.
-
-  No offset index is stored: record ``i`` starts at the exclusive cumsum
-  of the five lengths of records ``0..i-1``, computed in one NumPy pass,
-  so a reader still seeks straight to record ``i``.  Decoders check that
-  the lengths sum exactly to the blob before slicing anything.
-* **Legacy** (seed): each record is JSON metadata + value wrapped in three
-  nested length+CRC frames, concatenated per slice.  Decoders dispatch on
-  the magic bytes, so a buffer without it reads through
-  :func:`decode_legacy`.
+No offset index is stored: record ``i`` starts at the exclusive cumsum of
+the five lengths of records ``0..i-1``, computed in one NumPy pass, so a
+reader still seeks straight to record ``i``.  Decoders check that the
+lengths sum exactly to the blob before slicing anything.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
 from dataclasses import dataclass
@@ -44,16 +38,12 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.common import stats
-from repro.common.codec import frame, frames, unframe
 from repro.errors import CorruptionError
 
 #: Paper, Section IV-A: "Each slice contains up to 256 records."
 RECORDS_PER_SLICE = 256
 
-#: Magic prefix of the planar batch layout ("StreamLake Planar v1").  A
-#: legacy slice starts with the little-endian length of its first record
-#: frame, which would have to be ~0.8 GB to collide with these bytes.
+#: Magic prefix of the planar batch layout ("StreamLake Planar v1").
 PACKED_MAGIC = b"SLP1"
 
 #: magic, record count, crc32(header planes + varlen blob)
@@ -107,44 +97,6 @@ class MessageRecord:
         """Approximate wire size (key + value + fixed header)."""
         return len(self.key.encode()) + len(self.value) + 48
 
-    def encode(self) -> bytes:
-        """Serialize to a framed byte string (the legacy record codec)."""
-        header = json.dumps(
-            {
-                "t": self.topic,
-                "k": self.key,
-                "o": self.offset,
-                "ts": self.timestamp,
-                "p": self.producer_id,
-                "s": self.sequence,
-                "x": self.txn_id,
-            },
-            separators=(",", ":"),
-        ).encode()
-        return frame(frame(header) + frame(self.value))
-
-    @classmethod
-    def decode(cls, data: bytes) -> "MessageRecord":
-        parts = frames(unframe(data))
-        if len(parts) != 2:
-            raise ValueError(f"malformed record: {len(parts)} frames")
-        meta = json.loads(parts[0])
-        return cls(
-            topic=meta["t"],
-            key=meta["k"],
-            value=parts[1],
-            offset=meta["o"],
-            timestamp=meta["ts"],
-            producer_id=meta["p"],
-            sequence=meta["s"],
-            txn_id=meta["x"],
-        )
-
-
-def is_packed(data: bytes) -> bool:
-    """Does ``data`` carry the planar batch layout (vs legacy frames)?"""
-    return len(data) >= _BATCH_HEADER.size and data[:4] == PACKED_MAGIC
-
 
 def _store(planes: np.ndarray, name: str, column) -> None:
     """Write ``column`` (one value, or one per record) into the byte planes
@@ -165,9 +117,14 @@ def _seal(planes: np.ndarray, body: bytes) -> bytes:
 
 def _planes(data: bytes) -> tuple[np.ndarray, int]:
     """(``(44, count)`` byte planes, varlen blob start) of a planar buffer."""
-    magic, count = _BATCH_HEADER.unpack_from(data)[:2]
-    if magic != PACKED_MAGIC:
-        raise CorruptionError("planar batch magic mismatch")
+    if data[:len(PACKED_MAGIC)] != PACKED_MAGIC:
+        raise CorruptionError(
+            f"buffer of {len(data)} bytes lacks the planar batch magic "
+            f"{PACKED_MAGIC!r}"
+        )
+    if len(data) < _BATCH_HEADER.size:
+        raise CorruptionError("planar batch shorter than its header")
+    count = _BATCH_HEADER.unpack_from(data)[1]
     blob_start = _BATCH_HEADER.size + _HEADER_DTYPE.itemsize * count
     if len(data) < blob_start:
         raise CorruptionError("planar batch truncated in its header planes")
@@ -488,13 +445,10 @@ def encode_slice(records: list[MessageRecord],
 def decode_slice(data: bytes, start: int = 0) -> list[MessageRecord]:
     """Inverse of :func:`encode_slice`, from record index ``start`` onward.
 
-    Planar slices seek straight to ``start`` through the record bounds
-    derived from the length planes; legacy slices (no magic) fall back to
-    :func:`decode_legacy`.
+    Seeks straight to ``start`` through the record bounds derived from
+    the length planes.
     """
-    if is_packed(data):
-        return _decode_packed(data, start)
-    return decode_legacy(data)[start:]
+    return _decode_packed(data, start)
 
 
 def decode_slice_full(
@@ -506,17 +460,12 @@ def decode_slice_full(
     readers taking a whole slice (the common case) can skip per-record
     size/transaction bookkeeping entirely.
     """
-    if is_packed(data):
-        headers, bounds = _verified_headers(data)
-        tail = headers[start:]
-        size = int(tail["key_len"].sum() + tail["value_len"].sum()) \
-            + 48 * tail.shape[0]
-        has_txn = bool((tail["txn_len"] != _NO_TXN).any())
-        return _records_from(data, headers, bounds, start), size, has_txn
-    records = decode_legacy(data)[start:]
-    size = sum(record.size_bytes for record in records)
-    has_txn = any(record.txn_id is not None for record in records)
-    return records, size, has_txn
+    headers, bounds = _verified_headers(data)
+    tail = headers[start:]
+    size = int(tail["key_len"].sum() + tail["value_len"].sum()) \
+        + 48 * tail.shape[0]
+    has_txn = bool((tail["txn_len"] != _NO_TXN).any())
+    return _records_from(data, headers, bounds, start), size, has_txn
 
 
 def slice_values(data: bytes, start: int = 0) -> tuple[list[bytes], bool]:
@@ -524,16 +473,11 @@ def slice_values(data: bytes, start: int = 0) -> tuple[list[bytes], bool]:
 
     The stream->table conversion fast path: converting a slice needs only
     the message payloads, so no :class:`MessageRecord` objects are built.
-    For planar slices each value is the last ``value_len`` bytes of its
-    record's span, sliced straight out of the buffer; the txn flag
-    (computed the same way) tells the caller whether it must fall back to
-    record-level visibility classification instead of using the returned
-    values.  Legacy slices decode through :func:`decode_legacy`.
+    Each value is the last ``value_len`` bytes of its record's span,
+    sliced straight out of the buffer; the txn flag (computed the same
+    way) tells the caller whether it must fall back to record-level
+    visibility classification instead of using the returned values.
     """
-    if not is_packed(data):
-        records = decode_legacy(data)[start:]
-        has_txn = any(record.txn_id is not None for record in records)
-        return [record.value for record in records], has_txn
     _, lengths, bounds = _layout(data)
     _check_crc(data)
     tail = lengths[start:]
@@ -545,28 +489,11 @@ def slice_values(data: bytes, start: int = 0) -> tuple[list[bytes], bool]:
     ], has_txn
 
 
-def encode_slice_legacy(records: list[MessageRecord]) -> bytes:
-    """The seed's slice codec: per-record JSON in three nested frames."""
-    if len(records) > RECORDS_PER_SLICE:
-        raise ValueError(
-            f"slice holds at most {RECORDS_PER_SLICE} records, got {len(records)}"
-        )
-    return b"".join(frame(record.encode()) for record in records)
-
-
-def decode_legacy(data: bytes) -> list[MessageRecord]:
-    """Decode a legacy (pre-packed-codec) frame concatenation."""
-    stats.ingest_stats().legacy_slices_decoded += 1
-    return [MessageRecord.decode(payload) for payload in frames(data)]
-
-
 def encode_records(records: list[MessageRecord]) -> bytes:
     """Serialize an arbitrary-length batch (no slice-size limit)."""
     return _encode_packed(records)
 
 
 def decode_records(data: bytes) -> list[MessageRecord]:
-    """Inverse of :func:`encode_records` (legacy batches auto-detected)."""
-    if is_packed(data):
-        return _decode_packed(data)
-    return decode_legacy(data)
+    """Inverse of :func:`encode_records`."""
+    return _decode_packed(data)

@@ -32,13 +32,12 @@ class MessageStreamingService:
     def __init__(self, plogs: PLogManager, bus: DataBus, clock: SimClock,
                  num_workers: int = 3,
                  scm_cache: SCMCache | None = None,
-                 archive_pool: StoragePool | None = None,
-                 slice_codec: str = "binary") -> None:
+                 archive_pool: StoragePool | None = None) -> None:
         self.clock = clock
         self.bus = bus
         self.plogs = plogs
         self.scm_cache = scm_cache
-        self.objects = StreamObjectStore(plogs, clock, codec=slice_codec)
+        self.objects = StreamObjectStore(plogs, clock)
         self.dispatcher = StreamDispatcher(
             KVEngine("dispatcher-meta", clock), clock
         )

@@ -1,11 +1,18 @@
-"""Vectorized JSON-log -> column conversion (the reunion write path).
+"""Rows and JSON logs -> columns: the edge of every table write.
 
-The stream->table converter's hot loop: a batch of raw message values
-(JSON log lines) becomes typed column data ready for
-:meth:`~repro.table.columnar.ColumnarFile.from_columns`, with malformed
-lines *masked and counted* instead of raising per row.
+Tables are written only from column data
+(:meth:`~repro.table.columnar.ColumnarFile.from_columns`); this module
+builds that data from the two row-shaped inputs:
 
-The stages, each over the whole batch at once:
+* :func:`columns_from_rows` — row dicts (``TableObject.insert``), each
+  checked with :meth:`~repro.table.schema.Schema.validate_row` before any
+  column is built, so a bad row raises the same :class:`SchemaError` and
+  nothing is written;
+* :func:`columns_from_values` — raw JSON message values (stream->table
+  conversion), where malformed values are masked and counted instead.
+
+:func:`columns_from_values` is the stream->table converter's hot loop.
+Its stages, each over the whole batch of JSON log lines at once:
 
 1. **Batch parse** — all values join into one JSON array and parse with a
    single ``json.loads`` call.  If anything in the batch is malformed (or
@@ -27,10 +34,10 @@ The stages, each over the whole batch at once:
 4. **Row filter** — rows bad in *any* column drop from every column with
    one boolean-mask gather.
 
-The result is bit-compatible with the row-wise oracle
-(:meth:`~repro.table.conversion.StreamTableConverter.run_cycle_rows`):
-same surviving rows, same malformed count, same table content after
-insert.
+The result is bit-compatible with the record-at-a-time oracle,
+``run_cycle_rows`` in ``tests/table/rowwise.py`` (``json.loads`` and
+``validate_row`` per record, then ``insert``): same surviving rows, same
+malformed count, same table files.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from itertools import compress
 import numpy as np
 
 from repro.common import stats
+from repro.table.columnar import numeric_vector
 from repro.table.schema import ColumnType, Schema
 from repro.table.vector import ColumnVector, NumericVector
 
@@ -317,3 +325,26 @@ def columns_from_values(
     if not n:
         return {}, 0, malformed
     return columns, n, malformed
+
+
+def columns_from_rows(
+    schema: Schema, rows: list[dict[str, object]]
+) -> tuple[dict[str, ColumnVector | list[object]], int]:
+    """Row dicts as ``(columns, row_count)`` for ``insert_columns``.
+
+    Every row is checked with :meth:`Schema.validate_row` first, so the
+    first bad row raises its :class:`~repro.errors.SchemaError` before
+    any column exists.  A missing nullable key is NULL.  String columns
+    stay value lists; the others become typed vectors, so an ``int`` in
+    a FLOAT64 column is a float from here on.
+    """
+    for row in rows:
+        schema.validate_row(row)
+    columns: dict[str, ColumnVector | list[object]] = {}
+    for column in schema.columns:
+        values = [row.get(column.name) for row in rows]
+        columns[column.name] = (
+            values if column.type is ColumnType.STRING
+            else numeric_vector(values, column.type)
+        )
+    return columns, len(rows)

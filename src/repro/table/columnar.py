@@ -89,6 +89,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -426,21 +427,12 @@ def _decode_numeric(blob: bytes, type_: ColumnType,
     return NumericVector(values, valid)
 
 
-def _numeric_vector(values: list[object], type_: ColumnType) -> NumericVector:
+def numeric_vector(values: list[object], type_: ColumnType) -> NumericVector:
     """Python values (None = NULL) as the typed vector the codec takes."""
     return NumericVector(
         np.array([0 if v is None else v for v in values], _DTYPES[type_]),
         np.array([v is not None for v in values], dtype=bool),
     )
-
-
-def _encode_column(values: list[object], type_: ColumnType
-                   ) -> tuple[bytes, tuple[object, object, int]]:
-    """Chunk + footer statistics ``(min, max, nulls)`` of Python values."""
-    if type_ is ColumnType.STRING:
-        return _encode_strings(values)
-    chunk = _encode_vector(_numeric_vector(values, type_), type_)
-    return chunk, _column_stats(values)
 
 
 def _decode_column(blob: bytes, type_: ColumnType, count: int) -> list[object]:
@@ -479,14 +471,6 @@ def _decode_vector(blob: bytes, type_: ColumnType, count: int) -> ColumnVector:
         (codes,) = _read_planes(blob, 0, 1, count)
         return NumericVector(codes == 2, codes != 0)
     return _decode_numeric(blob, type_, count)
-
-
-def _column_stats(values: list[object]) -> tuple[object, object, int]:
-    present = [v for v in values if v is not None]
-    nulls = len(values) - len(present)
-    if not present:
-        return None, None, nulls
-    return min(present), max(present), nulls
 
 
 def _encode_vector(vector: NumericVector, type_: ColumnType) -> bytes:
@@ -556,53 +540,43 @@ def gather_column(data: "ColumnVector | list[object]",
     return [data[i] for i in indices.tolist()]
 
 
+@dataclass
 class _RowGroup:
-    """Column chunks + statistics for one horizontal stripe of rows."""
+    """Column chunks + footer statistics for one horizontal stripe of rows."""
 
-    def __init__(self, schema: Schema, rows: list[dict[str, object]]) -> None:
-        self.num_rows = len(rows)
-        self.chunks: dict[str, bytes] = {}
-        self.stats: dict[str, tuple[object, object]] = {}
-        self.null_counts: dict[str, int] = {}
-        for column in schema.columns:
-            values = [row.get(column.name) for row in rows]
-            self.chunks[column.name], (low, high, nulls) = _encode_column(
-                values, column.type
-            )
-            self.stats[column.name] = (low, high)
-            self.null_counts[column.name] = nulls
+    num_rows: int
+    stats: dict[str, tuple[object, object]]
+    null_counts: dict[str, int]
+    #: column name -> chunk bytes (empty in a parsed footer's groups)
+    chunks: dict[str, bytes]
 
     @classmethod
     def from_columns(cls, schema: Schema,
                      columns: "dict[str, ColumnVector | list[object]]",
                      start: int, stop: int) -> "_RowGroup":
-        """Build one row group straight from column data (no row dicts).
+        """Encode rows ``start:stop`` of column data into one row group.
 
-        ``NumericVector`` columns encode and compute statistics through
-        NumPy slices; list columns (strings) go through the row-path
-        encoders, which need Python values anyway for JSON/dictionary
-        encoding.
+        ``NumericVector`` columns encode and take their statistics
+        through NumPy slices (:func:`_vector_stats`); string columns go
+        through :func:`_encode_strings`, which needs Python values anyway
+        for JSON/dictionary encoding.
         """
-        group = cls.__new__(cls)
-        group.num_rows = stop - start
-        group.chunks = {}
-        group.stats = {}
-        group.null_counts = {}
+        group = cls(stop - start, {}, {}, {})
         for column in schema.columns:
             data = columns[column.name]
             if isinstance(data, NumericVector):
                 part = NumericVector(
                     data.values[start:stop], data.valid()[start:stop]
                 )
-                group.chunks[column.name] = _encode_vector(part, column.type)
+                chunk = _encode_vector(part, column.type)
                 low, high, nulls = _vector_stats(part, column.type)
             else:
                 values = (
                     data[start:stop] if isinstance(data, list)
                     else data.take(np.arange(start, stop))
                 )
-                group.chunks[column.name], (low, high, nulls) = \
-                    _encode_column(values, column.type)
+                chunk, (low, high, nulls) = _encode_strings(values)
+            group.chunks[column.name] = chunk
             group.stats[column.name] = (low, high)
             group.null_counts[column.name] = nulls
         return group
@@ -654,13 +628,12 @@ class FileFooter:
         groups: list[_RowGroup] = []
         chunk_spans: list[list[tuple[str, int, int]]] = []
         for meta in footer["groups"]:
-            group = _RowGroup.__new__(_RowGroup)
-            group.num_rows = meta["rows"]
-            group.stats = {
-                name: tuple(bounds) for name, bounds in meta["stats"].items()
-            }
-            group.null_counts = meta["nulls"]
-            group.chunks = {}  # filled per payload by from_footer
+            group = _RowGroup(
+                meta["rows"],
+                {name: tuple(bounds) for name, bounds in meta["stats"].items()},
+                meta["nulls"],
+                {},  # filled per payload by from_footer
+            )
             spans = []
             for name, chunk_len in meta["chunks"]:
                 spans.append((name, cursor, chunk_len))
@@ -722,38 +695,19 @@ class ColumnarFile:
     # --- construction -------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, schema: Schema, rows: list[dict[str, object]],
-                  row_group_size: int = ROW_GROUP_SIZE,
-                  pre_validated: bool = False) -> "ColumnarFile":
-        """Build from row dicts; ``pre_validated`` skips re-validation.
-
-        Writers that already ran :meth:`Schema.validate_row` per row (the
-        table INSERT/UPDATE paths) pass ``pre_validated=True`` so rows are
-        not validated twice.
-        """
-        if row_group_size < 1:
-            raise ValueError("row_group_size must be >= 1")
-        if not pre_validated:
-            for row in rows:
-                schema.validate_row(row)
-        groups = [
-            _RowGroup(schema, rows[start : start + row_group_size])
-            for start in range(0, len(rows), row_group_size)
-        ]
-        return cls(schema, groups)
-
-    @classmethod
     def from_columns(cls, schema: Schema,
                      columns: "dict[str, ColumnVector | list[object]]",
                      num_rows: int,
                      row_group_size: int = ROW_GROUP_SIZE) -> "ColumnarFile":
-        """Build row groups directly from column data — the vectorized
-        write path used by stream->table conversion and compaction.
+        """Build row groups from column data — the one file builder.
 
         ``columns`` maps every schema column to a :class:`NumericVector`
-        (typed values + validity mask) or a plain Python value list
-        (strings).  Values are trusted — callers validate during column
-        construction (vectorized), not per row here.
+        (typed values + validity mask), a plain Python value list or, for
+        strings, a string vector.  A numeric column given as a list
+        becomes a :class:`NumericVector` here, so every numeric footer
+        statistic comes from :func:`_vector_stats`.  Values are trusted:
+        callers validate while building the columns
+        (:mod:`repro.table.colbuild`), not per row here.
         """
         if row_group_size < 1:
             raise ValueError("row_group_size must be >= 1")
@@ -766,6 +720,12 @@ class ColumnarFile:
                     f"column {name!r} has {len(data)} values, "
                     f"expected {num_rows}"
                 )
+        columns = {**columns, **{
+            column.name: numeric_vector(columns[column.name], column.type)
+            for column in schema.columns
+            if column.type is not ColumnType.STRING
+            and isinstance(columns[column.name], list)
+        }}
         groups = [
             _RowGroup.from_columns(
                 schema, columns, start, min(start + row_group_size, num_rows)
@@ -1065,11 +1025,8 @@ class ColumnarFile:
         """
         groups: list[_RowGroup] = []
         for proto, spans in footer.groups:
-            group = _RowGroup.__new__(_RowGroup)
-            group.num_rows = proto.num_rows
-            group.stats = proto.stats
-            group.null_counts = proto.null_counts
-            group.chunks = {}
+            group = _RowGroup(proto.num_rows, proto.stats, proto.null_counts,
+                              {})
             for name, offset, chunk_len in spans:
                 blob = data[offset : offset + chunk_len]
                 if len(blob) != chunk_len:

@@ -10,19 +10,15 @@ Message values are JSON log lines; the topic's ``table_schema`` defines the
 expected fields.  Records that fail schema validation are counted and
 skipped (production log pipelines always carry some malformed lines).
 
-Two conversion paths exist:
-
-* :meth:`StreamTableConverter.run_cycle` (current) is **vectorized**:
-  whole packed slices stream their values out without materializing
-  records (:meth:`~repro.stream.object.StreamObject.read_values`), the
-  batch parses as one JSON array and validates column-at-a-time into
-  typed vectors (:mod:`repro.table.colbuild`), and the table ingests the
-  columns directly (:meth:`~repro.table.table.TableObject.insert_columns`)
-  — no per-row Python anywhere between the slice bytes and the row groups.
-* :meth:`StreamTableConverter.run_cycle_rows` keeps the seed's
-  record-at-a-time loop (``json.loads`` + ``validate_row`` per record) as
-  the equivalence oracle for tests and the baseline for
-  ``bench_reunion.py``.
+One conversion path exists, :meth:`StreamTableConverter.run_cycle`:
+whole packed slices stream their values out without materializing
+records (:meth:`~repro.stream.object.StreamObject.read_values`), the
+batch parses as one JSON array and validates column-at-a-time into typed
+vectors (:mod:`repro.table.colbuild`), and the table ingests the columns
+directly (:meth:`~repro.table.table.TableObject.insert_columns`) — no
+per-row Python anywhere between the slice bytes and the row groups.  Its
+record-at-a-time oracle (``json.loads`` + ``validate_row`` per record,
+then ``insert``) is ``run_cycle_rows`` in ``tests/table/rowwise.py``.
 """
 
 from __future__ import annotations
@@ -34,8 +30,7 @@ from dataclasses import dataclass
 from repro.common import stats
 from repro.common.clock import SimClock
 from repro.common.context import ExecutionContext
-from repro.errors import SchemaError
-from repro.stream.records import MessageRecord, pack_values
+from repro.stream.records import pack_values
 from repro.stream.service import MessageStreamingService
 from repro.table.colbuild import columns_from_values
 from repro.table.table import TableObject
@@ -117,9 +112,7 @@ class StreamTableConverter:
 
         The vectorized path: slices stream their raw values out whole,
         the batch parses/validates column-at-a-time, and the table
-        ingests typed column vectors.  Equivalent to
-        :meth:`run_cycle_rows` in converted rows, malformed counts and
-        resulting table content.
+        ingests typed column vectors.
         """
         trigger = self.should_convert()
         if trigger is None and not force:
@@ -159,42 +152,6 @@ class StreamTableConverter:
         conversion.validation_s += report.validation_s
         return report
 
-    def run_cycle_rows(self, force: bool = False) -> ConversionReport:
-        """Record-at-a-time conversion (the pre-vectorization path).
-
-        Kept as the equivalence oracle: tests assert :meth:`run_cycle`
-        converts exactly the rows this converts, with the same malformed
-        count and identical table content afterwards.
-        """
-        trigger = self.should_convert()
-        if trigger is None and not force:
-            return ConversionReport()
-        report = ConversionReport(triggered_by=trigger or "force")
-        config = self._service.dispatcher.config_of(self._topic).convert_2_table
-        rows: list[dict[str, object]] = []
-        for stream_id in sorted(self._positions):
-            obj = self._service.object_for(stream_id)
-            obj.flush()
-            position = self._positions[stream_id]
-            while position < obj.end_offset:
-                records, cost = obj.read(position)
-                report.sim_seconds += cost
-                if not records:
-                    break
-                for record in records:
-                    row = self._parse(record)
-                    if row is None:
-                        report.malformed += 1
-                    else:
-                        rows.append(row)
-                position = records[-1].offset + 1
-            self._positions[stream_id] = position
-        if rows:
-            report.sim_seconds += self._table.insert(rows)
-            report.converted = len(rows)
-        self._finish_cycle(report, config)
-        return report
-
     def _finish_cycle(self, report: ConversionReport, config) -> None:
         """Shared cycle epilogue: message deletion + counters + timestamps."""
         if config.delete_msg:
@@ -205,24 +162,6 @@ class StreamTableConverter:
         self._last_conversion_at = self._clock.now
         self.total_converted += report.converted
         self.total_malformed += report.malformed
-
-    def _parse(self, record: MessageRecord) -> dict[str, object] | None:
-        try:
-            raw = json.loads(record.value)
-        except (ValueError, UnicodeDecodeError):
-            return None
-        if not isinstance(raw, dict):
-            return None
-        row = {
-            name: raw.get(name)
-            for name in self._table.schema.names
-            if name in raw
-        }
-        try:
-            self._table.schema.validate_row(row)
-        except SchemaError:
-            return None
-        return row
 
     # --- table -> stream (playback) ----------------------------------------------
 

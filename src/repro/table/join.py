@@ -47,7 +47,6 @@ from repro.common.stats import join_stats
 from repro.table.chunkcache import ChunkCache
 from repro.table.columnar import ColumnarFile
 from repro.table.expr import Expression
-from repro.table.schema import Schema
 from repro.table.vector import ColumnVector, DictStringVector, NumericVector
 
 #: Join types supported by both the kernel and the oracle.
@@ -109,6 +108,11 @@ def gather_with_nulls(vector: ColumnVector, indices: np.ndarray
     return DictStringVector(vector.dictionary, codes.astype(np.uint32))
 
 
+def _empty_vector() -> NumericVector:
+    """The column of a relation with no rows (the type is unknowable)."""
+    return NumericVector(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+
+
 @dataclass
 class ColumnSet:
     """A relation in decoded form: named typed vectors + a row count.
@@ -143,32 +147,16 @@ class ColumnSet:
                     vector if indices is None else vector.gather(indices)
                 )
             num_rows += group_rows if indices is None else int(indices.size)
-        out: dict[str, ColumnVector] = {}
-        for name in names:
-            if parts[name]:
-                out[name] = concat_vectors(parts[name])
-            else:
-                out[name] = NumericVector(
-                    np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-                )
-        return cls(out, num_rows)
+        return cls({
+            name: concat_vectors(parts[name]) if parts[name]
+            else _empty_vector()
+            for name in names
+        }, num_rows)
 
     @classmethod
-    def from_rows(cls, schema: Schema, rows: list[dict[str, object]],
-                  columns: list[str] | None = None) -> "ColumnSet":
-        """Build from row dicts (test/oracle convenience, not a hot path)."""
-        if not rows:
-            return cls(
-                {
-                    name: NumericVector(
-                        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-                    )
-                    for name in (columns or schema.names)
-                },
-                0,
-            )
-        data_file = ColumnarFile.from_rows(schema, rows, len(rows))
-        return cls.from_file(data_file, columns)
+    def empty(cls, names: list[str]) -> "ColumnSet":
+        """A relation with no rows: one empty int64 vector per name."""
+        return cls({name: _empty_vector() for name in names}, 0)
 
     def gather(self, indices: np.ndarray) -> "ColumnSet":
         """Row subset at the vector level (``-1`` rows become NULLs)."""

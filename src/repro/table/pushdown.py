@@ -7,8 +7,8 @@ Predicates and aggregates execute at the storage side, so only final
 results cross the bus to the compute engine instead of raw rows.
 :func:`execute_pushdown` / :func:`execute_pushdown_multi` evaluate
 aggregates row-at-a-time over already-filtered rows; they are kept as
-the equivalence oracle (matching the repo's ``scan_rows`` /
-``run_cycle_rows`` pattern) for the vectorized aggregation engine in
+the equivalence oracle (like ``ColumnarFile.scan_rows``) for the
+vectorized aggregation engine in
 :mod:`repro.table.agg`, which production queries use instead.
 
 NULL semantics follow SQL: ``COUNT(*)`` counts every row, while

@@ -1,8 +1,9 @@
 """Table schemas and partition specifications.
 
-A schema types every column; a partition spec maps a row to the partition
-directory it belongs to (Fig 5: "each sub-directory name represents its
-partition range").  Supported transforms: ``identity`` (value as-is),
+A schema types every column; a partition spec maps each row of column
+data to the partition directory it belongs to (Fig 5: "each
+sub-directory name represents its partition range").  Supported
+transforms: ``identity`` (value as-is),
 ``day`` (epoch-seconds timestamp -> day number, the paper's hour/day log
 partitioning) and ``hour``.
 """
@@ -12,7 +13,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import SchemaError
+from repro.table.vector import ColumnVector, NumericVector
 
 
 class ColumnType(enum.Enum):
@@ -134,11 +138,8 @@ class PartitionField:
     column: str
     transform: str = "identity"
 
-    def apply(self, row: dict[str, object]) -> object:
-        return self.apply_value(row.get(self.column))
-
     def apply_value(self, value: object) -> object:
-        """Transform one already-extracted value (the columnar path)."""
+        """Transform one value (NULL is the ``__null__`` directory)."""
         if self.transform not in _TRANSFORMS:
             raise SchemaError(f"unknown partition transform {self.transform!r}")
         if value is None:
@@ -177,10 +178,43 @@ class PartitionSpec:
     def is_partitioned(self) -> bool:
         return bool(self.fields)
 
-    def key_of(self, row: dict[str, object]) -> str:
-        """Partition directory name for a row, e.g. 'province=11/day=19400'."""
+    def keys_of(self, columns: "dict[str, object]",
+                num_rows: int) -> list[str]:
+        """Per-row partition directory names of column data, e.g.
+        ``'province=11/day_start_time=19400'`` (``'all'`` unpartitioned).
+
+        ``columns`` maps column names to value lists or typed vectors;
+        day/hour transforms of a numeric vector run as one NumPy
+        floor-divide, so no row dict is built.
+        """
         if not self.fields:
-            return "all"
-        return "/".join(
-            f"{field_.label}={field_.apply(row)}" for field_ in self.fields
-        )
+            return ["all"] * num_rows
+        per_field: list[list[object]] = []
+        for field_ in self.fields:
+            data = columns[field_.column]
+            if (isinstance(data, NumericVector)
+                    and field_.transform in ("day", "hour")):
+                divisor = (_SECONDS_PER_DAY if field_.transform == "day"
+                           else _SECONDS_PER_HOUR)
+                transformed = (
+                    data.values.astype(np.int64) // divisor
+                ).tolist()
+                per_field.append([
+                    value if ok else "__null__"
+                    for value, ok in zip(transformed, data.valid().tolist())
+                ])
+            else:
+                source = (
+                    data.to_list() if isinstance(data, ColumnVector) else data
+                )
+                per_field.append([field_.apply_value(v) for v in source])
+        labels = [field_.label for field_ in self.fields]
+        if len(per_field) == 1:
+            label = labels[0]
+            return [f"{label}={value}" for value in per_field[0]]
+        return [
+            "/".join(
+                f"{label}={value}" for label, value in zip(labels, values)
+            )
+            for values in zip(*per_field)
+        ]

@@ -46,6 +46,7 @@ from repro.table.agg import (
 )
 from repro.table.catalog import Catalog, TableInfo
 from repro.table.chunkcache import ChunkCache, default_chunk_cache
+from repro.table.colbuild import columns_from_rows
 from repro.table.columnar import (
     ColumnarFile,
     ROW_GROUP_SIZE,
@@ -230,34 +231,13 @@ class TableObject:
         """Start an optimistic transaction: capture the snapshot version."""
         return self.snapshots.current_version
 
-    def insert(self, rows: list[dict[str, object]],
-               expected_version: int | None = None) -> float:
-        """INSERT: persist data files per partition, then commit metadata.
-
-        Returns simulated seconds.  Appends never conflict, so
-        ``expected_version`` is accepted for symmetry but not enforced.
+    def insert(self, rows: list[dict[str, object]]) -> float:
+        """INSERT row dicts: one row-to-columns step
+        (:func:`~repro.table.colbuild.columns_from_rows`, which raises a
+        bad row's :class:`~repro.errors.SchemaError` before anything is
+        written), then :meth:`insert_columns`.  Returns simulated seconds.
         """
-        del expected_version  # appends are conflict-free
-        if not rows:
-            raise ValueError("insert requires at least one row")
-        by_partition: dict[str, list[dict[str, object]]] = {}
-        for row in rows:
-            self.schema.validate_row(row)
-            by_partition.setdefault(
-                self.partition_spec.key_of(row), []
-            ).append(row)
-        added = []
-        write_costs = []
-        for partition, partition_rows in sorted(by_partition.items()):
-            # rows were validated above; from_rows must not re-validate
-            meta, write_cost = self._write_data_file(
-                partition, partition_rows, pre_validated=True
-            )
-            added.append(meta)
-            write_costs.append(write_cost)
-        cost = self._advance_writes(write_costs)
-        cost += self._commit("insert", added=added, removed=[])
-        return cost
+        return self.insert_columns(*columns_from_rows(self.schema, rows))
 
     def insert_columns(self,
                        columns: "dict[str, object]",
@@ -297,7 +277,7 @@ class TableObject:
         """
         if not self.partition_spec.is_partitioned:
             return [("all", columns, num_rows)]
-        keys = self._partition_keys(columns, num_rows)
+        keys = self.partition_spec.keys_of(columns, num_rows)
         partitions = sorted(set(keys))
         if len(partitions) == 1:
             return [(partitions[0], columns, num_rows)]
@@ -316,39 +296,6 @@ class TableObject:
             }, len(indices)))
         return out
 
-    def _partition_keys(self, columns: "dict[str, object]",
-                        num_rows: int) -> list[str]:
-        """Per-row partition keys from column data (no row dicts)."""
-        per_field: list[list[object]] = []
-        labels: list[str] = []
-        for field_ in self.partition_spec.fields:
-            data = columns[field_.column]
-            labels.append(field_.label)
-            if (isinstance(data, NumericVector)
-                    and field_.transform in ("day", "hour")):
-                divisor = 86_400 if field_.transform == "day" else 3_600
-                transformed = (
-                    data.values.astype(np.int64) // divisor
-                ).tolist()
-                per_field.append([
-                    value if ok else "__null__"
-                    for value, ok in zip(transformed, data.valid().tolist())
-                ])
-            else:
-                source = (
-                    data.to_list() if isinstance(data, ColumnVector) else data
-                )
-                per_field.append([field_.apply_value(v) for v in source])
-        if len(per_field) == 1:
-            label = labels[0]
-            return [f"{label}={value}" for value in per_field[0]]
-        return [
-            "/".join(
-                f"{label}={value}" for label, value in zip(labels, values)
-            )
-            for values in zip(*per_field)
-        ]
-
     def _advance_writes(self, write_costs: list[float]) -> float:
         """Charge one operation's data-file writes (one write task, so
         the wave costs their sum)."""
@@ -356,31 +303,13 @@ class TableObject:
         self._clock.advance(cost)
         return cost
 
-    def _write_data_file(self, partition: str,
-                         rows: list[dict[str, object]],
-                         pre_validated: bool = False
-                         ) -> tuple[DataFileMeta, float]:
-        return self._store_data_file(
-            partition,
-            ColumnarFile.from_rows(
-                self.schema, rows, self._row_group_size,
-                pre_validated=pre_validated,
-            ),
-        )
-
     def _write_columns_file(self, partition: str,
                             columns: "dict[str, object]",
                             num_rows: int) -> tuple[DataFileMeta, float]:
-        return self._store_data_file(
-            partition,
-            ColumnarFile.from_columns(
-                self.schema, columns, num_rows, self._row_group_size
-            ),
+        """Build and persist one data file; the caller charges the clock."""
+        data_file = ColumnarFile.from_columns(
+            self.schema, columns, num_rows, self._row_group_size
         )
-
-    def _store_data_file(self, partition: str, data_file: ColumnarFile
-                         ) -> tuple[DataFileMeta, float]:
-        """Persist one built data file; the caller charges the clock."""
         path = f"{self.info.path}/data/{partition}/f{self._file_counter}.col"
         self._file_counter += 1
         payload = data_file.to_bytes()
@@ -644,7 +573,7 @@ class TableObject:
         )
         self._clock.advance(stats.data_cost_s)
         if not parts:
-            return ColumnSet.from_rows(self.schema, [], columns)
+            return ColumnSet.empty(columns or self.schema.names)
         result = concat_column_sets(parts)
         stats.rows_returned = result.num_rows
         return result
@@ -843,37 +772,6 @@ class TableObject:
         new_meta, write_cost = self._write_columns_file(
             partition, columns, num_rows
         )
-        cost += self._advance_writes([write_cost])
-        removed = [meta.path for meta in live]
-        cost += self._commit(
-            "compact", added=[new_meta], removed=removed,
-            expected_version=expected,
-        )
-        return cost
-
-    def compact_rows(self, partition: str, target_file_bytes: int,
-                     expected_version: int | None = None) -> float:
-        """Row-at-a-time compaction (the pre-vectorization path).
-
-        Kept as the equivalence oracle: materializes every row as a
-        Python dict via ``scan`` and rebuilds the merged file with
-        ``from_rows``.  Tests assert :meth:`compact` leaves the table
-        scanning identically to this.
-        """
-        expected, live = self._compaction_plan(
-            partition, target_file_bytes, expected_version
-        )
-        if len(live) < 2:
-            return 0.0
-        rows: list[dict[str, object]] = []
-        cost = 0.0
-        for meta in live:
-            data_file, read_cost = self._hierarchy.load_file(
-                self._pool, meta.path, now=self._clock.now
-            )
-            cost += read_cost
-            rows.extend(data_file.scan(cache=self._chunk_cache))
-        new_meta, write_cost = self._write_data_file(partition, rows)
         cost += self._advance_writes([write_cost])
         removed = [meta.path for meta in live]
         cost += self._commit(

@@ -1,9 +1,11 @@
-"""Unit and property tests for the framed codec."""
+"""Unit and property tests for the length+CRC frames of the JSON slice
+oracle (``tests/stream/json_codec.py``), which the planar codec's tests
+compare against."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.codec import frame, frames, unframe
+from tests.stream.json_codec import frame, frames, unframe
 from repro.errors import CorruptionError
 
 

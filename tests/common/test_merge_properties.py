@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.stats import CacheStats, IngestStats, OnlineStats
 from repro.table.agg import AggregateState, aggregate_file
+from repro.table.colbuild import columns_from_rows
 from repro.table.columnar import ColumnarFile
 from repro.table.pushdown import AggregateSpec, execute_pushdown_multi
 from repro.table.schema import Column, ColumnType, Schema
@@ -125,9 +126,9 @@ rows_strategy = st.lists(
 def _state_of(rows) -> AggregateState:
     if not rows:
         return AggregateState(SPECS)
-    data_file = ColumnarFile.from_rows(
+    data_file = ColumnarFile.from_columns(SCHEMA, *columns_from_rows(
         SCHEMA, [{"g": g, "v": v} for g, v in rows]
-    )
+    ))
     return aggregate_file(data_file, SPECS)
 
 

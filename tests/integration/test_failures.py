@@ -105,11 +105,14 @@ def test_transaction_atomicity_across_stream_failures():
 
 
 def test_corrupted_frame_detected():
-    """End-to-end corruption detection via checksummed frames."""
-    from repro.common.codec import frame, unframe
+    """End-to-end corruption detection via the slice checksum: one
+    flipped byte in a sealed slice's varlen blob fails its CRC32."""
     from repro.errors import CorruptionError
+    from repro.stream.records import MessageRecord, decode_slice, encode_slice
 
-    framed = bytearray(frame(b"precious bytes"))
-    framed[10] ^= 0x40
-    with pytest.raises(CorruptionError):
-        unframe(bytes(framed))
+    sealed = bytearray(encode_slice(
+        [MessageRecord("t", "k", b"precious bytes")], base_offset=0
+    ))
+    sealed[-3] ^= 0x40
+    with pytest.raises(CorruptionError, match="checksum"):
+        decode_slice(bytes(sealed))

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.context import ExecutionContext, use_context
+from repro.table.colbuild import columns_from_rows
+from repro.table.columnar import ColumnarFile
 from repro.table.join import ColumnSet, hash_join
 from repro.table.schema import Column, ColumnType, Schema
 from repro.parallel.query import sharded_hash_join, sharded_join_kernel
@@ -18,9 +20,14 @@ SCHEMA = Schema([
 
 
 def _column_set(keys: list[int | None]) -> ColumnSet:
-    return ColumnSet.from_rows(
+    if not keys:
+        return ColumnSet.empty(SCHEMA.names)
+    columns, num_rows = columns_from_rows(
         SCHEMA,
         [{"k": key, "v": position} for position, key in enumerate(keys)],
+    )
+    return ColumnSet.from_file(
+        ColumnarFile.from_columns(SCHEMA, columns, num_rows, num_rows)
     )
 
 

@@ -1,25 +1,25 @@
-"""Property tests: packed slice codec vs the seed's legacy JSON framing.
+"""Property tests: the planar slice codec vs the seed's JSON framing.
 
-The planar binary batch format replaced the legacy JSON-in-triple-frame
-slice codec on the ingest path.  These tests pin that the two codecs
-agree record-for-record on arbitrary inputs (unicode topics and keys,
-empty and ``None`` transaction ids, 0-byte and multi-MB values), that
-legacy bytes still decode through the ``decode_slice`` dispatch, and
-that partial reads seeking through the record bounds equal suffixes of
-a full decode.
+The planar binary batch format replaced the JSON-in-triple-frame slice
+codec, which survives only as the oracle in :mod:`json_codec`.  These
+tests pin that the two codecs agree record-for-record on arbitrary
+inputs (unicode topics and keys, empty and ``None`` transaction ids,
+0-byte and multi-MB values), that no production reader accepts the JSON
+bytes, and that partial reads seeking through the record bounds equal
+suffixes of a full decode.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from json_codec import decode_slice_json, encode_slice_json
+from repro.errors import CorruptionError
 from repro.stream.records import (
     MessageRecord,
     decode_slice,
     decode_slice_full,
     encode_records,
     encode_slice,
-    encode_slice_legacy,
-    is_packed,
     pack_values,
     repack_slices,
 )
@@ -54,33 +54,33 @@ keyed_values = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(batch=slices)
 def test_codecs_roundtrip_identically(batch):
-    """Both codecs invert to the exact same records on arbitrary input."""
-    packed = encode_slice(batch)
-    legacy = encode_slice_legacy(batch)
-    assert is_packed(packed)
-    assert not is_packed(legacy)
-    assert decode_slice(packed) == batch
-    assert decode_slice(legacy) == batch  # legacy fallback dispatch
+    """Both codecs invert to the exact same records on arbitrary input,
+    and the planar reader refuses the JSON bytes instead of guessing."""
+    legacy = encode_slice_json(batch)
+    assert decode_slice(encode_slice(batch)) == batch
+    assert decode_slice_json(legacy) == batch
+    with pytest.raises(CorruptionError, match="magic"):
+        decode_slice(legacy)
 
 
 @settings(max_examples=100, deadline=None)
 @given(batch=slices, start=st.integers(min_value=0, max_value=40))
 def test_partial_read_equals_full_decode_suffix(batch, start):
     """Seeking to ``start`` == slicing a full decode, both codecs."""
-    for data in (encode_slice(batch), encode_slice_legacy(batch)):
-        assert decode_slice(data, start=start) == batch[start:]
+    assert decode_slice(encode_slice(batch), start=start) == batch[start:]
+    assert decode_slice_json(encode_slice_json(batch), start) == batch[start:]
 
 
 @settings(max_examples=60, deadline=None)
 @given(batch=slices, start=st.integers(min_value=0, max_value=40))
 def test_decode_slice_full_matches_per_record_accounting(batch, start):
     """The vectorized size/txn summary equals the per-record reduction."""
-    for data in (encode_slice(batch), encode_slice_legacy(batch)):
-        decoded, size, has_txn = decode_slice_full(data, start=start)
-        expected = batch[start:]
-        assert decoded == expected
-        assert size == sum(record.size_bytes for record in expected)
-        assert has_txn == any(r.txn_id is not None for r in expected)
+    decoded, size, has_txn = decode_slice_full(encode_slice(batch),
+                                               start=start)
+    expected = batch[start:]
+    assert decoded == expected
+    assert size == sum(record.size_bytes for record in expected)
+    assert has_txn == any(r.txn_id is not None for r in expected)
 
 
 def test_extreme_records_roundtrip_both_codecs():
@@ -93,8 +93,8 @@ def test_extreme_records_roundtrip_both_codecs():
         MessageRecord("", "k", b"v" * 1024, offset=2, timestamp=3.75,
                       producer_id="", sequence=2, txn_id="тx-☃"),
     ]
-    for data in (encode_slice(batch), encode_slice_legacy(batch)):
-        decoded = decode_slice(data)
+    for decoded in (decode_slice(encode_slice(batch)),
+                    decode_slice_json(encode_slice_json(batch))):
         assert decoded == batch
         # the empty-string txn must survive distinctly from None
         assert decoded[0].txn_id is None

@@ -5,11 +5,12 @@ varlen blob]`` with no per-record offset index (see the module doc of
 :mod:`repro.stream.records`).  These tests pin that every reader —
 ``decode_slice``, ``decode_slice_full`` and ``slice_values`` — returns
 the records a buffer stands for from every ``start``, through producer
-packing and ``repack_slices`` piece merging, in agreement with the
-legacy JSON codec; that the buffer holds exactly the planes and the
-blob; that the planes deflate smaller than the row-major ``SLB1`` block
-plus index they replaced; and that every malformed buffer raises
-:class:`CorruptionError`.
+packing and ``repack_slices`` piece merging, in agreement with the JSON
+codec oracle (:mod:`json_codec`); that the buffer holds exactly the
+planes and the blob; that the planes deflate smaller than the row-major
+``SLB1`` block plus index they replaced; and that every malformed buffer
+— including any without the ``SLP1`` magic — raises
+:class:`CorruptionError` from every reader.
 """
 
 import json
@@ -21,13 +22,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from json_codec import decode_slice_json, encode_slice_json
 from repro.errors import CorruptionError
 from repro.stream.records import (
     RECORDS_PER_SLICE,
+    decode_records,
     decode_slice,
     decode_slice_full,
     encode_slice,
-    encode_slice_legacy,
     pack_values,
     repack_slices,
     slice_values,
@@ -56,12 +58,14 @@ def _varlen(record) -> int:
     )) + len(record.value)
 
 
-def _legacy(records) -> bytes:
-    """The legacy codec's bytes for any count: a frame concatenation."""
-    return b"".join(
-        encode_slice_legacy(records[at:at + RECORDS_PER_SLICE])
+def _json_oracle(records) -> list:
+    """``records`` through the JSON codec oracle, slice by slice."""
+    return [
+        record
         for at in range(0, len(records), RECORDS_PER_SLICE)
-    )
+        for record in decode_slice_json(
+            encode_slice_json(records[at:at + RECORDS_PER_SLICE]))
+    ]
 
 
 @st.composite
@@ -94,7 +98,7 @@ def planar_batches(draw):
 @given(planar_batches())
 def test_every_reader_from_every_start_equals_the_records(case):
     data, records = case
-    assert decode_slice(_legacy(records)) == records
+    assert _json_oracle(records) == records
     values = [record.value for record in records]
     for start in range(len(records) + 1):
         tail = records[start:]
@@ -222,3 +226,25 @@ def test_repack_rejects_inconsistent_lengths(name):
     data = _corruptions()[name]
     with pytest.raises(CorruptionError):
         repack_slices([(data, 0, 1)], 0)
+
+
+READERS = [decode_slice, decode_slice_full, slice_values, decode_records]
+
+
+def _magicless() -> dict[str, bytes]:
+    """Buffers without the ``SLP1`` magic: empty, short, and every
+    single-bit flip of a sealed slice's magic."""
+    data = encode_slice(decode_slice(DPI_SLICE)[:3], base_offset=0)
+    cases = {"empty": b"", "short_SLP": b"SLP"}
+    for bit in range(32):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        cases[f"magic_bit_{bit}"] = bytes(flipped)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_magicless()))
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_reject_buffers_without_the_magic(name, reader):
+    with pytest.raises(CorruptionError, match="magic"):
+        reader(_magicless()[name])

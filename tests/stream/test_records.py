@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import CorruptionError
 from repro.stream.records import (
     RECORDS_PER_SLICE,
     MessageRecord,
@@ -36,12 +37,12 @@ def test_slice_capacity_is_256():
 def test_encode_decode_roundtrip():
     record = MessageRecord("t", "k", b"hello", offset=7, timestamp=1.5,
                            producer_id="p", sequence=3, txn_id="txn-1")
-    assert MessageRecord.decode(record.encode()) == record
+    assert decode_records(encode_records([record])) == [record]
 
 
 @given(records)
 def test_roundtrip_property(record):
-    assert MessageRecord.decode(record.encode()) == record
+    assert decode_records(encode_records([record])) == [record]
 
 
 def test_with_offset_preserves_everything_else():
@@ -75,7 +76,5 @@ def test_unbounded_records_roundtrip(batch):
 
 
 def test_malformed_record_raises():
-    from repro.errors import CorruptionError
-
-    with pytest.raises((CorruptionError, ValueError)):
-        MessageRecord.decode(b"not a frame")
+    with pytest.raises(CorruptionError, match="magic"):
+        decode_records(b"not a frame")

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from repro.common.stats import aggregation_stats
 from repro.table.agg import AggregateState, aggregate_file, footer_answerable
 from repro.table.chunkcache import ChunkCache
-from repro.table.columnar import ColumnarFile
 from repro.table.expr import And, Or, Predicate
 from repro.table.pushdown import (
     AggregateSpec,
@@ -25,6 +24,7 @@ from repro.table.pushdown import (
     result_labels,
 )
 from repro.table.schema import Column, ColumnType, Schema
+from rowwise import file_from_rows
 
 COLUMN_POOL = [
     Column("i", ColumnType.INT64, nullable=True),
@@ -147,7 +147,7 @@ def _assert_rows_match(actual, expected, specs):
 @given(table=_tables(), data=st.data())
 def test_aggregate_file_matches_row_wise_oracle(table, data):
     schema, rows, group_size = table
-    data_file = ColumnarFile.from_rows(schema, rows, row_group_size=group_size)
+    data_file = file_from_rows(schema, rows, row_group_size=group_size)
     predicate = data.draw(
         st.one_of(st.none(), _expressions(schema.names))
     )
@@ -169,11 +169,11 @@ def test_merged_partials_match_single_file_oracle(table, data):
     for part in (rows[:cut], rows[cut:]):
         if not part:
             continue
-        part_file = ColumnarFile.from_rows(
+        part_file = file_from_rows(
             schema, part, row_group_size=group_size
         )
         state.merge(aggregate_file(part_file, specs, cache=ChunkCache()))
-    whole = ColumnarFile.from_rows(schema, rows, row_group_size=group_size)
+    whole = file_from_rows(schema, rows, row_group_size=group_size)
     _assert_rows_match(state.rows(), _oracle(whole, specs), specs)
 
 
@@ -186,7 +186,7 @@ def _file(rows, schema=None, group_size=10):
         Column("v", ColumnType.INT64, nullable=True),
         Column("f", ColumnType.FLOAT64, nullable=True),
     ])
-    return ColumnarFile.from_rows(schema, rows, row_group_size=group_size)
+    return file_from_rows(schema, rows, row_group_size=group_size)
 
 
 def test_empty_table_pads_the_ungrouped_group():
@@ -256,7 +256,7 @@ def test_sum_mixes_int_and_bool_like_the_oracle():
         Column("b", ColumnType.BOOL, nullable=True),
     ])
     rows = [{"v": i, "b": i % 2 == 0} for i in range(10)]
-    data_file = ColumnarFile.from_rows(schema, rows, row_group_size=4)
+    data_file = file_from_rows(schema, rows, row_group_size=4)
     specs = [AggregateSpec("SUM", "v"), AggregateSpec("SUM", "b")]
     out = aggregate_file(data_file, specs, cache=ChunkCache()).rows()
     # bools sum as 1.0/0.0 (isinstance(True, int)), ints promote to float

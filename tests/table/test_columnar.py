@@ -15,16 +15,18 @@ from repro.table.columnar import (
     _decode_column,
     _decode_strings,
     _decode_vector,
-    _encode_column,
     _encode_strings,
     _encode_vector,
     _read_planes,
     _strings_to_vector,
+    _vector_stats,
+    numeric_vector,
 )
 from repro.table.expr import Predicate
 from repro.table.schema import Column, ColumnType, Schema
 from repro.table.sql import query
 from repro.table.vector import NumericVector
+from rowwise import file_from_rows
 
 SCHEMA = Schema([
     Column("id", ColumnType.INT64),
@@ -33,6 +35,15 @@ SCHEMA = Schema([
     Column("flag", ColumnType.BOOL, nullable=True),
     Column("ts", ColumnType.TIMESTAMP),
 ])
+
+
+def _encode_column(values, type_):
+    """Chunk + footer statistics ``(min, max, nulls)`` of Python values,
+    through the file builder's encoders."""
+    if type_ is ColumnType.STRING:
+        return _encode_strings(values)
+    vector = numeric_vector(values, type_)
+    return _encode_vector(vector, type_), _vector_stats(vector, type_)
 
 
 def make_rows(count):
@@ -50,62 +61,62 @@ def make_rows(count):
 
 def test_from_rows_and_scan_all():
     rows = make_rows(100)
-    data_file = ColumnarFile.from_rows(SCHEMA, rows)
+    data_file = file_from_rows(SCHEMA, rows)
     assert data_file.num_rows == 100
     assert data_file.scan() == rows
 
 
 def test_row_group_partitioning():
-    data_file = ColumnarFile.from_rows(SCHEMA, make_rows(25), row_group_size=10)
+    data_file = file_from_rows(SCHEMA, make_rows(25), row_group_size=10)
     assert data_file.num_row_groups == 3
 
 
 def test_bad_row_group_size_raises():
     with pytest.raises(ValueError):
-        ColumnarFile.from_rows(SCHEMA, make_rows(2), row_group_size=0)
+        file_from_rows(SCHEMA, make_rows(2), row_group_size=0)
 
 
 def test_invalid_row_rejected():
     with pytest.raises(SchemaError):
-        ColumnarFile.from_rows(SCHEMA, [{"id": "not-an-int", "price": 1.0,
+        file_from_rows(SCHEMA, [{"id": "not-an-int", "price": 1.0,
                                          "city": "x", "flag": True, "ts": 0}])
 
 
 def test_serialization_roundtrip():
     rows = make_rows(50)
-    data_file = ColumnarFile.from_rows(SCHEMA, rows, row_group_size=16)
+    data_file = file_from_rows(SCHEMA, rows, row_group_size=16)
     restored = ColumnarFile.from_bytes(data_file.to_bytes())
     assert restored.num_rows == 50
     assert restored.scan() == rows
 
 
 def test_truncated_bytes_raise():
-    blob = ColumnarFile.from_rows(SCHEMA, make_rows(10)).to_bytes()
+    blob = file_from_rows(SCHEMA, make_rows(10)).to_bytes()
     with pytest.raises(CorruptionError):
         ColumnarFile.from_bytes(blob[: len(blob) - 5])
 
 
 def test_scan_with_projection():
-    data_file = ColumnarFile.from_rows(SCHEMA, make_rows(10))
+    data_file = file_from_rows(SCHEMA, make_rows(10))
     out = data_file.scan(columns=["id", "city"])
     assert out[0] == {"id": 0, "city": "city-0"}
 
 
 def test_scan_unknown_column_raises():
-    data_file = ColumnarFile.from_rows(SCHEMA, make_rows(5))
+    data_file = file_from_rows(SCHEMA, make_rows(5))
     with pytest.raises(SchemaError):
         data_file.scan(columns=["ghost"])
 
 
 def test_scan_with_predicate():
-    data_file = ColumnarFile.from_rows(SCHEMA, make_rows(100))
+    data_file = file_from_rows(SCHEMA, make_rows(100))
     out = data_file.scan(Predicate("city", "=", "city-3"))
     assert len(out) == 20
     assert all(row["city"] == "city-3" for row in out)
 
 
 def test_predicate_on_unprojected_column():
-    data_file = ColumnarFile.from_rows(SCHEMA, make_rows(20))
+    data_file = file_from_rows(SCHEMA, make_rows(20))
     out = data_file.scan(Predicate("id", "<", 5), columns=["city"])
     assert len(out) == 5
     assert set(out[0]) == {"city"}
@@ -113,20 +124,20 @@ def test_predicate_on_unprojected_column():
 
 def test_row_group_skipping():
     # ids are sorted, so tight row groups prune well
-    data_file = ColumnarFile.from_rows(SCHEMA, make_rows(100), row_group_size=10)
+    data_file = file_from_rows(SCHEMA, make_rows(100), row_group_size=10)
     predicate = Predicate("id", "=", 55)
     assert data_file.skipped_row_groups(predicate) == 9
     assert len(data_file.scan(predicate)) == 1
 
 
 def test_count_pushdown():
-    data_file = ColumnarFile.from_rows(SCHEMA, make_rows(60), row_group_size=10)
+    data_file = file_from_rows(SCHEMA, make_rows(60), row_group_size=10)
     assert data_file.count() == 60
     assert data_file.count(Predicate("id", ">=", 50)) == 10
 
 
 def test_file_stats_cover_all_values():
-    data_file = ColumnarFile.from_rows(SCHEMA, make_rows(30))
+    data_file = file_from_rows(SCHEMA, make_rows(30))
     stats = data_file.file_stats()
     assert stats["id"] == (0, 29)
     assert stats["ts"] == (1_000_000, 1_000_000 + 29 * 60)
@@ -138,14 +149,14 @@ def test_nulls_roundtrip():
         {"id": 2, "price": 5.5, "city": "b", "flag": True, "ts": 1},
     ]
     restored = ColumnarFile.from_bytes(
-        ColumnarFile.from_rows(SCHEMA, rows).to_bytes()
+        file_from_rows(SCHEMA, rows).to_bytes()
     )
     assert restored.scan() == rows
 
 
 def test_all_null_column_stats():
     schema = Schema([Column("v", ColumnType.INT64, nullable=True)])
-    data_file = ColumnarFile.from_rows(schema, [{"v": None}, {"v": None}])
+    data_file = file_from_rows(schema, [{"v": None}, {"v": None}])
     assert data_file.file_stats()["v"] == (None, None)
     # conservative: a predicate on an all-null column cannot skip... but
     # no rows can match either
@@ -155,13 +166,13 @@ def test_all_null_column_stats():
 def test_compression_effective_on_repetitive_data():
     rows = [{"id": 1, "price": 2.0, "city": "same", "flag": True, "ts": 9}
             for _ in range(1000)]
-    data_file = ColumnarFile.from_rows(SCHEMA, rows)
+    data_file = file_from_rows(SCHEMA, rows)
     # ~45 bytes/row raw; zlib should crush repetition
     assert data_file.size_bytes < 1000 * 10
 
 
 def test_empty_file():
-    data_file = ColumnarFile.from_rows(SCHEMA, [])
+    data_file = file_from_rows(SCHEMA, [])
     assert data_file.num_rows == 0
     assert data_file.scan() == []
     restored = ColumnarFile.from_bytes(data_file.to_bytes())
@@ -182,7 +193,7 @@ row_strategy = st.fixed_dictionaries({
 @given(st.lists(row_strategy, max_size=60),
        st.integers(min_value=1, max_value=20))
 def test_roundtrip_property(rows, row_group_size):
-    data_file = ColumnarFile.from_rows(SCHEMA, rows, row_group_size)
+    data_file = file_from_rows(SCHEMA, rows, row_group_size)
     restored = ColumnarFile.from_bytes(data_file.to_bytes())
     assert restored.scan() == rows
 
@@ -195,7 +206,7 @@ def test_roundtrip_property(rows, row_group_size):
 )
 def test_stats_skipping_never_loses_rows(rows, literal, op):
     """Row-group skipping returns exactly what a full scan filter would."""
-    data_file = ColumnarFile.from_rows(SCHEMA, rows, row_group_size=7)
+    data_file = file_from_rows(SCHEMA, rows, row_group_size=7)
     predicate = Predicate("id", op, literal)
     expected = [row for row in rows if predicate.matches(row)]
     assert data_file.scan(predicate) == expected
@@ -214,7 +225,7 @@ def test_dictionary_encoding_shrinks_low_cardinality_strings():
         for i in range(5000)
     ]
     # shuffle so zlib alone cannot exploit run-length structure
-    dictionary_file = ColumnarFile.from_rows(SCHEMA, rows)
+    dictionary_file = file_from_rows(SCHEMA, rows)
     restored = ColumnarFile.from_bytes(dictionary_file.to_bytes())
     assert restored.scan() == rows
     # the city column should cost ~4 bytes/row (codes), far below json
@@ -228,14 +239,14 @@ def test_high_cardinality_strings_stay_plain():
          "flag": True, "ts": i}
         for i in range(500)
     ]
-    data_file = ColumnarFile.from_rows(SCHEMA, rows)
+    data_file = file_from_rows(SCHEMA, rows)
     assert ColumnarFile.from_bytes(data_file.to_bytes()).scan() == rows
 
 
 def test_dictionary_encoding_with_nulls():
     schema = Schema([Column("s", ColumnType.STRING, nullable=True)])
     rows = [{"s": None if i % 3 == 0 else f"v{i % 2}"} for i in range(300)]
-    data_file = ColumnarFile.from_rows(schema, rows)
+    data_file = file_from_rows(schema, rows)
     assert ColumnarFile.from_bytes(data_file.to_bytes()).scan() == rows
 
 
@@ -246,7 +257,7 @@ def test_all_none_string_column_roundtrip():
     """All-null string chunk: the empty-dictionary encoding path."""
     schema = Schema([Column("s", ColumnType.STRING, nullable=True)])
     rows = [{"s": None}] * 25
-    data_file = ColumnarFile.from_rows(schema, rows, row_group_size=10)
+    data_file = file_from_rows(schema, rows, row_group_size=10)
     restored = ColumnarFile.from_bytes(data_file.to_bytes())
     assert restored.scan() == rows
     assert restored.scan_rows() == rows
@@ -264,7 +275,7 @@ def test_mixed_cardinality_selects_encoding_per_chunk():
     low = [{"k": i, "s": f"v{i % 2}"} for i in range(50)]
     high = [{"k": 50 + i, "s": f"unique-string-value-{i}"} for i in range(50)]
     rows = low + high
-    data_file = ColumnarFile.from_rows(schema, rows, row_group_size=50)
+    data_file = file_from_rows(schema, rows, row_group_size=50)
     restored = ColumnarFile.from_bytes(data_file.to_bytes())
     assert restored.scan() == rows
     predicate = Predicate("s", "IN", ("v1", "unique-string-value-7"))
@@ -286,20 +297,20 @@ def test_roundtrip_with_nulls_in_every_column_type():
         {"i": 0, "f": None, "s": None, "b": False, "t": None},
         {"i": None, "f": -0.5, "s": "", "b": None, "t": 0},
     ] * 6
-    data_file = ColumnarFile.from_rows(schema, rows, row_group_size=5)
+    data_file = file_from_rows(schema, rows, row_group_size=5)
     restored = ColumnarFile.from_bytes(data_file.to_bytes())
     assert restored.scan() == rows
     assert restored.scan_rows() == rows
 
 
 def test_truncated_footer_raises():
-    blob = ColumnarFile.from_rows(SCHEMA, make_rows(10)).to_bytes()
+    blob = file_from_rows(SCHEMA, make_rows(10)).to_bytes()
     with pytest.raises(CorruptionError):
         ColumnarFile.from_bytes(blob[:2])  # shorter than the length header
 
 
 def test_truncated_mid_chunk_raises():
-    data_file = ColumnarFile.from_rows(SCHEMA, make_rows(30), row_group_size=10)
+    data_file = file_from_rows(SCHEMA, make_rows(30), row_group_size=10)
     blob = data_file.to_bytes()
     for cut in (len(blob) - 1, len(blob) // 2 + 8):
         with pytest.raises(CorruptionError):
@@ -328,14 +339,18 @@ def columns_of(rows):
 
 
 def test_from_columns_matches_from_rows():
+    """Typed vectors, plain value lists (numeric lists become vectors
+    inside ``from_columns``) and row dicts build one identical file."""
     rows = make_rows(100)
     from_cols = ColumnarFile.from_columns(SCHEMA, columns_of(rows), len(rows))
-    from_rows = ColumnarFile.from_rows(SCHEMA, rows)
+    lists = {name: [row[name] for row in rows] for name in SCHEMA.names}
+    from_lists = ColumnarFile.from_columns(SCHEMA, lists, len(rows))
+    from_rows = file_from_rows(SCHEMA, rows)
     assert from_cols.scan() == from_rows.scan() == rows
     assert from_cols.group_stats() == from_rows.group_stats()
     assert from_cols.file_stats() == from_rows.file_stats()
-    # the two builders produce the identical serialized file
-    assert from_cols.to_bytes() == from_rows.to_bytes()
+    assert (from_cols.to_bytes() == from_lists.to_bytes()
+            == from_rows.to_bytes())
 
 
 def test_from_columns_row_group_split():
@@ -363,7 +378,7 @@ def test_from_columns_length_mismatch_raises():
 
 def test_to_columns_roundtrip():
     rows = make_rows(40)
-    original = ColumnarFile.from_rows(SCHEMA, rows, row_group_size=15)
+    original = file_from_rows(SCHEMA, rows, row_group_size=15)
     rebuilt = ColumnarFile.from_columns(
         SCHEMA, original.to_columns(), original.num_rows
     )
@@ -372,7 +387,7 @@ def test_to_columns_roundtrip():
 
 
 def test_to_columns_empty_file():
-    empty = ColumnarFile.from_rows(SCHEMA, [])
+    empty = file_from_rows(SCHEMA, [])
     columns = empty.to_columns()
     assert all(len(data) == 0 for data in columns.values())
     rebuilt = ColumnarFile.from_columns(SCHEMA, columns, 0)
@@ -823,7 +838,7 @@ def test_old_null_sentinel_is_an_ordinary_value(lakehouse):
         np.array([True, True, False]),
     )
     for data_file in (
-        ColumnarFile.from_rows(schema, rows),
+        file_from_rows(schema, rows),
         ColumnarFile.from_columns(schema, {"a": column}, 3),
     ):
         restored = ColumnarFile.from_bytes(data_file.to_bytes())

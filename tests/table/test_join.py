@@ -19,6 +19,7 @@ from repro.table.join import (
 )
 from repro.table.schema import Column, ColumnType, Schema
 from repro.table.vector import DictStringVector, NumericVector
+from rowwise import column_set_from_rows
 
 INT_SCHEMA = Schema([
     Column("k", ColumnType.INT64, nullable=True),
@@ -47,8 +48,8 @@ def _oracle_pairs(left_rows, right_rows, left_on, right_on, how):
 
 def _kernel_pairs(left_rows, right_rows, schema_left, schema_right,
                   left_on, right_on, how):
-    left = ColumnSet.from_rows(schema_left, left_rows)
-    right = ColumnSet.from_rows(schema_right, right_rows)
+    left = column_set_from_rows(schema_left, left_rows)
+    right = column_set_from_rows(schema_right, right_rows)
     result = hash_join(left, right, left_on, right_on, how)
     left_v = left.columns["v"].gather(result.left_indices).to_list()
     right_v = gather_with_nulls(
@@ -356,17 +357,17 @@ def test_null_keys_never_match_even_each_other():
 
 def test_cross_type_keys_never_match():
     """An int column joined against a string column matches nothing."""
-    left = ColumnSet.from_rows(INT_SCHEMA, _int_rows([1, 2]))
+    left = column_set_from_rows(INT_SCHEMA, _int_rows([1, 2]))
     right_schema = Schema([
         Column("k", ColumnType.STRING, nullable=True),
         Column("v", ColumnType.INT64),
     ])
-    right = ColumnSet.from_rows(right_schema, [{"k": "1", "v": 0}])
+    right = column_set_from_rows(right_schema, [{"k": "1", "v": 0}])
     assert hash_join(left, right, ["k"], ["k"], "inner").num_rows == 0
 
 
 def test_unknown_join_type_rejected():
-    left = ColumnSet.from_rows(INT_SCHEMA, _int_rows([1]))
+    left = column_set_from_rows(INT_SCHEMA, _int_rows([1]))
     with pytest.raises(ValueError, match="unsupported join type"):
         hash_join(left, left, ["k"], ["k"], "right")
 
@@ -387,8 +388,8 @@ def test_join_counters_accumulate():
 
 def test_output_order_is_probe_major_build_minor():
     """Probe rows ascending; duplicate build keys keep build-row order."""
-    left = ColumnSet.from_rows(INT_SCHEMA, _int_rows([2, 1]))
-    right = ColumnSet.from_rows(INT_SCHEMA, _int_rows([1, 2, 1]))
+    left = column_set_from_rows(INT_SCHEMA, _int_rows([2, 1]))
+    right = column_set_from_rows(INT_SCHEMA, _int_rows([1, 2, 1]))
     result = hash_join(left, right, ["k"], ["k"], "inner")
     assert result.left_indices.tolist() == [0, 1, 1]
     assert result.right_indices.tolist() == [1, 0, 2]
@@ -397,8 +398,8 @@ def test_output_order_is_probe_major_build_minor():
 def test_concat_column_sets_roundtrip():
     rows = _int_rows([1, None, 3, 4, 5])
     parts = [
-        ColumnSet.from_rows(INT_SCHEMA, rows[:2]),
-        ColumnSet.from_rows(INT_SCHEMA, rows[2:]),
+        column_set_from_rows(INT_SCHEMA, rows[:2]),
+        column_set_from_rows(INT_SCHEMA, rows[2:]),
     ]
     merged = concat_column_sets(parts)
     assert merged.num_rows == 5

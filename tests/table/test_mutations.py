@@ -8,12 +8,9 @@ caches — run the same inserts and mutations, and must agree on every
 snapshot's rows, file paths, partitions, footer statistics and payload
 bytes, on the chunk tier's hits and misses, and on the simulated cost.
 
-One case is allowed to differ: an ``int`` SET value on a FLOAT64
-column.  The row path keeps the Python ``int`` in the row, so its
-footer statistics serialize as ``5`` where the vector path, which
-assigns into a float64 array, writes ``5.0``.  Equal by value and in
-every chunk byte; only the footer (and so the payload length and the
-byte-derived costs) differs.
+Both paths write through the one file builder, so nothing is exempt:
+signed zeros and an ``int`` SET on a FLOAT64 column (a float from the
+moment it becomes column data, footer ``5.0``) give the same bytes.
 """
 
 from __future__ import annotations
@@ -92,8 +89,8 @@ FILE_FIELDS = ("path", "partition", "record count", "file statistics",
                "row-group statistics", "footer bytes", "body bytes", "rows")
 
 
-def assert_same_files(got: list[list[tuple]], want: list[list[tuple]], *,
-                      footers: bool = True) -> None:
+def assert_same_files(got: list[list[tuple]],
+                      want: list[list[tuple]]) -> None:
     """Field-by-field equality with a short message: a failing example
     is re-run many times while hypothesis shrinks it, and a full nested
     diff of every payload on each run is far too slow."""
@@ -103,22 +100,11 @@ def assert_same_files(got: list[list[tuple]], want: list[list[tuple]], *,
         for got_file, want_file in zip(got_files, want_files):
             for field, got_value, want_value in zip(FILE_FIELDS, got_file,
                                                     want_file):
-                if field == "footer bytes" and not footers:
-                    continue
                 if got_value != want_value:
                     raise AssertionError(
                         f"snapshot {snapshot}, {want_file[0]}, {field}: "
                         f"{got_value!r:.300} != {want_value!r:.300}"
                     )
-
-
-def int_on_float(set_values: dict[str, object]) -> bool:
-    """The one case whose payload may differ (module docstring)."""
-    return any(
-        SCHEMA.column(name).type is ColumnType.FLOAT64
-        and isinstance(value, int)
-        for name, value in set_values.items()
-    )
 
 
 def outcome(run):
@@ -132,12 +118,11 @@ def outcome(run):
 
 # --- strategies -----------------------------------------------------------
 
-# -0.0 is left out: footer min/max of signed zeros depends on encounter
-# order in both builders, a codec matter that no mutation changes
 _floats = st.one_of(
     st.integers(-40, 40).map(lambda v: v / 4),
+    st.sampled_from([0.0, -0.0]),
     st.floats(-1e9, 1e9, allow_nan=False),
-).map(lambda v: v + 0.0)
+)
 
 VALUES = {
     "k": st.integers(-5, 5),
@@ -240,24 +225,19 @@ def test_vector_mutations_match_rowwise_oracle(partitioning, row_group_size,
     for rows in batches:
         vector.insert(rows)
         oracle.insert(rows)
-    bytes_may_differ = False
     for operation, predicate, set_values in mutations:
         if operation == "delete":
             got = outcome(lambda: vector.delete(predicate))
             want = outcome(lambda: delete_rows(oracle, predicate))
         else:
-            bytes_may_differ |= int_on_float(set_values)
             got = outcome(lambda: vector.update(predicate, set_values))
             want = outcome(lambda: update_rows(oracle, predicate, set_values))
-        assert got[1] is want[1]
+        assert got == want
         assert (vector.chunk_cache.stats.hits, vector.chunk_cache.stats.misses
                 ) == (oracle.chunk_cache.stats.hits,
                       oracle.chunk_cache.stats.misses)
-        if not bytes_may_differ:
-            assert got == want
-            assert vector.clock.now == oracle.clock.now
-        assert_same_files(snapshot_files(vector), snapshot_files(oracle),
-                          footers=not bytes_may_differ)
+        assert vector.clock.now == oracle.clock.now
+        assert_same_files(snapshot_files(vector), snapshot_files(oracle))
 
 
 @pytest.mark.parametrize("partitioning", ["hour", "identity_bool_hour"])
@@ -283,6 +263,9 @@ def test_update_splitting_a_file_matches_oracle(partitioning):
 
 
 def test_int_set_on_float_column_is_the_named_difference():
+    """An ``int`` on a FLOAT64 column is a float in every footer: the
+    SET twins agree, and ``insert`` of such a row writes ``5.0`` too
+    (a row-built file once wrote ``5``; no other byte changed)."""
     vector = make_table("unpartitioned", 10_000)
     oracle = make_table("unpartitioned", 10_000)
     rows = [{"k": k, "i": None, "x": 1.5, "s": "a", "b": True, "ts": 0}
@@ -291,12 +274,15 @@ def test_int_set_on_float_column_is_the_named_difference():
         table.insert(rows)
     vector.update(Predicate("k", "=", 1), {"x": 5})
     update_rows(oracle, Predicate("k", "=", 1), {"x": 5})
-    (*_, got_footer, got_body, got_rows), = snapshot_files(vector)[-1]
-    (*_, want_footer, want_body, want_rows), = snapshot_files(oracle)[-1]
-    assert got_rows == want_rows
-    assert got_body == want_body
-    assert got_footer != want_footer
-    assert b'"x":[1.5,5.0]' in got_footer and b'"x":[1.5,5]' in want_footer
+    assert_same_files(snapshot_files(vector), snapshot_files(oracle))
+    (*_, footer, _, _), = snapshot_files(vector)[-1]
+    assert b'"x":[1.5,5.0]' in footer
+    inserted = make_table("unpartitioned", 10_000)
+    inserted.insert([{**row, "x": 5 if row["k"] == 1 else 1.5}
+                     for row in rows])
+    (_, *want), = snapshot_files(vector)[-1]
+    (_, *got), = snapshot_files(inserted)[-1]
+    assert got == want  # all but the path: f0 here, f1 after the UPDATE
 
 
 # --- checks before any read ------------------------------------------------

@@ -2,8 +2,9 @@
 
 The vectorized converter (:meth:`StreamTableConverter.run_cycle`) and the
 vectorized compaction (:meth:`TableObject.compact`) must behave exactly
-like their row-at-a-time oracles (``run_cycle_rows`` / ``compact_rows``):
-same converted/malformed counts, same table content, same statistics.
+like their row-at-a-time oracles (``run_cycle_rows`` / ``compact_rows``
+in :mod:`rowwise`): same converted/malformed counts, same table content,
+same statistics.
 Hypothesis drives randomized payload mixes (malformed JSON, missing and
 extra fields, unicode, wrong types, all-null columns) through twin stacks
 running both paths.
@@ -30,6 +31,7 @@ from repro.table.expr import Predicate
 from repro.table.metacache import AcceleratedMetadataStore
 from repro.table.schema import Column, ColumnType, PartitionSpec, Schema
 from repro.table.table import Lakehouse
+from rowwise import compact_rows, run_cycle_rows
 
 REUNION_SCHEMA = Schema([
     Column("user", ColumnType.STRING),
@@ -110,7 +112,7 @@ def run_both(payloads, partition_spec=None):
         service_r, lake_r, clock_r, partition_spec
     )
     publish(service_r, payloads)
-    report_r = converter_r.run_cycle_rows(force=True)
+    report_r = run_cycle_rows(converter_r, force=True)
     return (report_v, table_v, converter_v), (report_r, table_r, converter_r)
 
 
@@ -217,7 +219,7 @@ def test_equivalence_partitioned_with_day_transform():
 def test_equivalence_transactions():
     """Open transactions block conversion at the LSO in both paths."""
     outcomes = []
-    for method in ("run_cycle", "run_cycle_rows"):
+    for cycle in (StreamTableConverter.run_cycle, run_cycle_rows):
         service, lakehouse, clock = make_stack()
         converter, table = make_converter(service, lakehouse, clock)
         committed = Producer(service, batch_size=4)
@@ -232,11 +234,11 @@ def test_equivalence_transactions():
         open_producer.flush()
         # messages behind the open transaction's barrier must not convert
         publish(service, [row_bytes(value=i) for i in range(12, 16)])
-        report = getattr(converter, method)(force=True)
+        report = cycle(converter, force=True)
         first = (report.converted, report.malformed, canon(table.select()),
                  dict(converter._positions))
         open_producer.abort_transaction()
-        report2 = getattr(converter, method)(force=True)
+        report2 = cycle(converter, force=True)
         outcomes.append(first + (report2.converted,
                                  canon(table.select()),
                                  dict(converter._positions)))
@@ -340,7 +342,7 @@ def test_compact_matches_rowwise_oracle(lakehouse):
     assert before == canon(oracle.select())
     for partition in sorted(vectorized.partitions()):
         vectorized.compact(partition, target_file_bytes=10**9)
-        oracle.compact_rows(partition, target_file_bytes=10**9)
+        compact_rows(oracle, partition, target_file_bytes=10**9)
     assert canon(vectorized.select()) == canon(oracle.select()) == before
     assert vectorized.live_file_count() == oracle.live_file_count() == 2
     # merged files carry identical footer statistics

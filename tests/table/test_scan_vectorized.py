@@ -17,6 +17,7 @@ from repro.table.chunkcache import ChunkCache, default_chunk_cache
 from repro.table.columnar import ColumnarFile
 from repro.table.expr import And, Or, Predicate
 from repro.table.schema import Column, ColumnType, Schema
+from rowwise import file_from_rows
 
 COLUMN_POOL = [
     Column("i", ColumnType.INT64, nullable=True),
@@ -118,7 +119,7 @@ def _tables(draw):
 @given(table=_tables(), data=st.data())
 def test_scan_matches_row_wise_oracle(table, data):
     schema, rows, group_size = table
-    data_file = ColumnarFile.from_rows(schema, rows, row_group_size=group_size)
+    data_file = file_from_rows(schema, rows, row_group_size=group_size)
     predicate = data.draw(_expressions(schema.names))
     projection = data.draw(
         st.lists(st.sampled_from(schema.names), max_size=len(schema.names),
@@ -139,7 +140,7 @@ def test_scan_matches_row_wise_oracle(table, data):
 @given(table=_tables())
 def test_full_scan_and_count_without_predicate(table):
     schema, rows, group_size = table
-    data_file = ColumnarFile.from_rows(schema, rows, row_group_size=group_size)
+    data_file = file_from_rows(schema, rows, row_group_size=group_size)
     assert data_file.scan(cache=ChunkCache()) == data_file.scan_rows()
     assert data_file.count() == len(rows)
 
@@ -153,7 +154,7 @@ def _int_string_file():
         {"k": index, "s": None if index % 3 == 0 else f"v{index % 4}"}
         for index in range(40)
     ]
-    return ColumnarFile.from_rows(schema, rows, row_group_size=10), rows
+    return file_from_rows(schema, rows, row_group_size=10), rows
 
 
 def test_incomparable_ordering_raises_like_oracle():
@@ -172,7 +173,7 @@ def test_incomparable_ordering_raises_like_oracle():
 
 def test_all_null_chunk_ordered_against_string_is_empty_not_error():
     schema = Schema([Column("i", ColumnType.INT64, nullable=True)])
-    data_file = ColumnarFile.from_rows(schema, [{"i": None}] * 5)
+    data_file = file_from_rows(schema, [{"i": None}] * 5)
     predicate = Predicate("i", "<", "zz")
     assert data_file.scan_rows(predicate) == []
     assert data_file.scan(predicate, cache=ChunkCache()) == []

@@ -1,5 +1,6 @@
 """Unit tests for schemas and partition specs."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SchemaError
@@ -10,6 +11,7 @@ from repro.table.schema import (
     PartitionSpec,
     Schema,
 )
+from repro.table.vector import NumericVector
 
 
 def make_schema():
@@ -110,37 +112,43 @@ def test_dict_roundtrip():
 
 def test_partition_identity():
     spec = PartitionSpec.by("name")
-    assert spec.key_of({"name": "beijing"}) == "name=beijing"
+    assert spec.keys_of({"name": ["beijing"]}, 1) == ["name=beijing"]
 
 
 def test_partition_day_transform():
     spec = PartitionSpec.by("day(joined)")
-    assert spec.key_of({"joined": 86_400 * 10 + 5}) == "day_joined=10"
+    joined = [86_400 * 10 + 5, None]
+    assert spec.keys_of({"joined": joined}, 2) == [
+        "day_joined=10", "day_joined=__null__"]
+    vector = NumericVector(np.array([86_400 * 10 + 5, 0]),
+                           np.array([True, False]))
+    assert spec.keys_of({"joined": vector}, 2) == spec.keys_of(
+        {"joined": joined}, 2)
 
 
 def test_partition_hour_transform():
     spec = PartitionSpec.by("hour(joined)")
-    assert spec.key_of({"joined": 7200 + 30}) == "hour_joined=2"
+    assert spec.keys_of({"joined": [7200 + 30]}, 1) == ["hour_joined=2"]
 
 
 def test_partition_multi_field():
     spec = PartitionSpec.by("name", "day(joined)")
-    key = spec.key_of({"name": "x", "joined": 86_400})
-    assert key == "name=x/day_joined=1"
+    keys = spec.keys_of({"name": ["x", "y"], "joined": [86_400, 0]}, 2)
+    assert keys == ["name=x/day_joined=1", "name=y/day_joined=0"]
 
 
 def test_unpartitioned_key():
     spec = PartitionSpec()
     assert not spec.is_partitioned
-    assert spec.key_of({"anything": 1}) == "all"
+    assert spec.keys_of({"anything": [1, 2]}, 2) == ["all", "all"]
 
 
 def test_null_partition_value():
     spec = PartitionSpec.by("name")
-    assert spec.key_of({"name": None}) == "name=__null__"
+    assert spec.keys_of({"name": [None]}, 1) == ["name=__null__"]
 
 
 def test_unknown_transform_raises():
     field = PartitionField(column="x", transform="month")
     with pytest.raises(SchemaError):
-        field.apply({"x": 1})
+        field.apply_value(1)
