@@ -1,18 +1,5 @@
-"""Benchmark harness helpers: result tables shaped like the paper's."""
+"""Benchmark helpers: result tables shaped like the paper's."""
 
-from repro.bench.harness import (
-    ExperimentResult,
-    scale_label,
-    shape_check,
-    within_band,
-)
-from repro.bench.reporting import ResultTable, format_ratio
+from repro.bench.reporting import ResultTable
 
-__all__ = [
-    "ResultTable",
-    "format_ratio",
-    "ExperimentResult",
-    "scale_label",
-    "shape_check",
-    "within_band",
-]
+__all__ = ["ResultTable"]

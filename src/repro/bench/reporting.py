@@ -58,9 +58,3 @@ def _render(value: object) -> str:
         return f"{value:,}"
     return str(value)
 
-
-def format_ratio(numerator: float, denominator: float) -> str:
-    """Safe ratio cell ('inf' rather than a crash on zero)."""
-    if denominator == 0:
-        return "inf"
-    return f"{numerator / denominator:.2f}"

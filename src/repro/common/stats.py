@@ -1,4 +1,4 @@
-"""Small statistics helpers used by the bench harness and services.
+"""Small statistics helpers used by the benches and services.
 
 :class:`OnlineStats` keeps running mean/variance without storing samples
 (Welford's algorithm); :class:`Percentiles` stores samples for quantile
@@ -15,13 +15,8 @@ Counters are **per execution context** (see
 activates its own context gets private counters that merge back on join.
 Every counter class is strictly additive and exposes :meth:`merge`, so
 per-shard totals folded together are value-identical to a single-stream
-run over the same work.
-
-The module-level singletons (:data:`INGEST`, :data:`CONVERSION`,
-:data:`AGGREGATION`, :data:`FAULTS`, :data:`CACHES`) are **deprecated**:
-they remain as the default context's instances so legacy references keep
-working, but new code must go through the accessors (CI greps for new
-imports of the globals outside this module).
+run over the same work.  There are no module-level counter instances:
+the accessors are the only way in.
 """
 
 from __future__ import annotations
@@ -93,8 +88,8 @@ class CacheStats(_AdditiveCounters):
 class IngestStats(_AdditiveCounters):
     """Counters for the stream ingestion path (produce -> seal -> EC).
 
-    The global :data:`INGEST` instance is incremented by the stream object
-    seal path and the Reed-Solomon codec; the end-to-end benchmark
+    Incremented by the stream object seal path, the PLog group commit
+    and the Reed-Solomon codec; the end-to-end benchmark
     (``benchmarks/e2e``) reports a snapshot among each pass's facts.
 
     ``bytes_encoded`` counts sealed slices in the planar batch layout
@@ -140,10 +135,6 @@ class IngestStats(_AdditiveCounters):
         }
 
 
-#: Deprecated: the default context's ingest counters (use :func:`ingest_stats`).
-INGEST = IngestStats()
-
-
 def ingest_stats() -> IngestStats:
     """The current execution context's ingest counters."""
     from repro.common.context import current_context
@@ -154,9 +145,8 @@ def ingest_stats() -> IngestStats:
 class ConversionStats(_AdditiveCounters):
     """Counters for the stream->table conversion path (the reunion path).
 
-    The global :data:`CONVERSION` instance is incremented by
-    :class:`~repro.table.conversion.StreamTableConverter` and the
-    vectorized column builder; the end-to-end benchmark's
+    Incremented by :class:`~repro.table.conversion.StreamTableConverter`
+    and the vectorized column builder; the end-to-end benchmark's
     ``pipeline_mixed`` workload reports a snapshot among its facts.
     """
 
@@ -187,8 +177,8 @@ class ConversionStats(_AdditiveCounters):
 class FaultStats(_AdditiveCounters):
     """Counters for injected faults and the recovery work they trigger.
 
-    The global :data:`FAULTS` instance is incremented by the fault layer
-    (:mod:`repro.faults`) on the injection side and by the storage layer
+    Incremented by the fault layer (:mod:`repro.faults`) on the
+    injection side and by the storage layer
     (pool degraded reads, rebuild queue, bus) on the recovery side, so the
     chaos tests can assert that recovery machinery actually ran — not just
     that reads happened to succeed.
@@ -243,9 +233,9 @@ class FaultStats(_AdditiveCounters):
 class AggregationStats(_AdditiveCounters):
     """Counters for the vectorized storage-side aggregation engine.
 
-    The global :data:`AGGREGATION` instance is incremented by
-    :mod:`repro.table.agg` (the GROUP BY kernel and footer fast path)
-    and by ``TableObject.select``; ``bench_agg.py`` surfaces a snapshot.
+    Incremented by :mod:`repro.table.agg` (the GROUP BY kernel and
+    footer fast path) and by ``TableObject.select``; the end-to-end
+    benchmark reports a snapshot among each pass's facts.
     """
 
     def __init__(self) -> None:
@@ -270,10 +260,6 @@ class AggregationStats(_AdditiveCounters):
         }
 
 
-#: Deprecated: the default context's aggregation counters (use :func:`aggregation_stats`).
-AGGREGATION = AggregationStats()
-
-
 def aggregation_stats() -> AggregationStats:
     """The current execution context's vectorized-aggregation counters."""
     from repro.common.context import current_context
@@ -286,8 +272,8 @@ class JoinStats(_AdditiveCounters):
 
     Incremented by :mod:`repro.table.join` (build/probe kernel),
     :mod:`repro.table.planner` (plan enumeration) and the SQL front
-    end's snapshot-keyed result cache; ``bench_join.py`` surfaces a
-    snapshot alongside the join timings.
+    end's snapshot-keyed result cache; the end-to-end benchmark reports
+    a snapshot among each pass's facts.
     """
 
     def __init__(self) -> None:
@@ -383,10 +369,6 @@ def serving_stats() -> ServingStats:
     return current_context().serving
 
 
-#: Deprecated: the default context's fault counters (use :func:`fault_stats`).
-FAULTS = FaultStats()
-
-
 def fault_stats() -> FaultStats:
     """The current execution context's fault/recovery counters."""
     from repro.common.context import current_context
@@ -394,19 +376,11 @@ def fault_stats() -> FaultStats:
     return current_context().faults
 
 
-#: Deprecated: the default context's conversion counters (use :func:`conversion_stats`).
-CONVERSION = ConversionStats()
-
-
 def conversion_stats() -> ConversionStats:
     """The current execution context's stream->table conversion counters."""
     from repro.common.context import current_context
 
     return current_context().conversion
-
-
-#: Deprecated: the default context's cache-counter registry (use :func:`cache_stats`).
-CACHES: dict[str, CacheStats] = {}
 
 
 def cache_stats(name: str) -> CacheStats:

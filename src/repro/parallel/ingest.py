@@ -12,7 +12,7 @@ at any width, one slice or many, it runs the same four steps:
 2. **Partition** — keys bucket by PLog shard ownership via
    :class:`~repro.parallel.partition.WorkPartitioner` (rendezvous-hashed
    :meth:`~repro.storage.dht.ShardMap.owner_index_of_key`), the same
-   placement scheme that buckets scan and conversion work.  Width 1 is
+   placement scheme that buckets a sharded scan's files.  Width 1 is
    one partition holding the whole group.
 3. **Encode + place** — each non-empty partition runs on a
    :class:`~repro.parallel.executor.ShardPool` worker inside the

@@ -27,25 +27,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.common.context import ExecutionContext, current_context, use_context
-from repro.common.stats import JoinStats, join_stats
 from repro.parallel.executor import ShardPool
 from repro.parallel.partition import WorkPartitioner
 from repro.table.chunkcache import default_chunk_cache
 from repro.table.columnar import ColumnarFile
 from repro.table.expr import Expression
-from repro.table.join import BucketDirectory, ColumnSet, JoinResult, \
-    prepare_join, probe_directory
 from repro.table.pushdown import AggregateSpec
 from repro.table.table import FileWork, QueryStats, TableObject
 
-__all__ = [
-    "ShardedQueryResult", "sharded_select",
-    "JoinShardTask", "JoinShardResult", "sharded_hash_join",
-    "sharded_join_kernel",
-]
+__all__ = ["ShardedQueryResult", "sharded_select"]
 
 
 @dataclass
@@ -157,133 +148,3 @@ def sharded_select(
         files_per_worker=files_per_worker,
     )
 
-
-@dataclass
-class JoinShardTask:
-    """One worker's contiguous slice of a join's probe side.
-
-    Only dense integer arrays cross the pool boundary — the bucket ids
-    and the build side's bucket directory are computed once on the
-    driver (building is inherently serial; probing embarrassingly
-    parallel), so the task pickles cheaply under process pools too.
-    """
-
-    worker: int
-    #: global probe position of this slice's first row
-    start: int
-    probe: np.ndarray
-    directory: BucketDirectory
-    how: str
-    #: the shard's forked execution context
-    context: ExecutionContext
-
-
-@dataclass
-class JoinShardResult:
-    """One shard's match pairs (probe indices already globalized)."""
-
-    worker: int
-    wall_s: float
-    probe_indices: np.ndarray
-    build_indices: np.ndarray
-    joins: JoinStats
-
-
-def _run_join_shard(task: JoinShardTask) -> JoinShardResult:
-    """Probe one slice inside a fresh execution context.
-
-    Module-level so process pools can pickle it, like :func:`_run_shard`.
-    """
-    context = task.context
-    started = time.perf_counter()
-    with use_context(context):
-        probe_indices, build_indices = probe_directory(
-            task.directory, task.probe, task.how
-        )
-        counters = join_stats()
-        counters.probe_rows += int(len(task.probe))
-        counters.matches_emitted += int(len(probe_indices))
-    return JoinShardResult(
-        worker=task.worker,
-        wall_s=time.perf_counter() - started,
-        probe_indices=(probe_indices + task.start).astype(np.intp),
-        build_indices=build_indices,
-        joins=context.joins,
-    )
-
-
-def sharded_hash_join(
-    left: ColumnSet,
-    right: ColumnSet,
-    left_on: list[str],
-    right_on: list[str],
-    how: str = "inner",
-    num_workers: int = 1,
-    mode: str = "thread",
-    pool: ShardPool | None = None,
-    context: ExecutionContext | None = None,
-) -> JoinResult:
-    """:func:`~repro.table.join.hash_join` with a sharded probe phase.
-
-    The driver computes the bucket ids and the build side's bucket
-    directory once; the probe side splits into ``num_workers``
-    **contiguous** slices, each probed in its own execution context.
-    Because slices are contiguous and ascending, concatenating shard
-    outputs in worker order reproduces the serial kernel's
-    probe-row-ascending output exactly — same :class:`JoinResult`, and
-    the per-shard :class:`JoinStats` fold back additively into counters
-    identical to the serial run's (``probe_rows`` sums over slices,
-    ``build_rows`` and ``joins_executed`` count once on the driver).
-    """
-    context = context if context is not None else current_context()
-    with use_context(context):
-        left_codes, directory = prepare_join(left, right, left_on, right_on)
-    bounds = np.linspace(0, left.num_rows, num_workers + 1).astype(int)
-    tasks = [
-        JoinShardTask(
-            worker=worker,
-            start=int(bounds[worker]),
-            probe=left_codes[bounds[worker]:bounds[worker + 1]],
-            directory=directory,
-            how=how,
-            context=context.fork(f"join-shard-{worker}",
-                                 seed=context.rng.randrange(2 ** 63)),
-        )
-        for worker in range(num_workers)
-        if bounds[worker + 1] > bounds[worker]
-    ]
-    owned_pool = pool is None
-    if pool is None:
-        pool = ShardPool(num_workers, mode)
-    try:
-        results = pool.map(_run_join_shard, tasks)
-    finally:
-        if owned_pool:
-            pool.close()
-    results = sorted(results, key=lambda result: result.worker)
-    for result in results:
-        context.joins.merge(result.joins)
-    if results:
-        probe_indices = np.concatenate(
-            [result.probe_indices for result in results]
-        ).astype(np.intp)
-        build_indices = np.concatenate(
-            [result.build_indices for result in results]
-        ).astype(np.intp)
-    else:
-        probe_indices = np.zeros(0, dtype=np.intp)
-        build_indices = np.zeros(0, dtype=np.intp)
-    return JoinResult(probe_indices, build_indices, how)
-
-
-def sharded_join_kernel(num_workers: int, mode: str = "thread",
-                        pool: ShardPool | None = None):
-    """A drop-in ``join_kernel`` for :func:`repro.table.planner.
-    execute_plan` that fans every probe across ``num_workers`` shards."""
-    def kernel(left: ColumnSet, right: ColumnSet, left_on: list[str],
-               right_on: list[str], how: str = "inner") -> JoinResult:
-        return sharded_hash_join(
-            left, right, left_on, right_on, how,
-            num_workers=num_workers, mode=mode, pool=pool,
-        )
-    return kernel

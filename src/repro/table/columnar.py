@@ -79,9 +79,9 @@ skipping first (footer stats), then a vectorized filter: chunks decode to
 typed :mod:`~repro.table.vector` column vectors (cached in a bounded LRU,
 see :mod:`~repro.table.chunkcache`), the predicate evaluates as NumPy
 masks, and only the surviving row indices materialize Python objects
-(late materialization).  :meth:`ColumnarFile.scan_rows` keeps the
-original row-at-a-time loop as an equivalence oracle for tests; it
-shares the chunk codec, which has one encoder and one decoder.
+(late materialization).  The chunk codec has one encoder and one
+decoder; the row-at-a-time scan that the vector path is tested against
+lives with the tests (``tests/table/rowwise.py``).
 """
 
 from __future__ import annotations
@@ -309,14 +309,6 @@ def _string_tag(blob: bytes) -> int:
     return blob[0]
 
 
-def _decode_strings(blob: bytes, count: int) -> list[object]:
-    if _string_tag(blob) == _ENC_PLAIN:
-        return _plain_values(blob, count)
-    dictionary, codes = _split_dictionary(blob, count)
-    null_code = len(dictionary)
-    return [None if c == null_code else dictionary[c] for c in codes.tolist()]
-
-
 def _encode_integers(values: np.ndarray, valid: np.ndarray,
                      exponent: int = 0) -> bytes:
     """The planes layout of an int64 array (see the module docstring)."""
@@ -433,12 +425,6 @@ def numeric_vector(values: list[object], type_: ColumnType) -> NumericVector:
         np.array([0 if v is None else v for v in values], _DTYPES[type_]),
         np.array([v is not None for v in values], dtype=bool),
     )
-
-
-def _decode_column(blob: bytes, type_: ColumnType, count: int) -> list[object]:
-    if type_ is ColumnType.STRING:
-        return _decode_strings(blob, count)
-    return _decode_vector(blob, type_, count).to_list()
 
 
 def _strings_to_vector(blob: bytes, count: int) -> DictStringVector:
@@ -888,32 +874,6 @@ class ColumnarFile:
             (group.num_rows, dict(group.stats), dict(group.null_counts))
             for group in self._groups
         ]
-
-    def scan_rows(self, predicate: Expression | None = None,
-                  columns: list[str] | None = None) -> list[dict[str, object]]:
-        """Row-at-a-time scan (the pre-vectorization path).
-
-        Kept as the equivalence oracle: tests assert ``scan`` returns
-        exactly what this returns on randomized schemas and predicates.
-        """
-        projection, needed = self._validate_projection(predicate, columns)
-        out: list[dict[str, object]] = []
-        for group in self._groups:
-            if predicate is not None and not predicate.possibly_matches(group.stats):
-                continue
-            decoded = {
-                name: _decode_column(
-                    group.chunks[name],
-                    self.schema.column(name).type,
-                    group.num_rows,
-                )
-                for name in needed
-            }
-            for index in range(group.num_rows):
-                row = {name: decoded[name][index] for name in decoded}
-                if predicate is None or predicate.matches(row):
-                    out.append({name: row[name] for name in projection})
-        return out
 
     def count(self, predicate: Expression | None = None,
               cache: ChunkCache | None = None) -> int:

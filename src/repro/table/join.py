@@ -31,10 +31,8 @@ on the probe side; a LEFT OUTER join still emits the probe row once,
 with ``-1`` marking the missing build row (materialized as NULLs).
 Numeric keys compare exactly, like Python ``==``: NaN matches nothing,
 and an int64 equals a float64 only when the float is that integer.
-
-:func:`join_rows` is the row-wise nested-loop oracle — kept *only* for
-hypothesis equivalence tests (CI greps for imports outside this module
-and the test tree); production paths go through :func:`hash_join`.
+The row-wise nested-loop oracle these semantics are tested against
+lives with the tests (``tests/table/rowwise.py``).
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from repro.table.columnar import ColumnarFile
 from repro.table.expr import Expression
 from repro.table.vector import ColumnVector, DictStringVector, NumericVector
 
-#: Join types supported by both the kernel and the oracle.
+#: Join types the kernel supports.
 JOIN_TYPES = ("inner", "left")
 
 
@@ -461,22 +459,6 @@ def probe_directory(directory: BucketDirectory, probe: np.ndarray,
     return probe_indices, build_indices
 
 
-def prepare_join(left: ColumnSet, right: ColumnSet,
-                 left_on: list[str], right_on: list[str]
-                 ) -> tuple[np.ndarray, BucketDirectory]:
-    """The serial half of a join: probe codes + the build directory.
-
-    Charges the build-side counters; probing (``probe_directory``) is
-    what a sharded caller fans out.
-    """
-    probe, build, num_buckets = join_codes(left, right, left_on, right_on)
-    directory = build_directory(build, num_buckets)
-    counters = join_stats()
-    counters.joins_executed += 1
-    counters.build_rows += right.num_rows
-    return probe, directory
-
-
 def hash_join(left: ColumnSet, right: ColumnSet,
               left_on: list[str], right_on: list[str],
               how: str = "inner") -> JoinResult:
@@ -486,41 +468,13 @@ def hash_join(left: ColumnSet, right: ColumnSet,
     :meth:`ColumnSet.gather` + :meth:`ColumnSet.to_rows` (or feed the
     gathered vectors straight into the aggregation kernel).
     """
-    probe, directory = prepare_join(left, right, left_on, right_on)
-    probe_indices, build_indices = probe_directory(directory, probe, how)
+    probe, build, num_buckets = join_codes(left, right, left_on, right_on)
+    directory = build_directory(build, num_buckets)
     counters = join_stats()
+    counters.joins_executed += 1
+    counters.build_rows += right.num_rows
+    probe_indices, build_indices = probe_directory(directory, probe, how)
     counters.probe_rows += left.num_rows
     counters.matches_emitted += int(len(probe_indices))
     return JoinResult(probe_indices, build_indices, how)
 
-
-def join_rows(left_rows: list[dict[str, object]],
-              right_rows: list[dict[str, object]],
-              left_on: list[str], right_on: list[str],
-              how: str = "inner"
-              ) -> list[tuple[dict[str, object], dict[str, object] | None]]:
-    """Row-wise nested-loop join — the equivalence oracle.
-
-    O(n*m): for every left row, scan every right row and compare keys
-    with Python ``==``; NULL keys never match.  Returns
-    ``(left_row, right_row-or-None)`` pairs in probe order.  Kept only
-    so hypothesis can assert :func:`hash_join` agrees with the obvious
-    semantics; never imported by production code (CI enforces this).
-    """
-    if how not in JOIN_TYPES:
-        raise ValueError(f"unsupported join type {how!r}; use {JOIN_TYPES}")
-    out: list[tuple[dict[str, object], dict[str, object] | None]] = []
-    for left_row in left_rows:
-        left_key = [left_row.get(name) for name in left_on]
-        matched = False
-        if all(value is not None for value in left_key):
-            for right_row in right_rows:
-                right_key = [right_row.get(name) for name in right_on]
-                if any(value is None for value in right_key):
-                    continue
-                if all(a == b for a, b in zip(left_key, right_key)):
-                    out.append((left_row, right_row))
-                    matched = True
-        if how == "left" and not matched:
-            out.append((left_row, None))
-    return out

@@ -115,8 +115,8 @@ class AcceleratedMetadataStore(MetadataStore):
         self.flushes = 0
         self.flushed_commits = 0
         #: commit manifests served from the KV write cache (hits) vs from
-        #: MetaFresher merged files on disk (misses) — reported alongside
-        #: the decoded-chunk cache via repro.common.stats.CACHES
+        #: MetaFresher merged files on disk (misses) — counted in the
+        #: current execution context, beside the decoded-chunk cache's
         self.read_stats = cache_stats("table.meta_cache")
 
     def record_commit(self, table_path: str, commit: CommitFile,

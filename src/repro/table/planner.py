@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from repro.table.expr import Expression
 from repro.table.join import (
     JOIN_TYPES,
     ColumnSet,
-    JoinResult,
     gather_with_nulls,
     hash_join,
 )
@@ -500,25 +499,20 @@ def _gather(vector: ColumnVector, indices: np.ndarray) -> ColumnVector:
     return vector.gather(indices)
 
 
-JoinKernel = Callable[..., JoinResult]
-
-
 def execute_plan(lakehouse: Lakehouse, plan: JoinPlan,
                  columns: Mapping[str, list[str]],
                  as_of: float | None = None,
-                 stats: QueryStats | None = None,
-                 join_kernel: JoinKernel | None = None) -> ColumnSet:
+                 stats: QueryStats | None = None) -> ColumnSet:
     """Run a plan; returns a :class:`ColumnSet` of ``alias.column`` vectors.
 
     ``columns`` names the per-alias columns the caller needs downstream
     (projection, GROUP BY, aggregates); join keys and post-filter
     predicate columns are added internally.  Joins stay index-composed
     until this final gather — no Python row exists anywhere in between.
-    ``join_kernel`` swaps the serial :func:`hash_join` for the sharded
-    one (:func:`repro.parallel.query.sharded_hash_join` partially
-    applied) without the planner importing the parallel layer.
+    Every join step calls :func:`hash_join` through this module's
+    global, looked up at call time, so a wrapper patched over
+    ``repro.table.planner.hash_join`` sees every join.
     """
-    kernel = join_kernel if join_kernel is not None else hash_join
     stats = stats if stats is not None else QueryStats()
     query = plan.query
 
@@ -569,7 +563,7 @@ def execute_plan(lakehouse: Lakehouse, plan: JoinPlan,
             build_keys.append(condition.column_for(step.alias))
         probe_rows = len(next(iter(indices.values())))
         probe_set = ColumnSet(probe_columns, probe_rows)
-        result = kernel(probe_set, build, probe_keys, build_keys, step.how)
+        result = hash_join(probe_set, build, probe_keys, build_keys, step.how)
         for alias in list(indices):
             indices[alias] = indices[alias][result.left_indices]
         indices[step.alias] = result.right_indices

@@ -5,11 +5,12 @@ pushed down to compute in StreamLake, so as to accelerate the query."
 
 Predicates and aggregates execute at the storage side, so only final
 results cross the bus to the compute engine instead of raw rows.
-:func:`execute_pushdown` / :func:`execute_pushdown_multi` evaluate
-aggregates row-at-a-time over already-filtered rows; they are kept as
-the equivalence oracle (like ``ColumnarFile.scan_rows``) for the
-vectorized aggregation engine in
-:mod:`repro.table.agg`, which production queries use instead.
+Production queries aggregate in the vectorized engine
+(:mod:`repro.table.agg`).  :func:`execute_pushdown` /
+:func:`execute_pushdown_multi` evaluate aggregates row-at-a-time over
+rows that have already crossed the bus: they are the compute side of
+the pushdown ablation (``benchmarks/bench_ablation_pushdown.py``) and
+the equivalence oracle for :mod:`repro.table.agg`.
 
 NULL semantics follow SQL: ``COUNT(*)`` counts every row, while
 ``COUNT(column)`` and ``AVG`` skip NULLs — the accumulator tracks row

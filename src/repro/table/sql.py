@@ -592,13 +592,9 @@ class _Binder:
 def execute_join_select(statement: JoinSelectStatement, lakehouse: Lakehouse,
                         as_of: float | None = None,
                         stats: QueryStats | None = None,
-                        statistics: StatisticsCache | None = None,
-                        join_kernel=None) -> list[dict[str, object]]:
-    """Plan and run a parsed multi-table statement.
-
-    ``join_kernel`` forwards to :func:`~repro.table.planner.execute_plan`
-    so callers can swap in the sharded kernel.
-    """
+                        statistics: StatisticsCache | None = None
+                        ) -> list[dict[str, object]]:
+    """Plan and run a parsed multi-table statement."""
     query_spec, binder = _bind_join(statement, lakehouse)
     aggregates = [item for item in statement.items if item.aggregate]
     needed: dict[str, set[str]] = {alias: set() for alias in binder.aliases}
@@ -648,7 +644,7 @@ def execute_join_select(statement: JoinSelectStatement, lakehouse: Lakehouse,
     joined = execute_plan(
         lakehouse, plan,
         {alias: sorted(columns) for alias, columns in needed.items()},
-        as_of=as_of, stats=stats, join_kernel=join_kernel,
+        as_of=as_of, stats=stats,
     )
     if aggregates:
         state = AggregateState(specs, result_labels(specs))

@@ -2,8 +2,7 @@
 
 from repro.workloads.packets import (PacketGenerator, PACKET_NOMINAL_BYTES,
     tenant_of)
-from repro.workloads.tpch import (TPCHGenerator, generate_join_workload,
-    generate_query_workload)
+from repro.workloads.tpch import TPCHGenerator, generate_query_workload
 from repro.workloads.openmessaging import (DriverReport,
     MultiTenantOpenMessagingDriver, MultiTenantReport, OpenMessagingDriver,
     TenantLoad, TenantOutcome, zipf_rates)
@@ -13,7 +12,6 @@ __all__ = [
     "PACKET_NOMINAL_BYTES",
     "tenant_of",
     "TPCHGenerator",
-    "generate_join_workload",
     "generate_query_workload",
     "OpenMessagingDriver",
     "DriverReport",

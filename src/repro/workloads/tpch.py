@@ -195,42 +195,3 @@ def generate_query_workload(num_queries: int, seed: int = 0,
         workload.append(And(*atoms) if len(atoms) > 1 else atoms[0])
     return workload
 
-
-def generate_join_workload(num_queries: int, seed: int = 0,
-                           include_supplier: bool = True) -> list[str]:
-    """Random multi-table SQL over lineitem ⋈ orders [⋈ supplier].
-
-    Each statement is an aggregate join with per-table range predicates
-    whose bounds vary with ``seed`` — the driver workload for the
-    cost-based planner and the snapshot-keyed result cache benches.
-    """
-    rng = np.random.default_rng(seed)
-    queries: list[str] = []
-    for _ in range(num_queries):
-        quantity_high = int(rng.integers(5, 51))
-        price_low = round(float(rng.uniform(900.0, 400_000.0)), 2)
-        three_way = include_supplier and bool(rng.integers(0, 2))
-        predicates = (
-            f"l.l_quantity < {quantity_high} "
-            f"AND o.o_totalprice >= {price_low}"
-        )
-        if three_way:
-            queries.append(
-                "SELECT o.o_orderpriority, COUNT(*) AS n, "
-                "SUM(l.l_extendedprice) AS revenue "
-                "FROM lineitem l "
-                "JOIN orders o ON l.l_orderkey = o.o_orderkey "
-                "JOIN supplier s ON l.l_suppkey = s.s_suppkey "
-                f"WHERE {predicates} "
-                "GROUP BY o.o_orderpriority ORDER BY n DESC"
-            )
-        else:
-            queries.append(
-                "SELECT l.l_returnflag, COUNT(*) AS n, "
-                "SUM(l.l_quantity) AS qty "
-                "FROM lineitem l "
-                "JOIN orders o ON l.l_orderkey = o.o_orderkey "
-                f"WHERE {predicates} "
-                "GROUP BY l.l_returnflag ORDER BY n DESC"
-            )
-    return queries

@@ -1,50 +1,8 @@
-"""Unit tests for the bench harness and result tables."""
+"""Unit tests for the benches' result tables."""
 
 import pytest
 
-from repro.bench.harness import (
-    ExperimentResult,
-    scale_label,
-    shape_check,
-    within_band,
-)
-from repro.bench.reporting import ResultTable, format_ratio
-
-
-def test_scale_label():
-    assert scale_label(1_000_000_000, 5000) == (
-        "1,000,000,000 (run at 200,000)"
-    )
-    assert scale_label(10, 5000, unit="pkts") == "10 pkts (run at 1 pkts)"
-
-
-def test_experiment_result_roundtrip(tmp_path):
-    result = ExperimentResult("table1", notes="scaled 5000x")
-    result.add(packets=10_000_000, ratio=4.59)
-    result.add(packets=50_000_000, ratio=5.43)
-    path = result.save(tmp_path)
-    assert path.name == "table1.json"
-    loaded = ExperimentResult.load("table1", tmp_path)
-    assert loaded.notes == "scaled 5000x"
-    assert loaded.rows[0]["ratio"] == 4.59
-    assert len(loaded.rows) == 2
-
-
-def test_within_band():
-    assert within_band(4.5, 4.3, 0.1)
-    assert not within_band(5.5, 4.3, 0.1)
-    assert within_band(-1.0, -1.05, 0.1)
-    with pytest.raises(ValueError):
-        within_band(1, 1, -0.1)
-
-
-def test_shape_check_monotone():
-    assert shape_check([1, 2, 3], "increasing")
-    assert shape_check([3, 2, 1], "decreasing")
-    assert not shape_check([1, 3, 2], "increasing")
-    assert shape_check([1.0, 3.0, 2.9], "increasing", slack=0.05)
-    with pytest.raises(ValueError):
-        shape_check([1], "sideways")
+from repro.bench.reporting import ResultTable
 
 
 def test_result_table_renders_aligned():
@@ -63,11 +21,6 @@ def test_result_table_rejects_wrong_arity():
     table = ResultTable("Demo", ["a", "b"])
     with pytest.raises(ValueError):
         table.add_row(1)
-
-
-def test_format_ratio():
-    assert format_ratio(3.0, 2.0) == "1.50"
-    assert format_ratio(1.0, 0.0) == "inf"
 
 
 def test_render_small_and_zero_floats():

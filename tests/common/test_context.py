@@ -1,9 +1,13 @@
-"""Execution contexts: per-shard counter routing and the legacy default."""
+"""Execution contexts: per-shard counter routing and the process default."""
 
 import threading
 
+import pytest
+
+from repro.common import context as context_module
 from repro.common import stats
 from repro.common.context import (
+    CacheConfig,
     ExecutionContext,
     current_context,
     default_context,
@@ -12,14 +16,24 @@ from repro.common.context import (
 from repro.table.chunkcache import default_chunk_cache
 
 
-def test_default_context_wraps_legacy_globals():
+def test_default_context_routes_the_accessors():
+    """Outside any ``use_context`` the accessors resolve to the default
+    context's own counters; no module-level counter instance exists."""
     context = default_context()
     assert current_context() is context
-    assert stats.ingest_stats() is stats.INGEST
-    assert stats.conversion_stats() is stats.CONVERSION
-    assert stats.aggregation_stats() is stats.AGGREGATION
-    assert stats.fault_stats() is stats.FAULTS
-    assert stats.cache_stats("ctx.test_cache") is stats.CACHES["ctx.test_cache"]
+    assert stats.ingest_stats() is context.ingest
+    assert stats.conversion_stats() is context.conversion
+    assert stats.aggregation_stats() is context.aggregation
+    assert stats.fault_stats() is context.faults
+    assert stats.join_stats() is context.joins
+    assert stats.serving_stats() is context.serving
+    assert stats.cache_stats("ctx.test_cache") is context.caches["ctx.test_cache"]
+    for name in ("INGEST", "CONVERSION", "AGGREGATION", "FAULTS", "CACHES"):
+        assert not hasattr(stats, name)
+    assert not hasattr(context_module, "activate_context")
+    assert not hasattr(context, "chunk_cache_capacity")
+    with pytest.raises(TypeError):
+        ExecutionContext(name="legacy", ingest=stats.IngestStats())
 
 
 def test_use_context_isolates_counters():
@@ -83,7 +97,9 @@ def test_fork_rng_deterministic():
 
 
 def test_chunk_cache_is_per_context():
-    one = ExecutionContext(name="one", chunk_cache_capacity=8)
+    one = ExecutionContext(
+        name="one", cache_config=CacheConfig(chunk_capacity_bytes=8)
+    )
     two = ExecutionContext(name="two")
     cache_one = default_chunk_cache(one)
     cache_two = default_chunk_cache(two)

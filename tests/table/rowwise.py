@@ -4,7 +4,13 @@ These are the table layer's pre-vectorization loops, kept beside the
 tests that pin the vector paths to them.  Every row materializes as a
 Python dict:
 
-* :func:`select_rows` — SELECT through ``ColumnarFile.scan_rows`` and the
+* :func:`decode_column` / :func:`scan_rows` — one chunk as Python values
+  and a file scanned row group by row group, every row a dict tested
+  with ``predicate.matches`` (asserts ``ColumnarFile.scan`` and the
+  chunk codec).
+* :func:`join_rows` — the O(n*m) nested-loop join (asserts
+  ``hash_join`` and the planner).
+* :func:`select_rows` — SELECT through :func:`scan_rows` and the
   row-wise aggregate accumulator; charges no simulated time.
 * :func:`delete_rows` / :func:`update_rows` — DELETE and UPDATE that scan
   every overlapping file into row dicts, run ``predicate.matches`` per
@@ -29,13 +35,21 @@ import json
 from repro.errors import SchemaError
 from repro.stream.records import MessageRecord
 from repro.table.colbuild import columns_from_rows
-from repro.table.columnar import ROW_GROUP_SIZE, ColumnarFile
+from repro.table.columnar import (
+    _ENC_PLAIN,
+    ROW_GROUP_SIZE,
+    ColumnarFile,
+    _decode_vector,
+    _plain_values,
+    _split_dictionary,
+    _string_tag,
+)
 from repro.table.commit import DataFileMeta
 from repro.table.conversion import ConversionReport, StreamTableConverter
 from repro.table.expr import Expression
-from repro.table.join import ColumnSet
+from repro.table.join import JOIN_TYPES, ColumnSet
 from repro.table.pushdown import AggregateSpec, execute_pushdown_multi
-from repro.table.schema import Schema
+from repro.table.schema import ColumnType, Schema
 from repro.table.table import TableObject
 
 
@@ -55,6 +69,83 @@ def column_set_from_rows(schema: Schema, rows: list[dict[str, object]],
     return ColumnSet.from_file(
         file_from_rows(schema, rows, len(rows)), columns
     )
+
+
+def decode_column(blob: bytes, type_: ColumnType,
+                  count: int) -> list[object]:
+    """One chunk as Python values (``None`` = NULL).
+
+    Numeric and bool chunks go through the codec's one decoder; string
+    chunks are read straight from their plain list or dictionary codes,
+    without the dictionary vector the scan path builds.
+    """
+    if type_ is not ColumnType.STRING:
+        return _decode_vector(blob, type_, count).to_list()
+    if _string_tag(blob) == _ENC_PLAIN:
+        return _plain_values(blob, count)
+    dictionary, codes = _split_dictionary(blob, count)
+    null_code = len(dictionary)
+    return [None if c == null_code else dictionary[c] for c in codes.tolist()]
+
+
+def scan_rows(data_file: ColumnarFile, predicate: Expression | None = None,
+              columns: list[str] | None = None) -> list[dict[str, object]]:
+    """Row-at-a-time scan: asserts :meth:`ColumnarFile.scan`.
+
+    Row groups the footer statistics rule out are skipped, as in the
+    vector path; every surviving row is decoded in full and tested with
+    ``predicate.matches``.
+    """
+    projection, needed = data_file._validate_projection(predicate, columns)
+    out: list[dict[str, object]] = []
+    for group in data_file._groups:
+        if predicate is not None and not predicate.possibly_matches(
+            group.stats
+        ):
+            continue
+        decoded = {
+            name: decode_column(
+                group.chunks[name],
+                data_file.schema.column(name).type,
+                group.num_rows,
+            )
+            for name in needed
+        }
+        for index in range(group.num_rows):
+            row = {name: decoded[name][index] for name in decoded}
+            if predicate is None or predicate.matches(row):
+                out.append({name: row[name] for name in projection})
+    return out
+
+
+def join_rows(left_rows: list[dict[str, object]],
+              right_rows: list[dict[str, object]],
+              left_on: list[str], right_on: list[str],
+              how: str = "inner"
+              ) -> list[tuple[dict[str, object], dict[str, object] | None]]:
+    """Nested-loop join: asserts :func:`~repro.table.join.hash_join`.
+
+    O(n*m): for every left row, scan every right row and compare keys
+    with Python ``==``; NULL keys never match.  Returns
+    ``(left_row, right_row-or-None)`` pairs in probe order.
+    """
+    if how not in JOIN_TYPES:
+        raise ValueError(f"unsupported join type {how!r}; use {JOIN_TYPES}")
+    out: list[tuple[dict[str, object], dict[str, object] | None]] = []
+    for left_row in left_rows:
+        left_key = [left_row.get(name) for name in left_on]
+        matched = False
+        if all(value is not None for value in left_key):
+            for right_row in right_rows:
+                right_key = [right_row.get(name) for name in right_on]
+                if any(value is None for value in right_key):
+                    continue
+                if all(a == b for a, b in zip(left_key, right_key)):
+                    out.append((left_row, right_row))
+                    matched = True
+        if how == "left" and not matched:
+            out.append((left_row, None))
+    return out
 
 
 def _write_rows(table: TableObject, partition: str,
@@ -89,7 +180,7 @@ def select_rows(table: TableObject, predicate: Expression | None = None,
             continue
         payload, _ = table.pool.fetch(meta.path)
         rows.extend(
-            ColumnarFile.from_bytes(payload).scan_rows(predicate, columns)
+            scan_rows(ColumnarFile.from_bytes(payload), predicate, columns)
         )
     if specs is not None:
         return execute_pushdown_multi(rows, specs)

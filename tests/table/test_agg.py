@@ -24,7 +24,7 @@ from repro.table.pushdown import (
     result_labels,
 )
 from repro.table.schema import Column, ColumnType, Schema
-from rowwise import file_from_rows
+from rowwise import file_from_rows, scan_rows
 
 COLUMN_POOL = [
     Column("i", ColumnType.INT64, nullable=True),
@@ -120,7 +120,7 @@ def _tables(draw):
 def _oracle(data_file, specs, predicate=None):
     needed = sorted({n for s in specs for n in s.columns()}) or []
     return execute_pushdown_multi(
-        data_file.scan_rows(predicate, needed), specs
+        scan_rows(data_file, predicate, needed), specs
     )
 
 

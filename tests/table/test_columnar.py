@@ -12,8 +12,6 @@ from repro.errors import CorruptionError, SchemaError
 from repro.table.columnar import (
     _HEADER,
     ColumnarFile,
-    _decode_column,
-    _decode_strings,
     _decode_vector,
     _encode_strings,
     _encode_vector,
@@ -26,7 +24,7 @@ from repro.table.expr import Predicate
 from repro.table.schema import Column, ColumnType, Schema
 from repro.table.sql import query
 from repro.table.vector import NumericVector
-from rowwise import file_from_rows
+from rowwise import decode_column, file_from_rows, scan_rows
 
 SCHEMA = Schema([
     Column("id", ColumnType.INT64),
@@ -260,7 +258,7 @@ def test_all_none_string_column_roundtrip():
     data_file = file_from_rows(schema, rows, row_group_size=10)
     restored = ColumnarFile.from_bytes(data_file.to_bytes())
     assert restored.scan() == rows
-    assert restored.scan_rows() == rows
+    assert scan_rows(restored) == rows
     assert restored.count(Predicate("s", "=", "anything")) == 0
 
 
@@ -279,7 +277,7 @@ def test_mixed_cardinality_selects_encoding_per_chunk():
     restored = ColumnarFile.from_bytes(data_file.to_bytes())
     assert restored.scan() == rows
     predicate = Predicate("s", "IN", ("v1", "unique-string-value-7"))
-    assert restored.scan(predicate) == restored.scan_rows(predicate)
+    assert restored.scan(predicate) == scan_rows(restored, predicate)
     assert restored.count(predicate) == 25 + 1
 
 
@@ -300,7 +298,7 @@ def test_roundtrip_with_nulls_in_every_column_type():
     data_file = file_from_rows(schema, rows, row_group_size=5)
     restored = ColumnarFile.from_bytes(data_file.to_bytes())
     assert restored.scan() == rows
-    assert restored.scan_rows() == rows
+    assert scan_rows(restored) == rows
 
 
 def test_truncated_footer_raises():
@@ -412,7 +410,8 @@ def test_strings_to_vector_matches_row_decoder(values):
     the row-wise decoder returns, distinct values in first-seen order."""
     raw, _ = _encode_strings(values)
     vector = _strings_to_vector(raw, len(values))
-    assert vector.to_list() == _decode_strings(raw, len(values)) == values
+    decoded = decode_column(raw, ColumnType.STRING, len(values))
+    assert vector.to_list() == decoded == values
     assert vector.codes.dtype == np.uint32
     if raw[0] == 0:  # plain JSON: factorized at decode time
         assert vector.dictionary == list(
@@ -433,7 +432,8 @@ def test_plain_string_chunk_factorization_edges(values):
     plain = json.dumps(values, separators=(",", ":")).encode()
     raw = bytes([0]) + zlib.compress(plain)
     vector = _strings_to_vector(raw, len(values))
-    assert vector.to_list() == _decode_strings(raw, len(values)) == values
+    decoded = decode_column(raw, ColumnType.STRING, len(values))
+    assert vector.to_list() == decoded == values
     assert None not in vector.dictionary
     assert len(set(vector.dictionary)) == len(vector.dictionary)
 
@@ -559,7 +559,7 @@ def _roundtrip_ints(values, valid, type_):
     expected = [v if ok else None for v, ok in zip(values, valid)]
     assert vector.to_list() == expected
     assert _encode_column(expected, type_)[0] == blob
-    assert _decode_column(blob, type_, len(values)) == expected
+    assert decode_column(blob, type_, len(values)) == expected
     return blob
 
 
@@ -689,7 +689,7 @@ def test_random_plane_is_stored_and_constant_plane_deflated():
     assert high < 40      # all ones but one: deflated
     planes = _read_planes(blob, _HEADER.size, 2, 4_000)
     assert planes[0].base is blob  # a stored plane is read in place
-    assert _decode_column(blob, ColumnType.INT64, 4_000) == values
+    assert decode_column(blob, ColumnType.INT64, 4_000) == values
 
 
 def _with_frames(blob, offset, frames):
@@ -730,8 +730,8 @@ def test_corrupt_plane_frames_raise_corruption_error():
         with pytest.raises(CorruptionError):
             _decode_vector(chunk, ColumnType.INT64, count)
         with pytest.raises(CorruptionError):
-            _decode_column(chunk, ColumnType.INT64, count)
-    assert _decode_column(blob, ColumnType.INT64, count) == values
+            decode_column(chunk, ColumnType.INT64, count)
+    assert decode_column(blob, ColumnType.INT64, count) == values
 
 
 def test_bool_chunk_is_one_plane():
@@ -743,7 +743,7 @@ def test_bool_chunk_is_one_plane():
     assert deflated  # three symbols a byte
     assert list(plane) == [0 if v is None else 1 + v for v in rows]
     assert stats == (False, True, rows.count(None))
-    assert _decode_column(blob, ColumnType.BOOL, 500) == rows
+    assert decode_column(blob, ColumnType.BOOL, 500) == rows
     short, _ = _encode_column([True, None, False], ColumnType.BOOL)
     assert short == struct.pack("<I", 3) + bytes([2, 0, 1])  # stored
     for chunk in (blob[:-1], blob + b"\x00", blob[:3], b""):
@@ -773,7 +773,7 @@ def _roundtrip_floats(values, valid):
     assert np.isnan(vector.values[~np.array(expect_valid, dtype=bool)]).all()
     rows = [v if ok else None for v, ok in zip(values, valid)]
     assert _encode_column(rows, ColumnType.FLOAT64)[0] == blob
-    decoded = _decode_column(blob, ColumnType.FLOAT64, len(values))
+    decoded = decode_column(blob, ColumnType.FLOAT64, len(values))
     assert [v is not None for v in decoded] == expect_valid
     assert _bits([decoded[i] for i in kept]) == _bits(array[kept])
     return blob[0]
@@ -844,7 +844,7 @@ def test_old_null_sentinel_is_an_ordinary_value(lakehouse):
         restored = ColumnarFile.from_bytes(data_file.to_bytes())
         for candidate in (data_file, restored):
             assert candidate.scan() == rows
-            assert candidate.scan_rows() == rows
+            assert scan_rows(candidate) == rows
             ((vectors, mask, num_rows),) = candidate.select_vectors(["a"])
             assert vectors["a"].to_list() == [_OLD_SENTINEL, 5, None]
             (_, stats, nulls), = candidate.group_summaries()
@@ -880,7 +880,8 @@ def test_dictionary_code_width(distinct):
     assert codes.tolist() == list(range(distinct + 1)) * 2
     vector = _strings_to_vector(raw, len(values))
     assert vector.codes.dtype == np.uint32
-    assert vector.to_list() == _decode_strings(raw, len(values)) == values
+    decoded = decode_column(raw, ColumnType.STRING, len(values))
+    assert vector.to_list() == decoded == values
 
 
 def _corrupt(raw, **fields):
@@ -922,7 +923,7 @@ def test_corrupt_numeric_chunks_raise_corruption_error(type_, values):
         with pytest.raises(CorruptionError):
             _decode_vector(blob, type_, count)
         with pytest.raises(CorruptionError):
-            _decode_column(blob, type_, count)
+            decode_column(blob, type_, count)
     # a chunk cannot claim fewer rows than the footer either
     with pytest.raises(CorruptionError):
         _decode_vector(raw, type_, count - 1)
@@ -956,7 +957,7 @@ def test_corrupt_dictionary_codes_raise_corruption_error():
         with pytest.raises(CorruptionError):
             _strings_to_vector(chunk, len(values))
         with pytest.raises(CorruptionError):
-            _decode_strings(chunk, len(values))
+            decode_column(chunk, ColumnType.STRING, len(values))
     with pytest.raises(CorruptionError):
         _strings_to_vector(raw, len(values) + 1)
     plain = json.dumps(values).encode()
@@ -969,7 +970,7 @@ def test_corrupt_dictionary_codes_raise_corruption_error():
         with pytest.raises(CorruptionError):
             _strings_to_vector(chunk, count)
         with pytest.raises(CorruptionError):
-            _decode_strings(chunk, count)
+            decode_column(chunk, ColumnType.STRING, count)
 
 
 # --- encoded size is a count: pinned per benchmark value domain ----------------
@@ -1039,7 +1040,7 @@ def test_encoded_chunk_size_does_not_grow(name, recorded, before):
     count, rather than in a noisy timing."""
     type_, values = _pinned_domain(name)
     blob, _ = _encode_column(values, type_)
-    assert _decode_column(blob, type_, _PIN_ROWS) == values
+    assert decode_column(blob, type_, _PIN_ROWS) == values
     assert len(blob) <= recorded <= before + 20
 
 

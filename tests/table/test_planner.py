@@ -12,7 +12,6 @@ from repro.common.stats import join_stats
 from repro.errors import PlanningError
 from repro.lakebrain.cardinality import SPNEstimator
 from repro.table.expr import Predicate
-from repro.table.join import join_rows
 from repro.table.planner import (
     JoinCondition,
     JoinQuery,
@@ -25,7 +24,7 @@ from repro.table.schema import Column, ColumnType, Schema
 from repro.table.sql import SQLError, query
 from repro.table.table import Lakehouse
 from repro.workloads import tpch
-from rowwise import select_rows
+from rowwise import join_rows, select_rows
 
 LINEITEM_SCHEMA = Schema([
     Column("l_orderkey", ColumnType.INT64, nullable=True),

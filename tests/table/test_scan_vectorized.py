@@ -3,7 +3,7 @@
 The load-bearing property: on randomized schemas, rows and predicate
 trees, ``ColumnarFile.scan`` (NumPy masks + late materialization) returns
 results identical — same objects, same Python types, same order — to
-``ColumnarFile.scan_rows`` (the seed's row-at-a-time path), and
+``rowwise.scan_rows`` (the seed's row-at-a-time path), and
 ``count`` equals the oracle's matching-row count.
 """
 
@@ -17,7 +17,7 @@ from repro.table.chunkcache import ChunkCache, default_chunk_cache
 from repro.table.columnar import ColumnarFile
 from repro.table.expr import And, Or, Predicate
 from repro.table.schema import Column, ColumnType, Schema
-from rowwise import file_from_rows
+from rowwise import file_from_rows, scan_rows
 
 COLUMN_POOL = [
     Column("i", ColumnType.INT64, nullable=True),
@@ -126,13 +126,13 @@ def test_scan_matches_row_wise_oracle(table, data):
                  unique=True)
     )
     cache = ChunkCache(capacity=8)
-    expected = data_file.scan_rows(predicate, projection)
+    expected = scan_rows(data_file, predicate, projection)
     actual = data_file.scan(predicate, projection, cache=cache)
     # repr-compare too: catches NumPy scalars leaking instead of int/float
     assert actual == expected
     assert repr(actual) == repr(expected)
     assert data_file.count(predicate, cache=cache) == len(
-        data_file.scan_rows(predicate, [])
+        scan_rows(data_file, predicate, [])
     )
 
 
@@ -141,7 +141,7 @@ def test_scan_matches_row_wise_oracle(table, data):
 def test_full_scan_and_count_without_predicate(table):
     schema, rows, group_size = table
     data_file = file_from_rows(schema, rows, row_group_size=group_size)
-    assert data_file.scan(cache=ChunkCache()) == data_file.scan_rows()
+    assert data_file.scan(cache=ChunkCache()) == scan_rows(data_file)
     assert data_file.count() == len(rows)
 
 
@@ -161,12 +161,12 @@ def test_incomparable_ordering_raises_like_oracle():
     data_file, _ = _int_string_file()
     predicate = Predicate("k", "<", "not-an-int")
     with pytest.raises(TypeError):
-        data_file.scan_rows(predicate)
+        scan_rows(data_file, predicate)
     with pytest.raises(TypeError):
         data_file.scan(predicate, cache=ChunkCache())
     predicate = Predicate("s", ">", 7)  # string column vs int literal
     with pytest.raises(TypeError):
-        data_file.scan_rows(predicate)
+        scan_rows(data_file, predicate)
     with pytest.raises(TypeError):
         data_file.scan(predicate, cache=ChunkCache())
 
@@ -175,7 +175,7 @@ def test_all_null_chunk_ordered_against_string_is_empty_not_error():
     schema = Schema([Column("i", ColumnType.INT64, nullable=True)])
     data_file = file_from_rows(schema, [{"i": None}] * 5)
     predicate = Predicate("i", "<", "zz")
-    assert data_file.scan_rows(predicate) == []
+    assert scan_rows(data_file, predicate) == []
     assert data_file.scan(predicate, cache=ChunkCache()) == []
 
 
@@ -183,7 +183,7 @@ def test_in_against_mixed_type_tuple():
     data_file, rows = _int_string_file()
     predicate = Predicate("k", "IN", (3, "v1", 7.0, None))
     cache = ChunkCache()
-    assert data_file.scan(predicate, cache=cache) == data_file.scan_rows(predicate)
+    assert data_file.scan(predicate, cache=cache) == scan_rows(data_file, predicate)
     assert data_file.count(predicate, cache=cache) == 2  # k == 3 and k == 7
 
 
