@@ -1,15 +1,20 @@
-"""The compressed-block + footer cache tiers above the storage pool.
+"""The block + footer cache tiers above the storage pool.
 
 A :class:`CacheHierarchy` sits between the table read path and the
 storage pool and holds the two lower tiers of the cache hierarchy:
 
-* the **block tier** caches raw serialized data-file payloads — a hit
-  skips the bus/pool read entirely (and any EC reconstruction behind
-  it) but still pays the decode;
+* the **block tier** caches opened data files
+  (:class:`~repro.table.columnar.ColumnarFile`), each charged its
+  serialized payload's length — a hit skips the bus/pool read (and any
+  EC reconstruction behind it) and re-opening the file, but still pays
+  the chunk decode;
 * the **footer tier** caches parsed :class:`~repro.table.columnar.
-  FileFooter` objects — repeated pruning, re-opening a cached payload
-  and the aggregation footer fast path all skip the JSON footer decode,
-  and a footer hit on the fast path costs **zero** storage-pool IO.
+  FileFooter` objects — repeated pruning, opening a fetched payload and
+  the aggregation footer fast path all skip the JSON footer decode, and
+  a footer hit on the fast path costs **zero** storage-pool IO.
+
+It also keeps a bounded map from raw SQL text to its parsed statement
+(:meth:`statement`), so a repeated statement skips the SQL front end.
 
 The decoded-chunk tier (:mod:`repro.table.chunkcache`) sits on top;
 together they model the paper's "keep hot data close to compute"
@@ -19,7 +24,7 @@ sets per Fig 15).
 Entries are keyed by ``(pool token, path)`` — the token is a
 process-unique id stamped on each :class:`~repro.storage.pool.
 StoragePool` on first use, so two pools that happen to reuse the same
-extent path can never alias each other's cached bytes.  Physical
+extent path can never alias each other's cached files.  Physical
 deletions (snapshot expiry, table drop) must call :meth:`invalidate`;
 live snapshots never rewrite a path in place, so cached entries stay
 valid for as long as the path exists.
@@ -37,7 +42,7 @@ registry and fold back additively on shard join.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro.cache.policy import AccessTracker
 from repro.cache.tier import CacheTier
@@ -61,7 +66,11 @@ RESULT_CACHE_NAME = "table.result_cache"
 #: snapshot counters both start at 0) from aliasing each other.
 ResultKey = tuple[str, tuple[tuple[str, int, int], ...]]
 
+#: Parsed statements kept per hierarchy; the oldest is dropped first.
+STATEMENT_CACHE_ENTRIES = 1024
+
 _POOL_TOKENS = itertools.count(1)
+_Statement = TypeVar("_Statement")
 
 
 def _pool_token(pool: "StoragePool") -> int:
@@ -101,6 +110,7 @@ class CacheHierarchy:
             stats=context.cache_stats(RESULT_CACHE_NAME),
         )
         self.accesses = AccessTracker(window_s=config.access_window_s)
+        self._statements: dict[str, object] = {}
 
     def key_for(self, pool: "StoragePool", path: str) -> tuple[int, str]:
         return (_pool_token(pool), path)
@@ -108,22 +118,36 @@ class CacheHierarchy:
     # --- the read path ------------------------------------------------------
 
     def load_payload(self, pool: "StoragePool", path: str,
-                     now: float | None = None) -> tuple[bytes, float]:
-        """A file's raw bytes through the block tier.
+                     now: float | None = None
+                     ) -> tuple["ColumnarFile", float]:
+        """A data file through the block tier alone, opened.
 
-        Returns ``(payload, read_cost_s)`` — cost 0.0 on a block hit
-        (the pool is never touched).  ``now`` (simulated seconds)
-        records the access for prefetch scoring when given.
+        Returns ``(file, read_cost_s)`` — the resident file at cost 0.0
+        on a block hit (the pool is never touched); a miss opens the
+        fetched payload through its freshly parsed footer.  ``now``
+        (simulated seconds) records the access for prefetch scoring.
         """
+        from repro.table.columnar import FileFooter
+
         key = self.key_for(pool, path)
         if now is not None:
             self.accesses.record(key, now)
-        payload = self.blocks.get(key)
-        if payload is not None:
-            return payload, 0.0  # type: ignore[return-value]
+        data_file = self.blocks.get(key)
+        if data_file is not None:
+            return data_file, 0.0  # type: ignore[return-value]
+        return self._fetch(key, pool, path, FileFooter.parse)
+
+    def _fetch(self, key: tuple[int, str], pool: "StoragePool", path: str,
+               footer_of: Callable[[bytes], FileFooter]
+               ) -> tuple["ColumnarFile", float]:
+        """A block miss: fetch, open through ``footer_of(payload)`` and
+        admit the file charged ``len(payload)``."""
+        from repro.table.columnar import ColumnarFile
+
         payload, cost = pool.fetch(path)
-        self.blocks.put(key, payload, len(payload))
-        return payload, cost
+        data_file = ColumnarFile.from_footer(footer_of(payload), payload)
+        self.blocks.put(key, data_file, len(payload))
+        return data_file, cost
 
     def footer_for(self, pool: "StoragePool", path: str,
                    payload: bytes) -> "FileFooter":
@@ -145,50 +169,78 @@ class CacheHierarchy:
         This is the metadata fast path — footer-answerable aggregates
         over a warm table read neither the pool nor the block tier.
         """
-        from repro.table.columnar import FileFooter
-
         key = self.key_for(pool, path)
         if now is not None:
             self.accesses.record(key, now)
         footer = self.footers.get(key)
         if footer is not None:
             return footer, 0.0  # type: ignore[return-value]
-        payload, cost = self.load_payload(pool, path)
-        footer = FileFooter.parse(payload)
+        data_file, cost = self.load_payload(pool, path)
+        footer = data_file.footer
         self.footers.put(key, footer, footer.encoded_bytes)
         return footer, cost
 
     def load_file(self, pool: "StoragePool", path: str,
                   now: float | None = None
                   ) -> tuple["ColumnarFile", float]:
-        """A parsed :class:`ColumnarFile` through both tiers."""
-        from repro.table.columnar import ColumnarFile
-
-        payload, cost = self.load_payload(pool, path, now=now)
-        footer = self.footer_for(pool, path, payload)
-        return ColumnarFile.from_footer(footer, payload), cost
+        """An opened :class:`ColumnarFile` through both tiers, one lookup
+        each: a block hit returns the resident file itself and puts its
+        footer back on a footer miss; a block miss opens the fetched
+        payload through the footer tier."""
+        key = self.key_for(pool, path)
+        if now is not None:
+            self.accesses.record(key, now)
+        data_file = self.blocks.get(key)
+        if data_file is None:
+            return self._fetch(
+                key, pool, path,
+                lambda payload: self.footer_for(pool, path, payload),
+            )
+        if self.footers.get(key) is None:
+            footer = data_file.footer  # type: ignore[attr-defined]
+            self.footers.put(key, footer, footer.encoded_bytes)
+        return data_file, 0.0  # type: ignore[return-value]
 
     # --- prefetch + invalidation --------------------------------------------
 
     def contains_payload(self, pool: "StoragePool", path: str) -> bool:
-        """Peek (no counters): is the payload resident in the block tier?"""
+        """Peek (no counters): is the file resident in the block tier?"""
         return self.key_for(pool, path) in self.blocks
 
     def admit(self, pool: "StoragePool", path: str, payload: bytes) -> None:
-        """Install a payload + its parsed footer without lookup counters.
+        """Install a payload, opened, + its footer without lookup counters.
 
         The prefetcher's entry point: promoted files appear as resident
         entries, so the *next* scan counts clean hits — admission itself
         is not a lookup.
         """
-        from repro.table.columnar import FileFooter
+        from repro.table.columnar import ColumnarFile, FileFooter
 
         key = self.key_for(pool, path)
+        footer = FileFooter.parse(payload)
         if key not in self.blocks:
-            self.blocks.put(key, payload, len(payload))
+            self.blocks.put(key, ColumnarFile.from_footer(footer, payload),
+                            len(payload))
         if key not in self.footers:
-            footer = FileFooter.parse(payload)
             self.footers.put(key, footer, footer.encoded_bytes)
+
+    # --- parsed statements --------------------------------------------------
+
+    def statement(self, sql: str,
+                  parse: Callable[[str], _Statement]) -> _Statement:
+        """``parse(sql)``, remembered by exact text.
+
+        A repeated text returns the first parse's (immutable) statement;
+        a text ``parse`` rejects raises and is not remembered.  Holds
+        :data:`STATEMENT_CACHE_ENTRIES` statements, dropping the oldest.
+        """
+        statement = self._statements.get(sql)
+        if statement is None:
+            statement = parse(sql)
+            if len(self._statements) >= STATEMENT_CACHE_ENTRIES:
+                del self._statements[next(iter(self._statements))]
+            self._statements[sql] = statement
+        return statement  # type: ignore[return-value]
 
     # --- the query result tier ----------------------------------------------
 
@@ -250,6 +302,7 @@ class CacheHierarchy:
         self.footers.clear()
         self.results.clear()
         self.accesses.clear()
+        self._statements.clear()
 
 
 def default_hierarchy(context: ExecutionContext | None = None

@@ -1,12 +1,14 @@
 """Bounded cache of decoded column chunks — the top hierarchy tier.
 
-``TableObject.select`` re-parses each data file from bytes on every
-query, so a per-file cache would never see a repeat; instead decoded
-chunks are cached *content-addressed* — the key is the compressed chunk
-blob itself (plus column type and row count), which is stable across
-``ColumnarFile.from_bytes`` round trips and can never alias distinct
-data.  Repeated scans over the same table then skip both the zlib
-decompression and the bytes→NumPy decode entirely.
+Decoded chunks are cached *content-addressed* — the key is the
+compressed chunk blob itself (plus column type and row count), which is
+stable across ``ColumnarFile.from_bytes`` round trips and can never
+alias distinct data, so a file re-fetched after a block-tier eviction
+still finds its chunks decoded.  A file resident in the block tier
+(:mod:`repro.cache.hierarchy`) hands over the same blob objects on every
+query, and CPython caches a bytes object's hash, so its lookups never
+re-hash a blob.  Repeated scans over the same table then skip both the
+zlib decompression and the bytes→NumPy decode entirely.
 
 The cache is a :class:`~repro.cache.tier.CacheTier`: **byte-accurate**
 (each entry charges the decoded vector's real footprint — values,

@@ -577,14 +577,15 @@ class FileFooter:
 
     Parsing the JSON footer is the metadata half of ``from_bytes``; the
     footer cache tier (:mod:`repro.cache.hierarchy`) keeps these parsed
-    objects so repeated pruning, the aggregation fast path and
-    re-opening a cached payload all skip the JSON decode.  Chunk
-    positions are stored as **absolute offsets** into the serialized
-    file, so :meth:`ColumnarFile.from_footer` can slice a payload
-    without re-reading the footer.
+    objects so repeated pruning and the aggregation fast path skip the
+    JSON decode, and a file opened through one keeps it as
+    :attr:`ColumnarFile.footer`.  Chunk positions are stored as
+    **absolute offsets** into the serialized file, so
+    :meth:`ColumnarFile.from_footer` can slice a payload without
+    re-reading the footer.
 
-    Footers are immutable once parsed — the cache shares one instance
-    across queries.
+    Footers are immutable once parsed — the footer tier and every
+    resident opened file share one instance across queries.
     """
 
     __slots__ = ("schema", "groups", "footer_end", "encoded_bytes")
@@ -602,43 +603,48 @@ class FileFooter:
 
     @classmethod
     def parse(cls, data: bytes) -> "FileFooter":
-        """Parse the footer region of a serialized columnar file."""
+        """Parse the footer region of a serialized columnar file.
+
+        A short, truncated or malformed footer (bad JSON, a missing key,
+        a value of the wrong shape) raises :class:`CorruptionError`.
+        """
         if len(data) < _LEN.size:
             raise CorruptionError("columnar file shorter than its header")
         (footer_len,) = _LEN.unpack_from(data)
-        if len(data) < _LEN.size + footer_len:
+        footer_end = _LEN.size + footer_len
+        if len(data) < footer_end:
             raise CorruptionError("columnar file footer truncated")
-        footer = json.loads(data[_LEN.size : _LEN.size + footer_len])
-        schema = Schema.from_dict(footer["schema"])
-        cursor = _LEN.size + footer_len
         groups: list[_RowGroup] = []
         chunk_spans: list[list[tuple[str, int, int]]] = []
-        for meta in footer["groups"]:
-            group = _RowGroup(
-                meta["rows"],
-                {name: tuple(bounds) for name, bounds in meta["stats"].items()},
-                meta["nulls"],
-                {},  # filled per payload by from_footer
-            )
-            spans = []
-            for name, chunk_len in meta["chunks"]:
-                spans.append((name, cursor, chunk_len))
-                cursor += chunk_len
-            groups.append(group)
-            chunk_spans.append(spans)
-        return cls(
-            schema, groups, chunk_spans,
-            footer_end=_LEN.size + footer_len,
-            encoded_bytes=_LEN.size + footer_len,
-        )
+        try:
+            footer = json.loads(data[_LEN.size : footer_end])
+            schema = Schema.from_dict(footer["schema"])
+            cursor = footer_end
+            for meta in footer["groups"]:
+                group = _RowGroup(
+                    meta["rows"],
+                    {name: tuple(bounds)
+                     for name, bounds in meta["stats"].items()},
+                    meta["nulls"],
+                    {},  # a footer holds no chunk bytes
+                )
+                spans = []
+                for name, chunk_len in meta["chunks"]:
+                    spans.append((name, cursor, chunk_len))
+                    cursor += chunk_len
+                groups.append(group)
+                chunk_spans.append(spans)
+        except (AttributeError, KeyError, SchemaError, TypeError,
+                ValueError) as error:
+            raise CorruptionError(
+                f"columnar file footer malformed: {error!r}"
+            ) from error
+        return cls(schema, groups, chunk_spans, footer_end=footer_end,
+                   encoded_bytes=footer_end)
 
     @property
     def num_rows(self) -> int:
         return sum(group.num_rows for group, _ in self.groups)
-
-    @property
-    def num_row_groups(self) -> int:
-        return len(self.groups)
 
     def group_summaries(self) -> list[
         tuple[int, dict[str, tuple[object, object]], dict[str, int]]
@@ -652,31 +658,16 @@ class FileFooter:
             for group, _ in self.groups
         ]
 
-    def file_stats(self) -> dict[str, tuple[object, object]]:
-        """File-level min/max per column (union of row-group stats)."""
-        merged: dict[str, tuple[object, object]] = {}
-        for group, _ in self.groups:
-            for name, (low, high) in group.stats.items():
-                if low is None:
-                    continue
-                if name not in merged or merged[name][0] is None:
-                    merged[name] = (low, high)
-                else:
-                    merged[name] = (
-                        min(merged[name][0], low),  # type: ignore[type-var]
-                        max(merged[name][1], high),  # type: ignore[type-var]
-                    )
-        for column in self.schema.columns:
-            merged.setdefault(column.name, (None, None))
-        return merged
-
 
 class ColumnarFile:
     """An immutable columnar data file with footer statistics."""
 
-    def __init__(self, schema: Schema, groups: list[_RowGroup]) -> None:
+    def __init__(self, schema: Schema, groups: list[_RowGroup],
+                 footer: FileFooter | None = None) -> None:
         self.schema = schema
         self._groups = groups
+        #: the parsed footer a serialized file was opened through
+        self.footer = footer
 
     # --- construction -------------------------------------------------------
 
@@ -977,11 +968,12 @@ class ColumnarFile:
     def from_footer(cls, footer: FileFooter, data: bytes) -> "ColumnarFile":
         """Open a payload through an already-parsed footer.
 
-        The footer-cache fast path: when the hierarchy holds the parsed
-        :class:`FileFooter` for a payload, re-opening it skips the JSON
-        footer decode and only slices chunk blobs.  Row-group statistics
-        dicts are *shared* with the footer (treated as immutable);
-        chunk slices are taken fresh from ``data``.
+        Skips the JSON footer decode and only slices chunk blobs out of
+        ``data``.  Row-group statistics dicts are *shared* with the
+        footer and the file keeps the footer itself, so neither may be
+        mutated.  The block cache tier keeps the opened file, so a
+        resident file hands the chunk cache the same blob objects (and
+        their cached hashes) on every query.
         """
         groups: list[_RowGroup] = []
         for proto, spans in footer.groups:
@@ -993,4 +985,4 @@ class ColumnarFile:
                     raise CorruptionError("columnar file truncated")
                 group.chunks[name] = blob
             groups.append(group)
-        return cls(footer.schema, groups)
+        return cls(footer.schema, groups, footer)

@@ -314,25 +314,6 @@ class JoinPlan:
     def worst_cost_s(self) -> float:
         return max(cost for _, cost in self.alternatives)
 
-    def explain(self) -> str:
-        """A human-readable plan summary (bench/docs output)."""
-        lines = [f"join order: {' ⋈ '.join(self.order)}  "
-                 f"(cost {self.cost_s * 1e6:.1f}us, worst enumerated "
-                 f"{self.worst_cost_s * 1e6:.1f}us, "
-                 f"{len(self.alternatives)} orders considered)"]
-        for alias in self.scan_order:
-            choice = self.scans[alias]
-            mode = "pushdown" if choice.pushdown else "materialize+filter"
-            prune = "prunable" if choice.footer_prunable else "full"
-            lines.append(
-                f"  scan {alias} ({choice.table}): {prune}, {mode}, "
-                f"~{choice.estimated_rows:.0f}/{choice.base_rows} rows"
-            )
-        for alias, behind in sorted(self.stale.items()):
-            lines.append(f"  stale estimate for {alias}: "
-                         f"{behind} snapshot(s) behind")
-        return "\n".join(lines)
-
 
 def _connecting(conditions: tuple[JoinCondition, ...], joined: set[str],
                 alias: str) -> list[JoinCondition]:

@@ -53,16 +53,6 @@ class AggregateSpec:
             needed.add(self.column)
         return needed
 
-    @property
-    def is_count_star(self) -> bool:
-        """True for a plain COUNT(*) with no grouping.
-
-        Such queries never decode a data chunk: unpredicated they are
-        answered from row-group footers, predicated they reduce to one
-        mask sum per row group.
-        """
-        return self.function == "COUNT" and not self.column and not self.group_by
-
 
 def result_labels(specs: list[AggregateSpec]) -> list[str]:
     """Result-row keys for a list of aggregates.

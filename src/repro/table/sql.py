@@ -33,7 +33,9 @@ aggregates still push down to the storage side.
 normalized statement plus every referenced table's resolved snapshot id,
 so a repeated query answers from cache with zero chunk decodes and zero
 pool reads, a commit to any referenced table silently misses (new
-snapshot id → new key), and time travel stays warm forever.
+snapshot id → new key), and time travel stays warm forever.  Before
+that, the hierarchy's statement map hands a repeated SQL text its first
+(frozen, shared) parse, so only fresh text reaches :func:`parse_select`.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class SQLError(SchemaError):
     """A statement failed to parse or referenced unknown names."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SelectItem:
     column: str | None  # None for aggregates / '*'
     aggregate: tuple[str, str | None] | None  # (function, column)
@@ -106,12 +108,13 @@ class _SelectItem:
         return self.column or "*"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectStatement:
     """A parsed single-table SELECT, ready to execute."""
 
+    text: str  # normalized SQL: the result-cache key
     table: str
-    items: list[_SelectItem]
+    items: tuple[_SelectItem, ...]
     predicate: Expression | None
     group_by: tuple[str, ...]
     order_by: str | None
@@ -120,7 +123,7 @@ class SelectStatement:
     star: bool = field(default=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class JoinSelectStatement:
     """A parsed multi-table SELECT; column refs are still raw text.
 
@@ -129,10 +132,11 @@ class JoinSelectStatement:
     in :func:`execute_join_select`, where the lakehouse is in hand.
     """
 
+    text: str  # normalized SQL: the result-cache key
     tables: tuple[TableRef, ...]
     hows: tuple[str, ...]  # join type joining tables[i + 1], SQL order
     on_pairs: tuple[tuple[str, str], ...]  # raw "a.x" = "b.y" ref pairs
-    items: list[_SelectItem]
+    items: tuple[_SelectItem, ...]
     where_atoms: tuple[Predicate, ...]  # columns possibly qualified
     group_by: tuple[str, ...]  # raw refs
     order_by: str | None
@@ -287,7 +291,8 @@ def _parse_from(
     return tuple(refs), tuple(hows), tuple(on_pairs)
 
 
-def _parse_select_items(clause: str) -> tuple[list[_SelectItem], bool]:
+def _parse_select_items(clause: str
+                        ) -> tuple[tuple[_SelectItem, ...], bool]:
     items: list[_SelectItem] = []
     star = False
     for raw in _split_commas(clause):
@@ -314,7 +319,7 @@ def _parse_select_items(clause: str) -> tuple[list[_SelectItem], bool]:
             items.append(_SelectItem(column=raw, aggregate=None, alias=alias))
         else:
             raise SQLError(f"cannot parse select item {raw!r}")
-    return items, star
+    return tuple(items), star
 
 
 def _split_commas(clause: str) -> list[str]:
@@ -405,6 +410,7 @@ def parse_select(sql: str) -> SelectStatement | JoinSelectStatement:
             if match.group("where") else None
         )
         return SelectStatement(
+            text=cleaned,
             table=from_clause,
             items=items,
             predicate=predicate,
@@ -420,6 +426,7 @@ def parse_select(sql: str) -> SelectStatement | JoinSelectStatement:
     if match.group("where"):
         where_pairs, where_atoms = _parse_join_where(match.group("where"))
     return JoinSelectStatement(
+        text=cleaned,
         tables=tables,
         hows=hows,
         on_pairs=on_pairs + tuple(where_pairs),
@@ -681,13 +688,15 @@ def query(lakehouse: Lakehouse, sql: str, as_of: float | None = None,
           use_result_cache: bool = True) -> list[dict[str, object]]:
     """Parse and execute in one call (the public entry point).
 
-    Consults the snapshot-keyed result tier first: the key is the
-    normalized statement plus each referenced table's *resolved*
-    snapshot id (``as_of`` resolves to its historical snapshot, so time
-    travel hits a warm entry forever).  A hit returns finished rows —
-    zero scans, zero decodes, zero pool reads.
+    A text the hierarchy has parsed before skips :func:`parse_select`
+    (:meth:`~repro.cache.hierarchy.CacheHierarchy.statement`).  Then the
+    snapshot-keyed result tier: the key is the normalized statement plus
+    each referenced table's *resolved* snapshot id (``as_of`` resolves to
+    its historical snapshot, so time travel hits a warm entry forever).
+    A hit returns finished rows — zero scans, zero decodes, zero pool
+    reads.
     """
-    statement = parse_select(sql)
+    statement = lakehouse.cache_hierarchy.statement(sql, parse_select)
     names = (
         [statement.table] if isinstance(statement, SelectStatement)
         else [ref.name for ref in statement.tables]
@@ -698,7 +707,7 @@ def query(lakehouse: Lakehouse, sql: str, as_of: float | None = None,
         for name in dict.fromkeys(names):
             table = lakehouse.table(name)
             refs.append((name, table.pool, table.snapshot_id_at(as_of)))
-        key = lakehouse.cache_hierarchy.result_key(normalize_sql(sql), refs)
+        key = lakehouse.cache_hierarchy.result_key(statement.text, refs)
         cached = lakehouse.cache_hierarchy.lookup_result(key)
         if cached is not None:
             join_stats().result_cache_hits += 1

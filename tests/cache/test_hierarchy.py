@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.cache.hierarchy import CacheHierarchy, default_hierarchy
 from repro.cache.prefetch import LakeBrainPrefetcher
 from repro.common.clock import SimClock
-from repro.common.context import ExecutionContext, use_context
+from repro.common.context import CacheConfig, ExecutionContext, use_context
 from repro.storage.bus import DataBus
 from repro.storage.disk import NVME_SSD_PROFILE
 from repro.storage.kv import KVEngine
 from repro.storage.pool import StoragePool
 from repro.storage.redundancy import erasure_coding_policy
+from repro.table.columnar import ColumnarFile
 from repro.table.expr import Predicate
 from repro.table.metacache import AcceleratedMetadataStore
 from repro.table.pushdown import AggregateSpec
@@ -149,13 +152,78 @@ def test_distinct_pools_never_alias_paths():
         pool_a.add_disks(NVME_SSD_PROFILE, 8)
         pool_b = StoragePool("b", clock, policy=erasure_coding_policy(4, 2))
         pool_b.add_disks(NVME_SSD_PROFILE, 8)
-        pool_a.store("same/path", b"alpha" * 100)
-        pool_b.store("same/path", b"beta" * 100)
+        for pool, user in ((pool_a, "alpha"), (pool_b, "beta")):
+            pool.store("same/path", ColumnarFile.from_columns(
+                SCHEMA, {"user": [user] * 100, "value": [1] * 100}, 100
+            ).to_bytes())
         hierarchy = CacheHierarchy(context=context)
-        payload_a, _ = hierarchy.load_payload(pool_a, "same/path")
-        payload_b, _ = hierarchy.load_payload(pool_b, "same/path")
-    assert payload_a == b"alpha" * 100
-    assert payload_b == b"beta" * 100
+        file_a, _ = hierarchy.load_file(pool_a, "same/path")
+        file_b, _ = hierarchy.load_file(pool_b, "same/path")
+        footer_a, _ = hierarchy.load_footer(pool_a, "same/path")
+        footer_b, _ = hierarchy.load_footer(pool_b, "same/path")
+    assert file_a.scan(columns=["user"]) == [{"user": "alpha"}] * 100
+    assert file_b.scan(columns=["user"]) == [{"user": "beta"}] * 100
+    assert footer_a is file_a.footer and footer_b is file_b.footer
+    assert hierarchy.blocks.stats.misses == hierarchy.footers.stats.misses == 2
+
+
+#: one read sequence over four small files and tiers that hold two or
+#: three entries; the counts are the ones the payload-holding block tier
+#: produced, so opening files once moved no hit, miss or eviction
+SCRIPT = ("file f0", "file f1", "file f0", "footer f2", "file f2",
+          "file f3", "footer f0", "file f1", "invalidate f1", "file f1",
+          "admit f3", "admit f2", "footer f3", "file f2", "footer f1",
+          "file f0", "file f0", "invalidate f3", "footer f3", "file f3",
+          "file f1")
+#: policy -> ((block hits, misses, evictions), (footer hits, misses,
+#: evictions))
+SCRIPT_COUNTS = {
+    "lru": ((5, 10, 8), (8, 9, 6)),
+    "lfu": ((5, 10, 8), (8, 9, 6)),
+    "arc": ((5, 10, 9), (8, 9, 7)),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(SCRIPT_COUNTS))
+def test_scripted_tier_sequence_counts(policy):
+    context = ExecutionContext(name=f"script-{policy}")
+    with use_context(context):
+        pool = StoragePool("ssd", SimClock(),
+                           policy=erasure_coding_policy(4, 2))
+        pool.add_disks(NVME_SSD_PROFILE, 8)
+        payloads = {}
+        for n, rows in enumerate((40, 90, 160, 250)):
+            payloads[f"f{n}"] = ColumnarFile.from_columns(SCHEMA, {
+                "user": [f"u{i % (n + 2)}" for i in range(rows)],
+                "value": [i * (n + 1) for i in range(rows)],
+            }, rows).to_bytes()
+            pool.store(f"f{n}", payloads[f"f{n}"])
+        hierarchy = CacheHierarchy(CacheConfig(
+            block_capacity_bytes=1000, footer_capacity_bytes=560,
+            block_policy=policy, footer_policy=policy,
+        ))
+        opened = []
+        for step in SCRIPT:
+            op, path = step.split()
+            if op == "file":
+                opened.append(hierarchy.load_file(pool, path))
+            elif op == "footer":
+                hierarchy.load_footer(pool, path)
+            elif op == "admit":
+                hierarchy.admit(pool, path, payloads[path])
+            else:
+                hierarchy.invalidate(pool, path)
+    blocks, footers = hierarchy.blocks.stats, hierarchy.footers.stats
+    assert ((blocks.hits, blocks.misses, blocks.evictions),
+            (footers.hits, footers.misses, footers.evictions)
+            ) == SCRIPT_COUNTS[policy]
+    # the back-to-back loads of f0: a miss opens it, the hit hands back
+    # that very file
+    (first, first_cost), (second, second_cost) = opened[-4:-2]
+    assert second is first and first_cost > 0.0 == second_cost
+    assert first.scan(columns=["value"]) == [
+        {"value": i} for i in range(40)
+    ]
 
 
 def test_hierarchy_config_is_per_context():

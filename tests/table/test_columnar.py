@@ -12,6 +12,7 @@ from repro.errors import CorruptionError, SchemaError
 from repro.table.columnar import (
     _HEADER,
     ColumnarFile,
+    FileFooter,
     _decode_vector,
     _encode_strings,
     _encode_vector,
@@ -305,6 +306,46 @@ def test_truncated_footer_raises():
     blob = file_from_rows(SCHEMA, make_rows(10)).to_bytes()
     with pytest.raises(CorruptionError):
         ColumnarFile.from_bytes(blob[:2])  # shorter than the length header
+
+
+def _footer_edits(blob):
+    """Same-length edits of a footer that each used to escape as a
+    non-storage error (KeyError, JSONDecodeError, ValueError)."""
+    chunks = blob.index(b'"chunks":[["id",')
+    return {
+        "key": blob[:6] + bytes([blob[6] ^ 1]) + blob[7:],  # "schema" -> "rchema"
+        "json": blob.replace(b'":{', b'";{', 1),
+        "type": blob.replace(b'"int64"', b'"int65"', 1),
+        # ["id",<len>] becomes [0,1,2<len>]: three fields, not two
+        "chunk entry": (blob[:chunks] + b'"chunks":[[0,1,2'
+                        + blob[chunks + 16:]),
+    }
+
+
+@pytest.mark.parametrize("edit", ["key", "json", "type", "chunk entry"])
+def test_malformed_footer_raises_corruption(edit):
+    blob = _footer_edits(file_from_rows(SCHEMA, make_rows(3)).to_bytes())[edit]
+    with pytest.raises(CorruptionError):
+        FileFooter.parse(blob)
+    with pytest.raises(CorruptionError):
+        ColumnarFile.from_bytes(blob)
+
+
+FLIP_FILE = file_from_rows(SCHEMA, make_rows(3)).to_bytes()
+
+
+@given(position=st.integers(0, FileFooter.parse(FLIP_FILE).footer_end - 1),
+       mask=st.integers(1, 255))
+@settings(max_examples=400, deadline=None)
+def test_footer_byte_flip_parses_or_raises_corruption(position, mask):
+    """Any one byte of the length header or footer, flipped any way:
+    the footer parses or raises CorruptionError — never anything else."""
+    blob = bytearray(FLIP_FILE)
+    blob[position] ^= mask
+    try:
+        FileFooter.parse(bytes(blob))
+    except CorruptionError:
+        pass
 
 
 def test_truncated_mid_chunk_raises():

@@ -1,9 +1,21 @@
 """Unit tests for the SQL SELECT front end."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cache.hierarchy import CacheHierarchy
+from repro.common.clock import SimClock
+from repro.storage.bus import DataBus
+from repro.storage.disk import NVME_SSD_PROFILE
+from repro.storage.pool import StoragePool
+from repro.storage.redundancy import erasure_coding_policy
+from repro.table.chunkcache import ChunkCache
+from repro.table.expr import Predicate
 from repro.table.schema import Column, ColumnType, PartitionSpec, Schema
-from repro.table.sql import SQLError, parse_select, query
+from repro.table.sql import SQLError, normalize_sql, parse_select, query
+from repro.table.table import Lakehouse
 
 SCHEMA = Schema([
     Column("url", ColumnType.STRING),
@@ -55,6 +67,18 @@ def test_parse_structure():
     assert statement.items[0].alias == "DAU"
     assert statement.predicate is not None
     assert len(statement.predicate.atoms()) == 3
+
+
+def test_parsed_statements_are_frozen():
+    single = parse_select(FIG13)
+    joined = parse_select("SELECT a.x, b.y FROM a JOIN b ON a.k = b.k")
+    assert single.text == normalize_sql(FIG13)
+    for statement in (single, joined):
+        assert isinstance(statement.items, tuple)
+        for target, name in ((statement, "limit"),
+                             (statement.items[0], "alias")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, name, None)
 
 
 def test_plain_projection(loaded_lakehouse):
@@ -325,8 +349,6 @@ def test_e2e_statements_keep_their_result_cache_keys(monkeypatch):
 
     import numpy as np
 
-    from repro.table.sql import normalize_sql
-
     monkeypatch.syspath_prepend(
         str(pathlib.Path(__file__).parents[2] / "benchmarks" / "e2e"))
     import inputs
@@ -342,3 +364,84 @@ def test_e2e_statements_keep_their_result_cache_keys(monkeypatch):
     assert len(texts) > 200
     for text in texts:
         assert normalize_sql(text) == _line_split_normalization(text)
+
+
+# --- a remembered statement answers like a fresh parse ------------------------
+
+TWIN_A = Schema([Column("k", ColumnType.INT64), Column("v", ColumnType.INT64),
+                 Column("s", ColumnType.STRING)])
+TWIN_B = Schema([Column("k", ColumnType.INT64), Column("w", ColumnType.STRING)])
+TWIN_TEXTS = (
+    "SELECT k, v FROM a WHERE v >= 20 ORDER BY v",
+    "SELECT  k, v FROM a\nWHERE v >= 20 ORDER BY v -- the same, respaced",
+    "SELECT COUNT(*) AS n, SUM(v) FROM a GROUP BY s",
+    "SELECT MAX(v), MIN(k) FROM a WHERE s = 'x'",
+    "SELECT COUNT(*) FROM a",
+    "SELECT * FROM a WHERE k IN (1, 3) ORDER BY v DESC LIMIT 5",
+    "SELECT a.v, b.w FROM a JOIN b ON a.k = b.k WHERE a.v < 50",
+)
+TWIN_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("query"), st.integers(0, len(TWIN_TEXTS) - 1),
+              st.none() | st.integers(0, 20)),
+    st.tuples(st.just("insert"), st.sampled_from("ab"), st.integers(1, 30)),
+    st.tuples(st.just("update"), st.integers(0, 100)),
+), min_size=1, max_size=16)
+
+
+def _twin_lake() -> tuple[Lakehouse, SimClock]:
+    clock = SimClock()
+    pool = StoragePool("ssd", clock, policy=erasure_coding_policy(4, 2))
+    pool.add_disks(NVME_SSD_PROFILE, 8)
+    lake = Lakehouse(pool, DataBus(clock), clock, chunk_cache=ChunkCache(),
+                     cache_hierarchy=CacheHierarchy())
+    lake.create_table("a", TWIN_A)
+    lake.create_table("b", TWIN_B)
+    return lake, clock
+
+
+def _twin_rows(table: str, count: int, start: int) -> list[dict]:
+    if table == "a":
+        return [{"k": (start + i) % 5, "v": (start * 7 + i * 13) % 100,
+                 "s": "xyz"[(start + i) % 3]} for i in range(count)]
+    return [{"k": (start + i) % 5, "w": f"w{start + i}"} for i in range(count)]
+
+
+@given(steps=TWIN_STEPS)
+@settings(max_examples=30, deadline=None)
+def test_remembered_statements_answer_like_fresh_parses(steps):
+    """One lakehouse runs the sequence as normal (statements and results
+    remembered); its twin clears its hierarchy before every statement
+    and skips the result tier, so each statement parses and reads
+    afresh.  Both return the same rows, time travel included."""
+    twins = [_twin_lake(), _twin_lake()]
+    marks: list[list[float]] = [[], []]
+    inserted = 0
+    for side, (lake, clock) in enumerate(twins):
+        lake.table("a").insert(_twin_rows("a", 12, 0))
+        lake.table("b").insert(_twin_rows("b", 4, 0))
+        marks[side].append(clock.now)
+    for step in steps:
+        answers = []
+        for side, (lake, clock) in enumerate(twins):
+            if step[0] == "insert":
+                lake.table(step[1]).insert(
+                    _twin_rows(step[1], step[2], 100 + inserted))
+            elif step[0] == "update":
+                lake.table("a").update(Predicate("v", "<", step[1]),
+                                       {"s": "x"})
+            else:
+                _, text, mark = step
+                as_of = (None if mark is None
+                         else marks[side][mark % len(marks[side])])
+                if side == 0:
+                    answers.append(query(lake, TWIN_TEXTS[text], as_of=as_of))
+                else:
+                    lake.cache_hierarchy.clear()
+                    answers.append(query(lake, TWIN_TEXTS[text], as_of=as_of,
+                                         use_result_cache=False))
+            if step[0] != "query":
+                clock.advance(1.0)
+                marks[side].append(clock.now)
+        inserted += step[2] if step[0] == "insert" else 0
+        if answers:
+            assert answers[0] == answers[1], TWIN_TEXTS[step[1]]
