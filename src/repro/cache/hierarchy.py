@@ -1,7 +1,7 @@
-"""The block + footer cache tiers above the storage pool.
+"""The block, footer and result cache tiers above the storage pool.
 
 A :class:`CacheHierarchy` sits between the table read path and the
-storage pool and holds the two lower tiers of the cache hierarchy:
+storage pool and holds three tiers of the cache hierarchy:
 
 * the **block tier** caches opened data files
   (:class:`~repro.table.columnar.ColumnarFile`), each charged its
@@ -11,7 +11,14 @@ storage pool and holds the two lower tiers of the cache hierarchy:
 * the **footer tier** caches parsed :class:`~repro.table.columnar.
   FileFooter` objects — repeated pruning, opening a fetched payload and
   the aggregation footer fast path all skip the JSON footer decode, and
-  a footer hit on the fast path costs **zero** storage-pool IO.
+  a footer hit on the fast path costs **zero** storage-pool IO;
+* the **result tier** caches whole query results under a
+  snapshot-keyed statement key (:meth:`result_key`).  An entry is a
+  ``tuple`` of read-only rows (:class:`~repro.common.frozen.
+  FrozenDict`) that :func:`~repro.table.sql.query` built once; every
+  hit returns a fresh ``list`` of those same row objects, so a hit
+  copies no row and callers cannot corrupt the entry — a write into a
+  row raises instead.
 
 It also keeps a bounded map from raw SQL text to its parsed statement
 (:meth:`statement`), so a repeated statement skips the SQL front end.
@@ -21,10 +28,10 @@ together they model the paper's "keep hot data close to compute"
 hierarchy (SSD/SCM tiers, KV metadata acceleration, decoded working
 sets per Fig 15).
 
-Entries are keyed by ``(pool token, path)`` — the token is a
-process-unique id stamped on each :class:`~repro.storage.pool.
-StoragePool` on first use, so two pools that happen to reuse the same
-extent path can never alias each other's cached files.  Physical
+Block and footer entries are keyed by ``(pool token, path)`` — the
+token is a process-unique id stamped on each :class:`~repro.storage.
+pool.StoragePool` on first use, so two pools that happen to reuse the
+same extent path can never alias each other's cached files.  Physical
 deletions (snapshot expiry, table drop) must call :meth:`invalidate`;
 live snapshots never rewrite a path in place, so cached entries stay
 valid for as long as the path exists.
@@ -35,8 +42,9 @@ AccessTracker`, which feeds the LakeBrain prefetcher's hotness scores
 
 Like the chunk cache, the *default* hierarchy is per execution context
 (:func:`default_hierarchy`): tier counters register as
-``table.block_cache`` / ``table.footer_cache`` in the context's cache
-registry and fold back additively on shard join.
+``table.block_cache`` / ``table.footer_cache`` /
+``table.result_cache`` in the context's cache registry and fold back
+additively on shard join.
 """
 
 from __future__ import annotations
@@ -87,7 +95,8 @@ def _pool_token(pool: "StoragePool") -> int:
 
 
 class CacheHierarchy:
-    """Block + footer tiers with byte accounting and access tracking."""
+    """Block, footer and result tiers with byte accounting and access
+    tracking."""
 
     def __init__(self, config: CacheConfig | None = None,
                  context: ExecutionContext | None = None) -> None:
@@ -264,18 +273,27 @@ class CacheHierarchy:
                       ) -> "list[dict[str, object]] | None":
         """A whole query's result rows, if cached for this exact key.
 
-        Rows copy out shallowly so callers can rename/sort/slice without
-        corrupting the cached entry (values are immutable scalars).
+        A hit is a fresh ``list`` of the cached row objects themselves —
+        no row is copied.  The caller may append to, sort or slice its
+        list without touching the entry; the rows are read-only
+        (:class:`~repro.common.frozen.FrozenDict`), so they cannot be
+        corrupted in place either.
         """
         rows = self.results.get(key)
         if rows is None:
             return None
-        return [dict(row) for row in rows]  # type: ignore[union-attr]
+        return list(rows)  # type: ignore[call-overload]
 
     def store_result(self, key: ResultKey, rows: "list[dict[str, object]]",
                      nbytes: int) -> None:
-        """Install a finished query's rows under its snapshot-keyed key."""
-        self.results.put(key, [dict(row) for row in rows], nbytes)
+        """Install a finished query's rows under its snapshot-keyed key.
+
+        ``rows`` must be read-only values (``query`` builds them as
+        :class:`~repro.common.frozen.FrozenDict`): the entry keeps the
+        same row objects, in a ``tuple`` of its own, and shares them with
+        every later hit.  ``nbytes`` is the charge against the tier.
+        """
+        self.results.put(key, tuple(rows), nbytes)
 
     def invalidate_results(self, table_name: str) -> int:
         """Drop every cached result referencing ``table_name``.

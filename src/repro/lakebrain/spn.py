@@ -59,16 +59,17 @@ class _Leaf(_Node):
         if bounds is None:
             return 1.0
         low, high = bounds
-        total = 0.0
-        for index in range(len(self.fractions)):
-            bin_low = self.edges[index]
-            bin_high = self.edges[index + 1]
-            overlap = min(high, bin_high) - max(low, bin_low)
-            width = bin_high - bin_low
-            if overlap <= 0 or width <= 0:
-                continue
-            total += self.fractions[index] * min(1.0, overlap / width)
-        return float(min(1.0, total))
+        bin_lows, bin_highs = self.edges[:-1], self.edges[1:]
+        overlap = np.minimum(high, bin_highs) - np.maximum(low, bin_lows)
+        width = bin_highs - bin_lows
+        keep = (overlap > 0) & (width > 0)
+        if not keep.any():
+            return 0.0
+        terms = self.fractions[keep] * np.minimum(
+            1.0, overlap[keep] / width[keep])
+        # summed left to right in bin order (np.sum's pairwise order can
+        # move the last ulp, and join plans rank on these estimates)
+        return float(min(1.0, np.cumsum(terms)[-1]))
 
 
 class _Product(_Node):

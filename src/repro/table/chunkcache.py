@@ -39,6 +39,10 @@ DEFAULT_CAPACITY_BYTES = 128 * MiB
 #: Cache key: (column type tag, row count, compressed chunk blob).
 ChunkKey = tuple[str, int, bytes]
 
+#: The NumPy arrays a decoded vector may hold (numeric values and
+#: validity, dictionary codes); admission makes each read-only.
+_VECTOR_ARRAYS = ("values", "_valid", "codes")
+
 
 class ChunkCache(CacheTier):
     """Byte-bounded map from chunk content to its decoded vector."""
@@ -60,8 +64,20 @@ class ChunkCache(CacheTier):
         return super().get(key)  # type: ignore[return-value]
 
     def put(self, key: ChunkKey, vector: ColumnVector) -> bool:  # type: ignore[override]
-        """Admit one decoded vector, charged at its real byte footprint."""
-        return super().put(key, vector, vector.nbytes)
+        """Admit one decoded vector, charged at its real byte footprint.
+
+        An admitted vector is shared by every later scan of the same
+        chunk, so its arrays become read-only: a write into a cached
+        chunk raises ``ValueError`` instead of corrupting every later
+        read.
+        """
+        admitted = super().put(key, vector, vector.nbytes)
+        if admitted:
+            for name in _VECTOR_ARRAYS:
+                array = getattr(vector, name, None)
+                if array is not None:
+                    array.flags.writeable = False
+        return admitted
 
 
 def default_chunk_cache(context: ExecutionContext | None = None) -> ChunkCache:

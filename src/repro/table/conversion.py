@@ -61,8 +61,8 @@ class StreamTableConverter:
         self._table = table
         self._clock = clock
         #: explicit execution context for counters; None resolves the
-        #: ambient context at each cycle (so a sharded wave that runs
-        #: this converter inside ``use_context`` still lands per shard)
+        #: ambient context at each cycle (so a caller that runs this
+        #: converter inside ``use_context`` counts into that context)
         self._context = context
         self._positions: dict[str, int] = {
             stream_id: 0
@@ -75,8 +75,7 @@ class StreamTableConverter:
 
     @property
     def clock(self) -> SimClock:
-        """The clock this converter's cycle costs are charged against
-        (per-shard in a sharded wave; see :mod:`repro.parallel.convert`)."""
+        """The clock this converter's cycle costs are charged against."""
         return self._clock
 
     # --- stream -> table -----------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.common.frozen import FrozenDict
 from repro.errors import SnapshotNotFoundError
 from repro.table.commit import CommitFile, DataFileMeta
 
@@ -21,8 +22,8 @@ class Snapshot:
     snapshot_id: int
     timestamp: float
     commit_ids: tuple[int, ...]
-    #: operation log summary (added/removed files and rows)
-    summary: dict[str, int] = field(default_factory=dict)
+    #: operation log summary (added/removed files and rows), read-only
+    summary: FrozenDict = field(default_factory=FrozenDict)
 
 
 class SnapshotLog:
@@ -52,12 +53,12 @@ class SnapshotLog:
             snapshot_id=self._next_snapshot_id,
             timestamp=commit.timestamp,
             commit_ids=previous + (commit.commit_id,),
-            summary={
+            summary=FrozenDict({
                 "added_files": len(commit.added),
                 "removed_files": len(commit.removed),
                 "added_rows": commit.added_records,
                 "total_commits": len(previous) + 1,
-            },
+            }),
         )
         self._next_snapshot_id += 1
         self._snapshots.append(snapshot)

@@ -36,6 +36,8 @@ pool reads, a commit to any referenced table silently misses (new
 snapshot id → new key), and time travel stays warm forever.  Before
 that, the hierarchy's statement map hands a repeated SQL text its first
 (frozen, shared) parse, so only fresh text reaches :func:`parse_select`.
+Result rows are read-only :class:`~repro.common.frozen.FrozenDict`
+values that the result tier and every caller share.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from repro.common.frozen import FrozenDict
 from repro.common.stats import join_stats
 from repro.errors import SchemaError
 from repro.table.agg import AggregateState
@@ -695,6 +698,13 @@ def query(lakehouse: Lakehouse, sql: str, as_of: float | None = None,
     its historical snapshot, so time travel hits a warm entry forever).
     A hit returns finished rows — zero scans, zero decodes, zero pool
     reads.
+
+    Rows are shared values: every row is a read-only
+    :class:`~repro.common.frozen.FrozenDict`, built once when the
+    statement executes and handed, the same objects, to the result tier
+    and to every caller that hits it.  The returned ``list`` is the
+    caller's own (append, sort or slice it freely); writing into a row
+    raises :class:`TypeError` — ``dict(row)`` is a mutable copy.
     """
     statement = lakehouse.cache_hierarchy.statement(sql, parse_select)
     names = (
@@ -721,6 +731,7 @@ def query(lakehouse: Lakehouse, sql: str, as_of: float | None = None,
     else:
         rows = execute_join_select(statement, lakehouse, as_of=as_of,
                                    stats=stats)
+    rows = [FrozenDict(row) for row in rows]
     if key is not None:
         # ``table.select`` already sized a single-table result for the
         # bus; renames and ORDER BY keep its values, only LIMIT drops any

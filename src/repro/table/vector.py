@@ -227,14 +227,15 @@ class DictStringVector(ColumnVector):
     def factorize(self, indices: np.ndarray | None = None
                   ) -> tuple[np.ndarray, list[object]]:
         codes = self.codes if indices is None else self.codes[indices]
-        used, inverse = np.unique(codes, return_inverse=True)
         null_code = len(self.dictionary)
-        # np.unique sorts, and the null code is the largest, so nulls
-        # (when present) land in the last slot — the factorize contract
-        uniques: list[object] = [
-            self.dictionary[code] for code in used.tolist()
-            if code != null_code
-        ]
-        if used.size and int(used[-1]) == null_code:
+        # a code is used iff its bin is non-empty; the running count of
+        # used codes renumbers them densely in code order, and the null
+        # code is the largest, so nulls (when present) land in the last
+        # slot — the factorize contract
+        mask = np.bincount(codes, minlength=null_code + 1) > 0
+        dense = np.cumsum(mask, dtype=np.intp) - 1
+        used = np.flatnonzero(mask[:-1]).tolist()
+        uniques: list[object] = [self.dictionary[code] for code in used]
+        if mask[-1]:
             uniques.append(None)
-        return inverse.astype(np.intp, copy=False), uniques
+        return dense[codes], uniques

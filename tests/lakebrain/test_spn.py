@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lakebrain.spn import SPN
+from repro.lakebrain.spn import SPN, _ColumnData, _Leaf
 from repro.table.expr import And, Or, Predicate
 
 
@@ -158,3 +158,43 @@ def test_in_estimates_the_sum_of_its_equalities(integer_spn, column, members):
     conjunction = And(Predicate(column, "IN", members),
                       Predicate("q", ">=", 0))
     assert 0.0 <= integer_spn.selectivity(conjunction) <= 1.0
+
+
+def loop_probability(leaf, ranges):
+    """A histogram leaf integrated bin by bin: the oracle for the
+    vectorized ``_Leaf.probability``."""
+    bounds = ranges.get(leaf.name)
+    if bounds is None:
+        return 1.0
+    low, high = bounds
+    total = 0.0
+    for index in range(len(leaf.fractions)):
+        bin_low = leaf.edges[index]
+        bin_high = leaf.edges[index + 1]
+        overlap = min(high, bin_high) - max(low, bin_low)
+        width = bin_high - bin_low
+        if overlap <= 0 or width <= 0:
+            continue
+        total += leaf.fractions[index] * min(1.0, overlap / width)
+    return float(min(1.0, total))
+
+
+_BOUNDS = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from([-np.inf, np.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(min_value=-1e3, max_value=1e3),
+                       min_size=1, max_size=200),
+       data=st.data())
+def test_leaf_probability_matches_loop_bit_for_bit(values, data):
+    leaf = _Leaf(_ColumnData("x", np.array(values), None))
+    # finite, infinite, or exactly on a bin edge
+    bound = st.one_of(_BOUNDS, st.sampled_from(leaf.edges.tolist()))
+    low, high = data.draw(bound, label="low"), data.draw(bound, label="high")
+    ranges = {"x": (low, high)}
+    assert (leaf.probability(ranges).hex()
+            == loop_probability(leaf, ranges).hex())
+    assert leaf.probability({"y": (low, high)}) == 1.0

@@ -401,3 +401,44 @@ def test_dict_string_factorize_respects_selection():
     codes, uniques = vector.factorize(np.array([1, 2, 4]))
     assert uniques == ["a", None]
     assert codes.tolist() == [0, 1, 0]
+
+
+def _unique_factorize(vector, indices=None):
+    """The sorting factorize (``np.unique``): the oracle for the
+    ``bincount`` kernel in ``DictStringVector.factorize``."""
+    codes = vector.codes if indices is None else vector.codes[indices]
+    used, inverse = np.unique(codes, return_inverse=True)
+    null_code = len(vector.dictionary)
+    uniques = [
+        vector.dictionary[code] for code in used.tolist()
+        if code != null_code
+    ]
+    if used.size and int(used[-1]) == null_code:
+        uniques.append(None)
+    return inverse.astype(np.intp, copy=False), uniques
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dict_string_factorize_matches_unique_oracle(data):
+    from repro.table.vector import DictStringVector
+
+    size = data.draw(st.integers(0, 12), label="dictionary size")
+    # code ``size`` is NULL
+    codes = data.draw(st.lists(st.integers(0, size), max_size=40),
+                      label="codes")
+    vector = DictStringVector(
+        [f"v{index}" for index in range(size)],
+        np.array(codes, dtype=np.uint32),
+    )
+    indices = data.draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(0, max(len(codes) - 1, 0)),
+                 max_size=40 if codes else 0)
+        .map(lambda picks: np.array(picks, dtype=np.intp)),
+    ), label="indices")
+    got_codes, got_uniques = vector.factorize(indices)
+    want_codes, want_uniques = _unique_factorize(vector, indices)
+    assert got_codes.dtype == np.intp
+    assert got_codes.tolist() == want_codes.tolist()
+    assert got_uniques == want_uniques

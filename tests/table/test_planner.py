@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import json
+import pickle
 import random
 import sqlite3
 
@@ -449,8 +452,42 @@ class TestResultCache:
             self, joined_lakehouse):
         lakehouse, _, _, _ = joined_lakehouse
         first = query(lakehouse, self.SQL)
-        first[0]["n"] = -999
-        assert query(lakehouse, self.SQL)[0]["n"] != -999
+        original = first[0]["n"]
+        with pytest.raises(TypeError, match=r"dict\(row\)"):
+            first[0]["n"] = -999
+        assert query(lakehouse, self.SQL)[0]["n"] == original
+
+    def test_hit_shares_the_cached_row_objects(self, joined_lakehouse):
+        lakehouse, _, _, _ = joined_lakehouse
+        first = query(lakehouse, self.SQL)
+        hit = query(lakehouse, self.SQL)
+        assert hit is not first
+        assert len(hit) == len(first)
+        assert all(hit[i] is first[i] for i in range(len(first)))
+
+    def test_caller_list_edits_leave_the_entry_intact(
+            self, joined_lakehouse):
+        lakehouse, _, _, _ = joined_lakehouse
+        first = query(lakehouse, self.SQL)
+        expected = [dict(row) for row in first]
+        first.append({"l_flag": "Z", "n": 0})
+        first.sort(key=lambda row: row["n"])
+        hit = query(lakehouse, self.SQL)
+        assert hit == expected
+        hit.reverse()
+        del hit[0]
+        assert query(lakehouse, self.SQL) == expected
+
+    def test_rows_are_read_only_values(self, joined_lakehouse):
+        lakehouse, _, _, _ = joined_lakehouse
+        for row in query(lakehouse, self.SQL):
+            assert isinstance(row, dict)
+            assert pickle.loads(pickle.dumps(row)) == row
+            assert copy.deepcopy(row) == row
+            assert json.loads(json.dumps(row)) == row
+            mutable = dict(row)
+            mutable["n"] = -1
+            assert mutable["n"] == -1 != row["n"]
 
     def test_drop_invalidates_cached_results(self, joined_lakehouse):
         lakehouse, _, _, _ = joined_lakehouse

@@ -214,6 +214,22 @@ def test_chunk_cache_survives_serialization_roundtrip():
     assert cache.stats.misses == misses
 
 
+def test_cached_vectors_are_read_only():
+    data_file, rows = _int_string_file()
+    cache = ChunkCache()
+    vectors, _, _ = next(data_file.select_vectors(["k", "s"], cache=cache))
+    numbers, strings = vectors["k"], vectors["s"]
+    with pytest.raises(ValueError):
+        numbers.values[0] = -1
+    with pytest.raises(ValueError):
+        numbers.valid()[0] = False
+    with pytest.raises(ValueError):
+        strings.codes[0] = 0
+    # the refused writes left the shared chunks as they were
+    assert data_file.scan(cache=cache) == rows
+    assert cache.stats.hits > 0
+
+
 def test_chunk_cache_is_bounded_by_bytes():
     data_file, _ = _int_string_file()  # 4 groups x 2 columns = 8 chunks
     probe = ChunkCache()

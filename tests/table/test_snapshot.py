@@ -147,3 +147,20 @@ def test_snapshots_listing_ordered():
     commit_of(log, 2.0, added=[meta("b")])
     snapshots = log.snapshots()
     assert [s.snapshot_id for s in snapshots] == [0, 1]
+
+
+def test_snapshot_summary_is_read_only():
+    log = SnapshotLog()
+    _, snapshot = commit_of(log, 1.0, added=[meta("a")])
+    with pytest.raises(TypeError):
+        snapshot.summary["added_files"] = 99
+    with pytest.raises(TypeError):
+        snapshot.summary.update(added_rows=0)
+    assert snapshot.summary == {
+        "added_files": 1, "removed_files": 0,
+        "added_rows": 10, "total_commits": 1,
+    }
+    # a mutable copy is the caller's own
+    copied = dict(snapshot.summary)
+    copied["added_files"] = 99
+    assert log.current.summary["added_files"] == 1
