@@ -19,7 +19,7 @@ them on accuracy (q-error) and estimation cost:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import UnknownEstimatorColumnError
 from repro.lakebrain.spn import SPN
 from repro.table.expr import Expression
+from repro.table.vector import ColumnVector, NumericVector
 
 #: CPU to evaluate one predicate against one row (the scan/sample cost).
 ROW_EVAL_S = 0.4e-6
@@ -109,18 +110,26 @@ class CardinalityEstimate:
 class SPNEstimator(CardinalityEstimator):
     """The learned estimator: train once, estimate in near-constant time."""
 
-    def __init__(self, rows: Sequence[dict[str, object]], columns: list[str],
-                 sample_fraction: float = 0.01, seed: int = 0,
-                 trained_snapshot_id: int | None = None) -> None:
-        """``rows`` is indexed only at the sampled positions, so it may
-        be a lazy sequence (the planner's statistics pass one)."""
+    def __init__(self,
+                 table: "Sequence[dict[str, object]] | Mapping[str, ColumnVector | list[object]]",
+                 columns: list[str], sample_fraction: float = 0.01,
+                 seed: int = 0, trained_snapshot_id: int | None = None) -> None:
+        """Train over a sample of ``table``: row dicts, or column data as
+        ``read_columns`` returns it.  The same rows are sampled and the
+        same model learned either way; column data builds no row."""
+        by_column = isinstance(table, Mapping)
+        num_rows = len(table[columns[0]] if by_column else table)
         rng = np.random.default_rng(seed)
-        size = max(64, int(len(rows) * sample_fraction))
-        size = min(size, len(rows))
-        indices = rng.choice(len(rows), size=size, replace=False)
-        sample = [rows[i] for i in indices]
-        self._spn = SPN.learn(sample, columns, seed=seed)
-        self._spn.row_count = len(rows)
+        size = min(max(64, int(num_rows * sample_fraction)), num_rows)
+        indices = rng.choice(num_rows, size=size, replace=False)
+        if by_column:
+            self._spn = SPN.learn_columns({
+                name: _column_sample(table[name], indices) for name in columns
+            }, seed=seed)
+        else:
+            self._spn = SPN.learn([table[i] for i in indices], columns,
+                                  seed=seed)
+        self._spn.row_count = num_rows
         #: columns the SPN was trained over — the learned schema; an
         #: estimate over anything else is a typed error, not a KeyError
         self.columns = list(columns)
@@ -169,6 +178,18 @@ class SPNEstimator(CardinalityEstimator):
             trained_snapshot_id=self.trained_snapshot_id,
             current_snapshot_id=current_snapshot_id,
         )
+
+
+def _column_sample(data: "ColumnVector | list[object]",
+                   indices: np.ndarray) -> "np.ndarray | list[object]":
+    """One column's values at the sampled rows: float64 for a NULL-free
+    INT64/TIMESTAMP/FLOAT64 sample, else Python values."""
+    if (isinstance(data, NumericVector) and data.values.dtype != np.bool_
+            and data.valid()[indices].all()):
+        return data.values[indices].astype(np.float64)
+    if isinstance(data, ColumnVector):
+        return data.take(indices)
+    return list(map(data.__getitem__, indices.tolist()))
 
 
 def q_error(estimate: float, truth: float) -> float:

@@ -34,6 +34,22 @@ class _ColumnData:
     values: np.ndarray  # float codes
     categories: dict[object, int] | None  # None for native numerics
 
+    @classmethod
+    def coded(cls, name: str,
+              sample: "np.ndarray | list[object]") -> "_ColumnData":
+        """A float64 array, or a list of non-bool ints/floats, is a numeric
+        column; any other list is coded categorically in first-seen order."""
+        if not isinstance(sample, np.ndarray) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in sample):
+            sample = np.array(sample, dtype=np.float64)
+        if isinstance(sample, np.ndarray):
+            return cls(name, sample, categories=None)
+        categories = dict(zip(dict.fromkeys(sample), range(len(sample))))
+        codes = np.fromiter(map(categories.__getitem__, sample),
+                            dtype=np.float64, count=len(sample))
+        return cls(name, codes, categories=categories)
+
 
 class _Node(ABC):
     @abstractmethod
@@ -53,20 +69,20 @@ class _Leaf(_Node):
         self.edges = np.linspace(low, high, _LEAF_BINS + 1)
         counts, _ = np.histogram(values, bins=self.edges)
         self.fractions = counts / max(1, len(values))
+        self._widths = self.edges[1:] - self.edges[:-1]
 
     def probability(self, ranges: dict[str, tuple[float, float]]) -> float:
         bounds = ranges.get(self.name)
         if bounds is None:
             return 1.0
         low, high = bounds
-        bin_lows, bin_highs = self.edges[:-1], self.edges[1:]
-        overlap = np.minimum(high, bin_highs) - np.maximum(low, bin_lows)
-        width = bin_highs - bin_lows
-        keep = (overlap > 0) & (width > 0)
+        overlap = (np.minimum(high, self.edges[1:])
+                   - np.maximum(low, self.edges[:-1]))
+        keep = (overlap > 0) & (self._widths > 0)
         if not keep.any():
             return 0.0
         terms = self.fractions[keep] * np.minimum(
-            1.0, overlap[keep] / width[keep])
+            1.0, overlap[keep] / self._widths[keep])
         # summed left to right in bin order (np.sum's pairwise order can
         # move the last ulp, and join plans rank on these estimates)
         return float(min(1.0, np.cumsum(terms)[-1]))
@@ -95,13 +111,29 @@ class _Sum(_Node):
         )
 
 
+def _leaves(matrix: np.ndarray, columns: list[_ColumnData]) -> _Node:
+    """One histogram leaf per column, a product over several."""
+    leaves = [_Leaf(_ColumnData(c.name, matrix[:, i], c.categories))
+              for i, c in enumerate(columns)]
+    return leaves[0] if len(leaves) == 1 else _Product(leaves)
+
+
 class SPN:
     """Learned joint distribution of a table's columns."""
 
     def __init__(self, root: _Node, columns: list[_ColumnData],
                  row_count: int) -> None:
         self._root = root
-        self._columns = {column.name: column for column in columns}
+        #: per column: its category code map, None for a native numeric
+        self._categories = {c.name: c.categories for c in columns}
+        #: per column: the width of an ``=`` range, fixed at training — one
+        #: code, or a quarter of a leaf bin over the sample's spread
+        self._epsilons = {
+            c.name: 1.0 if c.categories is not None else max(
+                float(c.values.max() - c.values.min()) / (_LEAF_BINS * 4),
+                1e-9)
+            for c in columns
+        }
         self.row_count = row_count
 
     # --- learning -------------------------------------------------------------
@@ -109,69 +141,50 @@ class SPN:
     @classmethod
     def learn(cls, rows: list[dict[str, object]], columns: list[str],
               seed: int = 0, min_instances: int = _MIN_INSTANCES) -> "SPN":
-        """Learn an SPN from sampled rows over the named columns."""
-        if not rows:
+        """Learn an SPN from sampled rows over the named columns: a
+        rows-to-columns step in front of :meth:`learn_columns`."""
+        return cls.learn_columns(
+            {name: [row.get(name) for row in rows] for name in columns},
+            seed=seed, min_instances=min_instances,
+        )
+
+    @classmethod
+    def learn_columns(cls, samples: "dict[str, np.ndarray | list[object]]",
+                      seed: int = 0,
+                      min_instances: int = _MIN_INSTANCES) -> "SPN":
+        """Learn an SPN from equal-length column samples, in dict order
+        (see :meth:`_ColumnData.coded` for how each is coded)."""
+        data = [_ColumnData.coded(name, sample)
+                for name, sample in samples.items()]
+        if not data or not len(data[0].values):
             raise ValueError("cannot learn an SPN from zero rows")
         rng = np.random.default_rng(seed)
-        data = [cls._encode_column(rows, name) for name in columns]
         matrix = np.stack([column.values for column in data], axis=1)
         root = cls._build(matrix, data, rng, min_instances)
-        return cls(root, data, len(rows))
-
-    @staticmethod
-    def _encode_column(rows: list[dict[str, object]],
-                       name: str) -> _ColumnData:
-        raw = [row.get(name) for row in rows]
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in raw):
-            return _ColumnData(
-                name, np.array(raw, dtype=np.float64), categories=None
-            )
-        categories: dict[object, int] = {}
-        codes = np.empty(len(raw), dtype=np.float64)
-        for index, value in enumerate(raw):
-            codes[index] = categories.setdefault(value, len(categories))
-        return _ColumnData(name, codes, categories=categories)
+        return cls(root, data, len(matrix))
 
     @classmethod
     def _build(cls, matrix: np.ndarray, columns: list[_ColumnData],
                rng: np.random.Generator, min_instances: int) -> _Node:
         num_rows, num_cols = matrix.shape
-        if num_cols == 1:
-            return _Leaf(
-                _ColumnData(columns[0].name, matrix[:, 0], columns[0].categories)
-            )
-        if num_rows <= min_instances:
-            return _Product([
-                _Leaf(_ColumnData(c.name, matrix[:, i], c.categories))
-                for i, c in enumerate(columns)
-            ])
+        if num_cols == 1 or num_rows <= min_instances:
+            return _leaves(matrix, columns)
         groups = cls._independent_groups(matrix)
         if len(groups) > 1:
-            children = []
-            for group in groups:
-                sub_matrix = matrix[:, group]
-                sub_columns = [columns[i] for i in group]
-                children.append(
-                    cls._build(sub_matrix, sub_columns, rng, min_instances)
-                )
-            return _Product(children)
+            return _Product([
+                cls._build(matrix[:, group], [columns[i] for i in group],
+                           rng, min_instances)
+                for group in groups
+            ])
         labels = cls._two_means(matrix, rng)
         if labels.all() or not labels.any():
             # clustering failed to split: fall back to independence
-            return _Product([
-                _Leaf(_ColumnData(c.name, matrix[:, i], c.categories))
-                for i, c in enumerate(columns)
-            ])
-        children = []
-        weights = []
-        for flag in (False, True):
-            mask = labels == flag
-            weights.append(float(mask.mean()))
-            children.append(
-                cls._build(matrix[mask], columns, rng, min_instances)
-            )
-        return _Sum(weights, children)
+            return _leaves(matrix, columns)
+        masks = (~labels, labels)
+        return _Sum([float(mask.mean()) for mask in masks], [
+            cls._build(matrix[mask], columns, rng, min_instances)
+            for mask in masks
+        ])
 
     @staticmethod
     def _independent_groups(matrix: np.ndarray) -> list[list[int]]:
@@ -208,10 +221,8 @@ class SPN:
         centers = normalized[indices].copy()
         labels = np.zeros(len(normalized), dtype=bool)
         for _ in range(8):
-            distances = np.stack([
-                ((normalized - center) ** 2).sum(axis=1) for center in centers
-            ])
-            new_labels = distances[1] < distances[0]
+            new_labels = (((normalized - centers[1]) ** 2).sum(axis=1)
+                          < ((normalized - centers[0]) ** 2).sum(axis=1))
             if (new_labels == labels).all():
                 break
             labels = new_labels
@@ -255,7 +266,7 @@ class SPN:
         return ranges
 
     def _atom_range(self, atom: Predicate) -> tuple[float, float]:
-        epsilon = self._epsilon_of(atom.column)
+        epsilon = self._epsilons.get(atom.column, 1.0)
         if atom.op == "IN":  # the literal is a tuple: code each member
             codes = [
                 self._code_of(atom.column, value) for value in atom.literal  # type: ignore[union-attr]
@@ -269,19 +280,10 @@ class SPN:
         return (code if atom.op == ">" else code - epsilon / 2), np.inf
 
     def _code_of(self, column: str, value: object) -> float:
-        data = self._columns.get(column)
-        if data is None or data.categories is None:
+        categories = self._categories.get(column)
+        if categories is None:
             return float(value)  # type: ignore[arg-type]
-        code = data.categories.get(value)
+        code = categories.get(value)
         if code is None:
             return -1.0  # unseen category: mass outside any bin
         return float(code)
-
-    def _epsilon_of(self, column: str) -> float:
-        data = self._columns.get(column)
-        if data is None:
-            return 1.0
-        if data.categories is not None:
-            return 1.0
-        spread = float(data.values.max() - data.values.min())
-        return max(spread / (_LEAF_BINS * 4), 1e-9)

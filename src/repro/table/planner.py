@@ -162,38 +162,13 @@ class TableStatistics:
 
 
 def _distinct_count(data: "ColumnVector | list[object]") -> int:
-    """Distinct non-null values of one column's data."""
-    if isinstance(data, NumericVector):
-        return len(np.unique(data.values[data.valid()]))
-    return len(set(data) - {None})
-
-
-class _ColumnRows:
-    """A table's rows as a sequence over its column data.
-
-    A row dict is built when it is indexed, so the estimator pays for
-    the rows it samples while ``len`` — what the sample is drawn over —
-    is the whole table.
-    """
-
-    def __init__(self, columns: "dict[str, ColumnVector | list[object]]",
-                 num_rows: int) -> None:
-        self._columns = columns
-        self._num_rows = num_rows
-
-    def __len__(self) -> int:
-        return self._num_rows
-
-    def __getitem__(self, index: int) -> dict[str, object]:
-        row: dict[str, object] = {}
-        for name, data in self._columns.items():
-            if not isinstance(data, NumericVector):
-                row[name] = data[index]
-            elif data.valid()[index]:
-                row[name] = data.values[index].item()
-            else:
-                row[name] = None
-        return row
+    """Distinct non-null values; numeric data counts the runs of its sorted
+    values (``np.unique`` would hash), NaNs once as ``np.unique`` does."""
+    if not isinstance(data, NumericVector):
+        return len(set(data) - {None})
+    present = np.sort(data.values[data.valid()])
+    runs = np.count_nonzero(present[1:] != present[:-1]) + bool(len(present))
+    return int(runs) - max(int(np.count_nonzero(present != present)) - 1, 0)
 
 
 class StatisticsCache:
@@ -228,6 +203,9 @@ class StatisticsCache:
     def refresh(self, table: TableObject) -> TableStatistics:
         """(Re)train statistics at the table's current snapshot.
 
+        Reads the table as column data once: ``ndv`` comes from the
+        columns and the SPN trains on column samples, so no row dict is
+        built.
         Charges the SPN's one-time training cost to the table's clock —
         collecting statistics is modeled work, not free lookahead.
         """
@@ -236,7 +214,7 @@ class StatisticsCache:
         estimator: SPNEstimator | None = None
         if row_count:
             estimator = SPNEstimator(
-                _ColumnRows(columns, row_count), table.schema.names,
+                columns, table.schema.names,
                 sample_fraction=self.sample_fraction, seed=self.seed,
                 trained_snapshot_id=table.current_snapshot_id(),
             )

@@ -206,23 +206,22 @@ class DictStringVector(ColumnVector):
         return truth[self.codes]
 
     def take(self, indices: np.ndarray) -> list[object]:
-        dictionary = self.dictionary
-        null_code = len(dictionary)
-        return [
-            None if code == null_code else dictionary[code]
-            for code in self.codes[indices].tolist()
-        ]
+        return self._values(self.codes[indices])
 
     def gather(self, indices: np.ndarray) -> "DictStringVector":
         return DictStringVector(self.dictionary, self.codes[indices])
 
     def to_list(self) -> list[object]:
-        dictionary = self.dictionary
-        null_code = len(dictionary)
-        return [
-            None if code == null_code else dictionary[code]
-            for code in self.codes.tolist()
-        ]
+        return self._values(self.codes)
+
+    def _values(self, codes: np.ndarray) -> list[object]:
+        """Values of ``codes`` (None for the null code): one ``map``, or a
+        lookup per code when that beats copying the dictionary."""
+        if len(codes) < len(self.dictionary):
+            null_code = len(self.dictionary)
+            return [None if code == null_code else self.dictionary[code]
+                    for code in codes.tolist()]
+        return list(map([*self.dictionary, None].__getitem__, codes.tolist()))
 
     def factorize(self, indices: np.ndarray | None = None
                   ) -> tuple[np.ndarray, list[object]]:

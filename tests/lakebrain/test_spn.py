@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lakebrain.spn import SPN, _ColumnData, _Leaf
+from repro.lakebrain.cardinality import SPNEstimator
+from repro.lakebrain.spn import SPN, _ColumnData, _Leaf, _Sum
 from repro.table.expr import And, Or, Predicate
+from repro.table.vector import DictStringVector, NumericVector
 
 
 def uniform_rows(count, seed=0):
@@ -198,3 +200,170 @@ def test_leaf_probability_matches_loop_bit_for_bit(values, data):
     assert (leaf.probability(ranges).hex()
             == loop_probability(leaf, ranges).hex())
     assert leaf.probability({"y": (low, high)}) == 1.0
+
+
+# --- the column path against the row path --------------------------------
+
+
+class ColumnRows:
+    """Column data seen as a sequence of row dicts, each built when it is
+    indexed: the row path the column path is checked against.
+    ``indexed`` logs each index asked for, so a test sees the sample in
+    draw order."""
+
+    def __init__(self, columns, num_rows):
+        self._columns = columns
+        self._num_rows = num_rows
+        self.indexed = []
+
+    def __len__(self):
+        return self._num_rows
+
+    def __getitem__(self, index):
+        self.indexed.append(index)
+        row = {}
+        for name, data in self._columns.items():
+            if isinstance(data, list):
+                row[name] = data[index]
+            elif isinstance(data, DictStringVector):
+                row[name] = data.take(np.array([index]))[0]
+            elif data.valid()[index]:
+                row[name] = data.values[index].item()
+            else:
+                row[name] = None
+        return row
+
+
+_INT64 = st.one_of(
+    st.integers(-1000, 1000),
+    st.sampled_from([-2**63, 2**63 - 1, 2**53 + 1, -2**53 - 1]),
+)
+_FLOAT64 = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([-0.0, 0.0, 1e150, -1e150, 5e-324]),
+)
+_STRING = st.sampled_from(["a", "b", "c", "", "zz"])
+_KINDS = {
+    # kind -> (value strategy, NumPy dtype or None for a string column)
+    "int": (_INT64, np.int64),
+    "timestamp": (st.integers(1_600_000_000, 1_700_000_000), np.int64),
+    "float": (_FLOAT64, np.float64),
+    "bool": (st.booleans(), np.bool_),
+    "string": (_STRING, None),
+    "dict_string": (_STRING, None),
+}
+
+
+@st.composite
+def column_tables(draw):
+    """Typed column data as ``read_columns`` returns it, plus its size."""
+    num_rows = draw(st.integers(1, 200), label="num_rows")
+    kinds = draw(st.lists(st.sampled_from(sorted(_KINDS)), min_size=1,
+                          max_size=4), label="kinds")
+    columns = {}
+    for index, kind in enumerate(kinds):
+        strategy, dtype = _KINDS[kind]
+        values = draw(st.lists(strategy, min_size=num_rows,
+                               max_size=num_rows), label=kind)
+        # no NULL, a few (a sample may miss them all) or any number
+        nulls = draw(st.one_of(
+            st.just(set()),
+            st.sets(st.integers(0, num_rows - 1), max_size=2),
+            st.sets(st.integers(0, num_rows - 1)),
+        ), label=f"{kind} nulls")
+        values = [None if i in nulls else v for i, v in enumerate(values)]
+        name = f"{kind}{index}"
+        if kind == "string":
+            columns[name] = values
+        elif kind == "dict_string":
+            dictionary = list(dict.fromkeys(v for v in values if v is not None))
+            codes = [len(dictionary) if v is None else dictionary.index(v)
+                     for v in values]
+            columns[name] = DictStringVector(
+                dictionary, np.array(codes, dtype=np.uint32))
+        else:
+            valid = np.array([v is not None for v in values], dtype=bool)
+            filler = dtype(0)
+            columns[name] = NumericVector(
+                np.array([filler if v is None else v for v in values],
+                         dtype=dtype), valid)
+    return columns, num_rows
+
+
+def spn_structure(node):
+    """A node's whole model, floats as bytes/hex (bit-for-bit equality)."""
+    if isinstance(node, _Leaf):
+        return ("leaf", node.name, node.edges.tobytes(),
+                node.fractions.tobytes())
+    children = tuple(spn_structure(child) for child in node.children)
+    if isinstance(node, _Sum):
+        return ("sum", tuple(w.hex() for w in node.weights), children)
+    return ("product", children)
+
+
+def category_maps(spn, columns):
+    """Each column's code map in insertion order, keys by type and repr
+    (so ``-0.0`` kept in place of ``0.0`` is a difference)."""
+    return {
+        name: None if spn._categories[name] is None else [
+            (type(key).__name__, repr(key), code)
+            for key, code in spn._categories[name].items()
+        ]
+        for name in columns
+    }
+
+
+def first_seen_codes(values):
+    """The categorical oracle: number values one by one, first seen first."""
+    codes = {}
+    for value in values:
+        codes.setdefault(value, len(codes))
+    return [(type(key).__name__, repr(key), code)
+            for key, code in codes.items()]
+
+
+@st.composite
+def predicates_over(draw, columns, num_rows):
+    atoms = []
+    for name in draw(st.lists(st.sampled_from(sorted(columns)), min_size=1,
+                              max_size=3), label="predicate columns"):
+        data = columns[name]
+        row = draw(st.integers(0, num_rows - 1), label="literal row")
+        literal = ColumnRows(columns, num_rows)[row][name]
+        if literal is None:  # a NULL-free sample may code it as a number
+            literal = 0 if isinstance(data, NumericVector) else "a"
+        op = draw(st.sampled_from(["=", "<", "<=", ">", ">=", "IN"]))
+        atoms.append(Predicate(name, op, (literal,) if op == "IN" else literal))
+    return atoms[0] if len(atoms) == 1 else And(*atoms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=column_tables(),
+       sample_fraction=st.sampled_from([0.01, 0.3, 1.0]),
+       seed=st.integers(0, 3), data=st.data())
+def test_column_path_learns_the_row_path_model_bit_for_bit(
+        table, sample_fraction, seed, data):
+    columns, num_rows = table
+    names = list(columns)
+    rows = ColumnRows(columns, num_rows)
+    oracle = SPNEstimator(rows, names, sample_fraction=sample_fraction,
+                          seed=seed)
+    learned = SPNEstimator(columns, names, sample_fraction=sample_fraction,
+                           seed=seed)
+    assert (spn_structure(learned._spn._root)
+            == spn_structure(oracle._spn._root))
+    assert (category_maps(learned._spn, names)
+            == category_maps(oracle._spn, names))
+    assert learned._spn.row_count == oracle._spn.row_count == num_rows
+    assert learned.training_cost_s.hex() == oracle.training_cost_s.hex()
+    sample = [ColumnRows(columns, num_rows)[i] for i in rows.indexed]
+    for name in names:
+        if learned._spn._categories[name] is not None:
+            assert (category_maps(learned._spn, [name])[name]
+                    == first_seen_codes(row[name] for row in sample))
+        assert (learned._spn._epsilons[name].hex()
+                == oracle._spn._epsilons[name].hex())
+    for _ in range(4):
+        predicate = data.draw(predicates_over(columns, num_rows))
+        assert (learned.cardinality(predicate).hex()
+                == oracle.cardinality(predicate).hex())

@@ -8,7 +8,9 @@ import pickle
 import random
 import sqlite3
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.context import current_context
 from repro.common.stats import join_stats
@@ -20,12 +22,14 @@ from repro.table.planner import (
     JoinQuery,
     StatisticsCache,
     TableRef,
+    _distinct_count,
     plan_join,
     planner_statistics,
 )
 from repro.table.schema import Column, ColumnType, Schema
 from repro.table.sql import SQLError, query
 from repro.table.table import Lakehouse
+from repro.table.vector import NumericVector
 from repro.workloads import tpch
 from rowwise import join_rows, select_rows
 
@@ -252,6 +256,44 @@ class TestPlanJoin:
         assert entry.row_count == 0
         assert entry.ndv == {"s_suppkey": 0, "s_nation": 0}
         assert entry.estimator is None
+
+
+_NDV_VALUES = {
+    np.int64: st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]),
+    ),
+    np.float64: st.one_of(
+        st.sampled_from([-0.0, 0.0, 1.0, -1.0, 5e-324, float("inf"),
+                         float("-inf"), 1.7976931348623157e308]),
+        st.floats(-10, 10, allow_nan=False),
+    ),
+    np.bool_: st.booleans(),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from(list(_NDV_VALUES)))
+def test_distinct_count_equals_the_set_of_present_values(data, dtype):
+    """Counting sorted runs is ``len(set(values) - {None})``: extremes,
+    signed zeros, NULL masks, empty and all-NULL columns."""
+    values = data.draw(st.lists(_NDV_VALUES[dtype], max_size=40))
+    valid = data.draw(st.lists(st.booleans(), min_size=len(values),
+                               max_size=len(values)))
+    vector = NumericVector(np.array(values, dtype=dtype),
+                           np.array(valid, dtype=bool))
+    assert _distinct_count(vector) == len(set(vector.to_list()) - {None})
+    strings = [str(v) if ok else None for v, ok in zip(values, valid)]
+    assert _distinct_count(strings) == len(set(strings) - {None})
+
+
+def test_distinct_count_counts_nan_once():
+    """NaNs are one value, as ``np.unique`` counts them."""
+    values = np.array([np.nan, 1.0, np.nan, -np.nan, 1.0, 2.0])
+    vector = NumericVector(values, np.ones(len(values), dtype=bool))
+    assert _distinct_count(vector) == len(np.unique(values)) == 3
+    only_nan = NumericVector(values[[0, 2]], np.ones(2, dtype=bool))
+    assert _distinct_count(only_nan) == 1
 
 
 class TestJoinSQL:
