@@ -1,47 +1,34 @@
-"""Multi-tier adaptive cache hierarchy (ROADMAP item 5).
+"""The read path's cache hierarchy: one owner, one eviction rule.
 
 The paper's read path wins by keeping hot data close to compute — SSD/SCM
 tiers below, KV-accelerated metadata beside, decoded working sets above
-(Fig 15).  This package turns the repro's single decoded-chunk LRU into a
-real hierarchy:
+(Fig 15).  This package holds that hierarchy:
 
-* :mod:`repro.cache.policy` — pluggable eviction (LRU / LFU / ARC behind
-  one :class:`~repro.cache.policy.EvictionPolicy` interface) plus the
-  :class:`~repro.cache.policy.AccessTracker` recency/frequency machinery
-  shared by the tiering service and the prefetcher;
 * :mod:`repro.cache.tier` — :class:`~repro.cache.tier.CacheTier`, one
   byte-accurate bounded cache level with hit/miss/eviction/rejection
-  counters;
+  counters, evicting by ARC (the only rule; there is no policy knob);
 * :mod:`repro.cache.hierarchy` — :class:`~repro.cache.hierarchy.
-  CacheHierarchy`, the compressed-block + footer tiers wired above the
-  storage pool (the decoded-chunk tier sits on top, in
-  :mod:`repro.table.chunkcache`);
+  CacheHierarchy`, the one owner of all four tiers (decoded chunks,
+  opened data files, parsed footers, query results) wired above the
+  storage pool;
+* :mod:`repro.cache.access` — the :class:`~repro.cache.access.
+  AccessTracker` recency/frequency machinery shared by the tiering
+  service and the prefetcher;
 * :mod:`repro.cache.prefetch` — the LakeBrain-driven
   :class:`~repro.cache.prefetch.LakeBrainPrefetcher` promoting
   predicted-hot files ahead of scheduled scans at background bus
   priority.
 
-Only the policy/tier layers import here: the hierarchy and prefetcher
-modules sit above :mod:`repro.table` / :mod:`repro.storage` and are
-imported from their own module paths to keep the import graph acyclic.
+Only the tier and access layers import here: the hierarchy and
+prefetcher modules sit above :mod:`repro.table` / :mod:`repro.storage`
+and are imported from their own module paths to keep the import graph
+acyclic.
 """
 
-from repro.cache.policy import (
-    AccessTracker,
-    ARCPolicy,
-    EvictionPolicy,
-    LFUPolicy,
-    LRUPolicy,
-    make_policy,
-)
+from repro.cache.access import AccessTracker
 from repro.cache.tier import CacheTier
 
 __all__ = [
     "AccessTracker",
-    "ARCPolicy",
     "CacheTier",
-    "EvictionPolicy",
-    "LFUPolicy",
-    "LRUPolicy",
-    "make_policy",
 ]

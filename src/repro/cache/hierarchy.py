@@ -1,8 +1,19 @@
-"""The block, footer and result cache tiers above the storage pool.
+"""The four cache tiers of the read path, under one owner.
 
 A :class:`CacheHierarchy` sits between the table read path and the
-storage pool and holds three tiers of the cache hierarchy:
+storage pool and holds every tier of the cache hierarchy, each a
+:class:`~repro.cache.tier.CacheTier` evicting by the one ARC rule:
 
+* the **chunk tier** caches decoded column chunks
+  (:class:`~repro.table.vector.ColumnVector`), keyed by content
+  (:data:`ChunkKey`: column type, row count and the compressed blob
+  itself), so a key is stable across ``ColumnarFile.from_bytes`` round
+  trips and can never alias distinct data — a file re-fetched after a
+  block-tier eviction still finds its chunks decoded.  A resident file
+  hands over the same blob objects on every query and CPython caches a
+  bytes object's hash, so its lookups never re-hash a blob.  Each entry
+  is charged the vector's real footprint, and :func:`admit_chunk` makes
+  an admitted vector's arrays read-only;
 * the **block tier** caches opened data files
   (:class:`~repro.table.columnar.ColumnarFile`), each charged its
   serialized payload's length — a hit skips the bus/pool read (and any
@@ -20,13 +31,11 @@ storage pool and holds three tiers of the cache hierarchy:
   copies no row and callers cannot corrupt the entry — a write into a
   row raises instead.
 
-It also keeps a bounded map from raw SQL text to its parsed statement
-(:meth:`statement`), so a repeated statement skips the SQL front end.
-
-The decoded-chunk tier (:mod:`repro.table.chunkcache`) sits on top;
-together they model the paper's "keep hot data close to compute"
+Together they model the paper's "keep hot data close to compute"
 hierarchy (SSD/SCM tiers, KV metadata acceleration, decoded working
-sets per Fig 15).
+sets per Fig 15).  The hierarchy also keeps a bounded map from raw SQL
+text to its parsed statement (:meth:`statement`), so a repeated
+statement skips the SQL front end.
 
 Block and footer entries are keyed by ``(pool token, path)`` — the
 token is a process-unique id stamped on each :class:`~repro.storage.
@@ -36,14 +45,14 @@ deletions (snapshot expiry, table drop) must call :meth:`invalidate`;
 live snapshots never rewrite a path in place, so cached entries stay
 valid for as long as the path exists.
 
-Every access is also recorded in an :class:`~repro.cache.policy.
+Every file access is also recorded in an :class:`~repro.cache.access.
 AccessTracker`, which feeds the LakeBrain prefetcher's hotness scores
 (:mod:`repro.cache.prefetch`).
 
-Like the chunk cache, the *default* hierarchy is per execution context
+The *default* hierarchy is per execution context
 (:func:`default_hierarchy`): tier counters register as
-``table.block_cache`` / ``table.footer_cache`` /
-``table.result_cache`` in the context's cache registry and fold back
+``table.chunk_cache`` / ``table.block_cache`` / ``table.footer_cache``
+/ ``table.result_cache`` in the context's cache registry and fold back
 additively on shard join.
 """
 
@@ -52,15 +61,17 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Callable, TypeVar
 
-from repro.cache.policy import AccessTracker
+from repro.cache.access import AccessTracker
 from repro.cache.tier import CacheTier
 from repro.common.context import CacheConfig, ExecutionContext, current_context
 
 if TYPE_CHECKING:  # pragma: no cover - layering guard (typing only)
     from repro.storage.pool import StoragePool
     from repro.table.columnar import ColumnarFile, FileFooter
+    from repro.table.vector import ColumnVector
 
 #: Stats-registry names of the hierarchy tiers.
+CHUNK_CACHE_NAME = "table.chunk_cache"
 BLOCK_CACHE_NAME = "table.block_cache"
 FOOTER_CACHE_NAME = "table.footer_cache"
 RESULT_CACHE_NAME = "table.result_cache"
@@ -73,6 +84,13 @@ RESULT_CACHE_NAME = "table.result_cache"
 #: pool token keeps same-named tables in *different* lakehouses (whose
 #: snapshot counters both start at 0) from aliasing each other.
 ResultKey = tuple[str, tuple[tuple[str, int, int], ...]]
+
+#: Chunk-tier key: (column type tag, row count, compressed chunk blob).
+ChunkKey = tuple[str, int, bytes]
+
+#: The NumPy arrays a decoded vector may hold (numeric values and
+#: validity, dictionary codes); admission makes each read-only.
+_VECTOR_ARRAYS = ("values", "_valid", "codes")
 
 #: Parsed statements kept per hierarchy; the oldest is dropped first.
 STATEMENT_CACHE_ENTRIES = 1024
@@ -94,28 +112,44 @@ def _pool_token(pool: "StoragePool") -> int:
     return token
 
 
+def admit_chunk(chunks: CacheTier, key: ChunkKey,
+                vector: "ColumnVector") -> None:
+    """Admit one decoded vector to a chunk tier at its real footprint.
+
+    An admitted vector is shared by every later scan of the same chunk,
+    so its arrays become read-only: a write into a cached chunk raises
+    ``ValueError`` instead of corrupting every later read.
+    """
+    if chunks.put(key, vector, vector.nbytes):
+        for name in _VECTOR_ARRAYS:
+            array = getattr(vector, name, None)
+            if array is not None:
+                array.flags.writeable = False
+
+
 class CacheHierarchy:
-    """Block, footer and result tiers with byte accounting and access
-    tracking."""
+    """Chunk, block, footer and result tiers with byte accounting and
+    access tracking."""
 
     def __init__(self, config: CacheConfig | None = None,
                  context: ExecutionContext | None = None) -> None:
         context = context if context is not None else current_context()
         config = config if config is not None else context.cache_config
         self.config = config
+        self.chunks = CacheTier(
+            CHUNK_CACHE_NAME, config.chunk_capacity_bytes,
+            stats=context.cache_stats(CHUNK_CACHE_NAME),
+        )
         self.blocks = CacheTier(
             BLOCK_CACHE_NAME, config.block_capacity_bytes,
-            policy=config.block_policy,
             stats=context.cache_stats(BLOCK_CACHE_NAME),
         )
         self.footers = CacheTier(
             FOOTER_CACHE_NAME, config.footer_capacity_bytes,
-            policy=config.footer_policy,
             stats=context.cache_stats(FOOTER_CACHE_NAME),
         )
         self.results = CacheTier(
             RESULT_CACHE_NAME, config.result_capacity_bytes,
-            policy=config.result_policy,
             stats=context.cache_stats(RESULT_CACHE_NAME),
         )
         self.accesses = AccessTracker(window_s=config.access_window_s)
@@ -316,6 +350,7 @@ class CacheHierarchy:
         self.accesses.forget(key)
 
     def clear(self) -> None:
+        self.chunks.clear()
         self.blocks.clear()
         self.footers.clear()
         self.results.clear()
@@ -325,9 +360,9 @@ class CacheHierarchy:
 
 def default_hierarchy(context: ExecutionContext | None = None
                       ) -> CacheHierarchy:
-    """The owning context's hierarchy (created lazily, like the default
-    chunk cache), so parallel shards never share tier state and their
-    counters fold back on join."""
+    """The owning context's hierarchy (created lazily, with capacities
+    from ``context.cache_config``), so parallel shards never share tier
+    state and their counters fold back on join."""
     context = context if context is not None else current_context()
     hierarchy = context.cache_hierarchy
     if hierarchy is None:

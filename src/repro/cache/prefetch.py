@@ -3,7 +3,7 @@
 Section VI: LakeBrain observes access patterns and schedules background
 work so foreground queries find their data already staged.  The
 :class:`LakeBrainPrefetcher` closes that loop for the cache hierarchy:
-the hierarchy's :class:`~repro.cache.policy.AccessTracker` records every
+the hierarchy's :class:`~repro.cache.access.AccessTracker` records every
 file touch during scans, the prefetcher scores live data files by
 EWMA frequency with recency decay (the same ``0.8 f + 0.2`` smoothing
 LakeBrain's compaction service uses), and promotes the top-K

@@ -16,9 +16,9 @@ mutates while processing its shard of the work:
   :class:`~repro.common.stats.AggregationStats`,
   :class:`~repro.common.stats.FaultStats`) and the named cache-counter
   registry;
-* a slot for the decoded-chunk cache
-  (:func:`repro.table.chunkcache.default_chunk_cache` creates it lazily
-  per context, so shards never share LRU state);
+* a slot for the cache hierarchy
+  (:func:`repro.cache.hierarchy.default_hierarchy` creates it lazily
+  per context, so shards never share tier state);
 * a seeded :class:`random.Random` for any stochastic decisions a worker
   makes (deterministic per shard);
 * a :class:`~repro.common.clock.SimClock` handle, so a shard worker
@@ -60,35 +60,25 @@ from repro.common.units import MiB
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.cache.hierarchy import CacheHierarchy
-    from repro.table.chunkcache import ChunkCache
-
-#: Default decoded-chunk cache capacity per context, in **bytes**;
-#: mirrors :data:`repro.table.chunkcache.DEFAULT_CAPACITY_BYTES` without
-#: importing it (the table layer sits above the commons).
-DEFAULT_CHUNK_CACHE_CAPACITY = 128 * MiB
 
 
 @dataclass
 class CacheConfig:
-    """Per-context knobs for every cache tier (capacities in bytes).
+    """Per-context byte capacities of the four cache tiers.
 
-    The three tiers of the hierarchy — decoded chunks on top, compressed
-    blocks above the pool, parsed footers beside them — each get a byte
-    capacity and an eviction policy name ("lru"/"lfu"/"arc"; see
-    :mod:`repro.cache.policy`).  ``access_window_s`` bounds the sliding
-    hit window of the hierarchy's access tracker, which feeds the
-    LakeBrain prefetcher's hotness scores.
+    The hierarchy (:mod:`repro.cache.hierarchy`) holds decoded chunks on
+    top, opened data files above the pool, parsed footers beside them
+    and whole query results; every tier evicts by ARC, so a capacity is
+    all a tier takes.  ``access_window_s`` bounds the sliding hit window
+    of the hierarchy's access tracker, which feeds the LakeBrain
+    prefetcher's hotness scores.
     """
 
-    chunk_capacity_bytes: int = DEFAULT_CHUNK_CACHE_CAPACITY
+    chunk_capacity_bytes: int = 128 * MiB
     block_capacity_bytes: int = 64 * MiB
     footer_capacity_bytes: int = 8 * MiB
     #: snapshot-keyed query result tier (normalized SQL + snapshot ids)
     result_capacity_bytes: int = 16 * MiB
-    chunk_policy: str = "lru"
-    block_policy: str = "lru"
-    footer_policy: str = "lru"
-    result_policy: str = "lru"
     access_window_s: float = 600.0
 
 
@@ -113,8 +103,6 @@ class ExecutionContext:
         self.cache_config = (
             cache_config if cache_config is not None else CacheConfig()
         )
-        #: lazily created by :func:`repro.table.chunkcache.default_chunk_cache`
-        self.chunk_cache: "ChunkCache | None" = None
         #: lazily created by :func:`repro.cache.hierarchy.default_hierarchy`
         self.cache_hierarchy: "CacheHierarchy | None" = None
 
@@ -122,14 +110,13 @@ class ExecutionContext:
         """Reconfigure this context's cache tiers (per-context, not global).
 
         Accepts any :class:`CacheConfig` field as a keyword argument
-        (``chunk_capacity_bytes``, ``block_policy``, …), applies the
-        changes, and drops the lazily-built chunk cache and hierarchy so
-        they rebuild with the new capacities/policies on next use.
+        (``chunk_capacity_bytes``, ``block_capacity_bytes``, …), applies
+        the changes, and drops the lazily-built hierarchy so it rebuilds
+        with the new capacities on next use.
         Counters registered in :attr:`caches` survive — they are
         cumulative per context, not per cache instance.
         """
         self.cache_config = replace(self.cache_config, **changes)  # type: ignore[arg-type]
-        self.chunk_cache = None
         self.cache_hierarchy = None
         return self.cache_config
 

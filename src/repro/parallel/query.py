@@ -6,7 +6,7 @@ plans, prunes and fetches every file on the driver, and the fan-out
 decides only *where* each file's read runs.  Files bucket over workers
 by ``shard_of(file path)`` (:mod:`repro.parallel.partition`) and each
 bucket runs on a :class:`~repro.parallel.executor.ShardPool` inside a
-**forked execution context** — its own counters, chunk cache, RNG and
+**forked execution context** — its own counters, cache tiers, RNG and
 clock — so nothing is shared hot.  The per-file pieces come back to
 the driver, which merges them in scan-plan order exactly as the inline
 scan does, and each shard's counters fold back into the parent
@@ -27,10 +27,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.cache.hierarchy import CHUNK_CACHE_NAME, default_hierarchy
 from repro.common.context import ExecutionContext, current_context, use_context
 from repro.parallel.executor import ShardPool
 from repro.parallel.partition import WorkPartitioner
-from repro.table.chunkcache import default_chunk_cache
 from repro.table.columnar import ColumnarFile
 from repro.table.expr import Expression
 from repro.table.pushdown import AggregateSpec
@@ -63,9 +63,9 @@ def _run_shard(task: tuple[ExecutionContext, FileWork, list[ColumnarFile]]
     context, work, files = task
     started = time.perf_counter()
     with use_context(context):
-        cache = default_chunk_cache(context)
-        results = [work(data_file, cache) for data_file in files]
-    context.chunk_cache = None
+        chunks = default_hierarchy(context).chunks
+        results = [work(data_file, chunks) for data_file in files]
+    context.cache_hierarchy = None
     return results, context, time.perf_counter() - started
 
 
@@ -118,9 +118,8 @@ def sharded_select(
         ):
             by_position.update(zip(bucket, results))
             context.merge(shard)
-            chunk = shard.cache_stats("table.chunk_cache")
-            stats.chunk_cache_hits += chunk.hits
-            stats.chunk_cache_misses += chunk.misses
+            chunk = shard.cache_stats(CHUNK_CACHE_NAME)
+            stats.count_lookups("chunk", chunk.hits, chunk.misses)
             shard_walls.append(wall_s)
         # each worker reads its files serially; the wave costs the slowest
         wave_s = max(

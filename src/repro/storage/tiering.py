@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.policy import AccessTracker
+from repro.cache.access import AccessTracker
 from repro.common.clock import SimClock
 from repro.storage.bus import BACKGROUND_PRIORITY, DataBus
 from repro.storage.pool import StoragePool
@@ -44,7 +44,7 @@ class TieringService:
     """Moves extents between a hot (SSD) and a cold (HDD) pool.
 
     Access recency/frequency is tracked with the cache layer's
-    :class:`~repro.cache.policy.AccessTracker` — the same sliding-window
+    :class:`~repro.cache.access.AccessTracker` — the same sliding-window
     machinery the LakeBrain prefetcher scores from — with the window
     bound to ``policy.promote_window_s``.
     """

@@ -10,7 +10,6 @@ the messaging service.
 from repro.table.schema import Column, ColumnType, PartitionSpec, Schema
 from repro.table.vector import ColumnVector, DictStringVector, NumericVector
 from repro.table.expr import And, Or, Predicate, parse_predicate
-from repro.table.chunkcache import ChunkCache, default_chunk_cache
 from repro.table.columnar import ColumnarFile, FileFooter, ROW_GROUP_SIZE
 from repro.table.commit import CommitFile, DataFileMeta
 from repro.table.snapshot import Snapshot, SnapshotLog
@@ -43,8 +42,6 @@ __all__ = [
     "ColumnVector",
     "NumericVector",
     "DictStringVector",
-    "ChunkCache",
-    "default_chunk_cache",
     "CommitFile",
     "DataFileMeta",
     "Snapshot",

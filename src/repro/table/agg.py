@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cache.tier import CacheTier
 from repro.common.stats import aggregation_stats
-from repro.table.chunkcache import ChunkCache
 from repro.table.columnar import ColumnarFile, FileFooter
 from repro.table.expr import Expression
 from repro.table.pushdown import AggregateSpec, result_labels
@@ -373,7 +373,7 @@ def footer_state(footer: FileFooter | ColumnarFile,
 def aggregate_file(data_file: ColumnarFile, specs: list[AggregateSpec],
                    labels: list[str] | None = None,
                    predicate: Expression | None = None,
-                   cache: ChunkCache | None = None) -> AggregateState:
+                   cache: CacheTier | None = None) -> AggregateState:
     """One file's partial aggregates, built per row group.
 
     The returned state merges with other files' states

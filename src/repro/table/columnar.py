@@ -76,8 +76,8 @@ fields (provinces, URLs, flags) tiny.
 
 Scanning evaluates an :class:`~repro.table.expr.Expression` with row-group
 skipping first (footer stats), then a vectorized filter: chunks decode to
-typed :mod:`~repro.table.vector` column vectors (cached in a bounded LRU,
-see :mod:`~repro.table.chunkcache`), the predicate evaluates as NumPy
+typed :mod:`~repro.table.vector` column vectors (cached in the chunk
+tier, see :mod:`~repro.cache.hierarchy`), the predicate evaluates as NumPy
 masks, and only the surviving row indices materialize Python objects
 (late materialization).  The chunk codec has one encoder and one
 decoder; the row-at-a-time scan that the vector path is tested against
@@ -94,8 +94,9 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from repro.cache.hierarchy import admit_chunk, default_hierarchy
+from repro.cache.tier import CacheTier
 from repro.errors import CorruptionError, SchemaError
-from repro.table.chunkcache import ChunkCache, default_chunk_cache
 from repro.table.expr import Expression
 from repro.table.schema import ColumnType, Schema
 from repro.table.vector import ColumnVector, DictStringVector, NumericVector
@@ -757,8 +758,8 @@ class ColumnarFile:
         return projection, needed
 
     def _vector(self, group: _RowGroup, name: str,
-                cache: ChunkCache) -> ColumnVector:
-        """Decoded vector for one chunk, via the bounded LRU cache.
+                cache: CacheTier) -> ColumnVector:
+        """Decoded vector for one chunk, via the chunk tier ``cache``.
 
         The key is content-addressed (type, row count, compressed blob)
         so it stays valid across ``from_bytes`` round trips of the same
@@ -770,12 +771,12 @@ class ColumnarFile:
         vector = cache.get(key)
         if vector is None:
             vector = _decode_vector(blob, type_, group.num_rows)
-            cache.put(key, vector)
+            admit_chunk(cache, key, vector)
         return vector
 
     def scan(self, predicate: Expression | None = None,
              columns: list[str] | None = None,
-             cache: ChunkCache | None = None) -> list[dict[str, object]]:
+             cache: CacheTier | None = None) -> list[dict[str, object]]:
         """Return matching rows, projecting to ``columns`` when given.
 
         Row groups whose footer statistics rule out the predicate are
@@ -785,7 +786,7 @@ class ColumnarFile:
         (late materialization).
         """
         projection, _ = self._validate_projection(predicate, columns)
-        cache = cache if cache is not None else default_chunk_cache()
+        cache = cache if cache is not None else default_hierarchy().chunks
         out: list[dict[str, object]] = []
         for group in self._groups:
             if predicate is not None and not predicate.possibly_matches(group.stats):
@@ -820,7 +821,7 @@ class ColumnarFile:
 
     def select_vectors(self, columns: list[str],
                        predicate: Expression | None = None,
-                       cache: ChunkCache | None = None):
+                       cache: CacheTier | None = None):
         """Vectorized column access: per surviving row group, yield
         ``(vectors, mask, num_rows)`` without building a single row.
 
@@ -833,7 +834,7 @@ class ColumnarFile:
         aggregation engine (:mod:`repro.table.agg`).
         """
         self._validate_projection(predicate, columns)
-        cache = cache if cache is not None else default_chunk_cache()
+        cache = cache if cache is not None else default_hierarchy().chunks
         for group in self._groups:
             if predicate is not None and not predicate.possibly_matches(
                 group.stats
@@ -867,11 +868,11 @@ class ColumnarFile:
         ]
 
     def count(self, predicate: Expression | None = None,
-              cache: ChunkCache | None = None) -> int:
+              cache: CacheTier | None = None) -> int:
         """Pushed-down COUNT(*): mask sums only, no row dicts are built."""
         if predicate is None:
             return self.num_rows
-        cache = cache if cache is not None else default_chunk_cache()
+        cache = cache if cache is not None else default_hierarchy().chunks
         total = 0
         for group in self._groups:
             if not predicate.possibly_matches(group.stats):
@@ -893,18 +894,18 @@ class ColumnarFile:
     def group_stats(self) -> list[dict[str, tuple[object, object]]]:
         return [dict(group.stats) for group in self._groups]
 
-    def to_columns(self, cache: ChunkCache | None = None
+    def to_columns(self, cache: CacheTier | None = None
                    ) -> "dict[str, ColumnVector | list[object]]":
         """Decode the whole file to per-column data (compaction path).
 
         Numeric/bool/timestamp columns come back as one concatenated
         :class:`NumericVector` per column; string columns materialize to
         Python lists (their re-encoding needs the values regardless).
-        Chunk decodes go through the shared LRU ``cache``, so files that
+        Chunk decodes go through the chunk tier ``cache``, so files that
         were recently scanned merge without re-decompressing anything.
         The result feeds :meth:`from_columns` without ever building a row.
         """
-        cache = cache if cache is not None else default_chunk_cache()
+        cache = cache if cache is not None else default_hierarchy().chunks
         out: dict[str, ColumnVector | list[object]] = {}
         for column in self.schema.columns:
             if column.type is ColumnType.STRING:

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cache.tier import CacheTier
 from repro.common.stats import join_stats
-from repro.table.chunkcache import ChunkCache
 from repro.table.columnar import ColumnarFile
 from repro.table.expr import Expression
 from repro.table.vector import ColumnVector, DictStringVector, NumericVector
@@ -127,7 +127,7 @@ class ColumnSet:
     def from_file(cls, data_file: ColumnarFile,
                   columns: list[str] | None = None,
                   predicate: Expression | None = None,
-                  cache: ChunkCache | None = None) -> "ColumnSet":
+                  cache: CacheTier | None = None) -> "ColumnSet":
         """Decode (a projection of) one data file, predicate applied.
 
         Surviving rows gather at the vector level — no row dicts.

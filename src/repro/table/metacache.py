@@ -116,7 +116,7 @@ class AcceleratedMetadataStore(MetadataStore):
         self.flushed_commits = 0
         #: commit manifests served from the KV write cache (hits) vs from
         #: MetaFresher merged files on disk (misses) — counted in the
-        #: current execution context, beside the decoded-chunk cache's
+        #: current execution context, beside the chunk tier's
         self.read_stats = cache_stats("table.meta_cache")
 
     def record_commit(self, table_path: str, commit: CommitFile,

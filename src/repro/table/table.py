@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from repro.cache.hierarchy import CacheHierarchy, default_hierarchy
+from repro.cache.tier import CacheTier
 from repro.common.clock import SimClock
 from repro.common.context import ExecutionContext
 from repro.common.stats import aggregation_stats
@@ -45,7 +46,6 @@ from repro.table.agg import (
     footer_state,
 )
 from repro.table.catalog import Catalog, TableInfo
-from repro.table.chunkcache import ChunkCache, default_chunk_cache
 from repro.table.colbuild import columns_from_rows
 from repro.table.columnar import (
     ColumnarFile,
@@ -94,10 +94,17 @@ class QueryStats:
     def total_cost_s(self) -> float:
         return self.metadata_cost_s + self.data_cost_s
 
+    def count_lookups(self, tier: str, hits: int, misses: int) -> None:
+        """Add one cache tier's lookups (``tier`` is ``"chunk"``,
+        ``"block"`` or ``"footer"``)."""
+        hits_field, misses_field = f"{tier}_cache_hits", f"{tier}_cache_misses"
+        setattr(self, hits_field, getattr(self, hits_field) + hits)
+        setattr(self, misses_field, getattr(self, misses_field) + misses)
 
-#: One file's read: ``(data_file, chunk cache) -> (piece, row groups
+
+#: One file's read: ``(data_file, chunk tier) -> (piece, row groups
 #: skipped)`` — :func:`read_file` with the query bound by ``partial``.
-FileWork = Callable[[ColumnarFile, ChunkCache], "tuple[object, int]"]
+FileWork = Callable[[ColumnarFile, CacheTier], "tuple[object, int]"]
 #: Where a scan's file reads run: ``(paths, files, read costs, work) ->
 #: (per-file work results in input order, the read wave's sim seconds)``.
 FanOut = Callable[
@@ -106,7 +113,7 @@ FanOut = Callable[
 ]
 
 
-def read_file(data_file: ColumnarFile, cache: ChunkCache, *,
+def read_file(data_file: ColumnarFile, cache: CacheTier, *,
               predicate: Expression | None,
               columns: list[str] | None,
               specs: list[AggregateSpec] | None,
@@ -157,7 +164,6 @@ class TableObject:
                  meta_store: MetadataStore, bus: DataBus, clock: SimClock,
                  row_group_size: int = ROW_GROUP_SIZE,
                  commit_protocol_s: float = 0.0,
-                 chunk_cache: ChunkCache | None = None,
                  cache_hierarchy: CacheHierarchy | None = None,
                  context: ExecutionContext | None = None) -> None:
         self.info = info
@@ -167,16 +173,11 @@ class TableObject:
         self._bus = bus
         self._clock = clock
         self._row_group_size = row_group_size
-        #: decoded-chunk LRU shared across scans of this table (repeated
-        #: SELECTs stop re-decompressing the same zlib blobs); defaults
-        #: to the owning execution context's cache
-        self._chunk_cache = (
-            chunk_cache if chunk_cache is not None
-            else default_chunk_cache(context)
-        )
-        #: block + footer tiers below the chunk cache: every data-file
-        #: read goes through here, so repeated scans skip the pool (block
-        #: hit) and footer-answerable aggregates skip IO entirely
+        #: every cache tier: data-file reads go through the block and
+        #: footer tiers (repeated scans skip the pool, footer-answerable
+        #: aggregates skip IO entirely) and chunk decodes through the
+        #: chunk tier (repeated SELECTs stop re-decompressing the same
+        #: blobs); defaults to the owning execution context's hierarchy
         self._hierarchy = (
             cache_hierarchy if cache_hierarchy is not None
             else default_hierarchy(context)
@@ -216,13 +217,8 @@ class TableObject:
         return self._bus
 
     @property
-    def chunk_cache(self) -> ChunkCache:
-        """The decoded-chunk cache bound to this table."""
-        return self._chunk_cache
-
-    @property
     def cache_hierarchy(self) -> CacheHierarchy:
-        """The block/footer cache tiers bound to this table."""
+        """The cache tiers bound to this table."""
         return self._hierarchy
 
     # --- write path ---------------------------------------------------------
@@ -420,7 +416,7 @@ class TableObject:
         Plans against the snapshot (:meth:`scan_plan`), then fetches
         every surviving file in plan order through the block/footer
         tiers and runs ``work`` on it — inline through this table's
-        chunk cache, or wherever ``fan_out`` places it.  Footer-
+        chunk tier, or wherever ``fan_out`` places it.  Footer-
         answerable aggregates (``footer_specs``) fetch only footers and
         fold them here; ``work`` never runs.  Every counter and the read
         wave's sim seconds land in ``stats``; pieces come back in
@@ -431,9 +427,11 @@ class TableObject:
             memory_budget_bytes=memory_budget_bytes, stats=stats,
         )
         hierarchy = self._hierarchy
-        blocks, footers = hierarchy.blocks.stats, hierarchy.footers.stats
-        tiers_before = (blocks.hits, blocks.misses, footers.hits,
-                        footers.misses)
+        tiers = {"chunk": hierarchy.chunks.stats,
+                 "block": hierarchy.blocks.stats,
+                 "footer": hierarchy.footers.stats}
+        before = {name: (tier.hits, tier.misses)
+                  for name, tier in tiers.items()}
         loaded: list = []
         read_costs: list[float] = []
         for meta in candidates:
@@ -452,25 +450,24 @@ class TableObject:
             stats.rows_scanned += item.num_rows
             loaded.append(item)
             read_costs.append(read_cost)
-        stats.block_cache_hits += blocks.hits - tiers_before[0]
-        stats.block_cache_misses += blocks.misses - tiers_before[1]
-        stats.footer_cache_hits += footers.hits - tiers_before[2]
-        stats.footer_cache_misses += footers.misses - tiers_before[3]
+        fanned = footer_specs is None and fan_out is not None
         if footer_specs is not None:
             results = [
                 (footer_state(footer, footer_specs), 0) for footer in loaded
             ]
-            wave_s = sum(read_costs)
-        elif fan_out is not None:
+        elif not fanned:
+            results = [work(data_file, hierarchy.chunks) for data_file in loaded]
+        # the driver's own lookups, folded before a fan-out runs: its
+        # shards count theirs in forked contexts and it adds those itself,
+        # so their merge back into this context is not counted twice
+        for name, tier in tiers.items():
+            hits, misses = before[name]
+            stats.count_lookups(name, tier.hits - hits, tier.misses - misses)
+        if fanned:
             results, wave_s = fan_out(
                 [meta.path for meta in candidates], loaded, read_costs, work
             )
         else:
-            cache = self._chunk_cache
-            hits_before, misses_before = cache.stats.hits, cache.stats.misses
-            results = [work(data_file, cache) for data_file in loaded]
-            stats.chunk_cache_hits += cache.stats.hits - hits_before
-            stats.chunk_cache_misses += cache.stats.misses - misses_before
             wave_s = sum(read_costs)
         stats.row_groups_skipped += sum(skipped for _, skipped in results)
         stats.data_cost_s += wave_s
@@ -606,7 +603,7 @@ class TableObject:
         decodes once to typed vectors and no row is built.  Nothing it
         decodes enters the query caches.
         """
-        scratch = ChunkCache(1)  # too small to admit a chunk
+        scratch = CacheTier("scratch", 1)  # too small to admit a chunk
         parts = []
         num_rows = 0
         for meta in self.snapshots.live_files():
@@ -688,7 +685,7 @@ class TableObject:
             cost += read_cost
             groups = [
                 (vectors, num_rows) for vectors, _, num_rows in
-                data_file.select_vectors(names, cache=self._chunk_cache)
+                data_file.select_vectors(names, cache=self._hierarchy.chunks)
             ]
             mask = np.concatenate([
                 predicate.mask(vectors, num_rows)
@@ -766,7 +763,7 @@ class TableObject:
                 self._pool, meta.path, now=self._clock.now
             )
             cost += read_cost
-            parts.append(data_file.to_columns(cache=self._chunk_cache))
+            parts.append(data_file.to_columns(cache=self._hierarchy.chunks))
             num_rows += data_file.num_rows
         columns = concat_columns(self.schema, parts)
         new_meta, write_cost = self._write_columns_file(
@@ -819,19 +816,13 @@ class Lakehouse:
                  meta_store: MetadataStore | None = None,
                  row_group_size: int = ROW_GROUP_SIZE,
                  commit_protocol_s: float = 0.0,
-                 chunk_cache: ChunkCache | None = None,
                  cache_hierarchy: CacheHierarchy | None = None,
                  context: ExecutionContext | None = None) -> None:
         self._pool = pool
         self._bus = bus
         self._clock = clock
-        #: decoded-chunk cache shared by every table in this lakehouse
-        #: (the owning execution context's cache unless given explicitly)
-        self.chunk_cache = (
-            chunk_cache if chunk_cache is not None
-            else default_chunk_cache(context)
-        )
-        #: block/footer tiers shared by every table in this lakehouse
+        #: the cache tiers shared by every table in this lakehouse (the
+        #: owning execution context's hierarchy unless given explicitly)
         self.cache_hierarchy = (
             cache_hierarchy if cache_hierarchy is not None
             else default_hierarchy(context)
@@ -849,6 +840,11 @@ class Lakehouse:
         self._commit_protocol_s = commit_protocol_s
         self._tables: dict[str, TableObject] = {}
 
+    @property
+    def chunk_cache(self) -> CacheTier:
+        """The hierarchy's decoded-chunk tier (a read-only view)."""
+        return self.cache_hierarchy.chunks
+
     def create_table(self, name: str, schema: Schema,
                      partition_spec: PartitionSpec | None = None,
                      path: str | None = None) -> TableObject:
@@ -858,7 +854,6 @@ class Lakehouse:
         table = TableObject(
             info, self.catalog, self._pool, self.meta_store, self._bus,
             self._clock, self._row_group_size, self._commit_protocol_s,
-            chunk_cache=self.chunk_cache,
             cache_hierarchy=self.cache_hierarchy,
         )
         self._tables[name] = table

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.cache.hierarchy import default_hierarchy
 from repro.common import context as context_module
 from repro.common import stats
 from repro.common.context import (
@@ -13,7 +14,6 @@ from repro.common.context import (
     default_context,
     use_context,
 )
-from repro.table.chunkcache import default_chunk_cache
 
 
 def test_default_context_routes_the_accessors():
@@ -32,6 +32,7 @@ def test_default_context_routes_the_accessors():
         assert not hasattr(stats, name)
     assert not hasattr(context_module, "activate_context")
     assert not hasattr(context, "chunk_cache_capacity")
+    assert not hasattr(context, "chunk_cache")
     with pytest.raises(TypeError):
         ExecutionContext(name="legacy", ingest=stats.IngestStats())
 
@@ -101,12 +102,13 @@ def test_chunk_cache_is_per_context():
         name="one", cache_config=CacheConfig(chunk_capacity_bytes=8)
     )
     two = ExecutionContext(name="two")
-    cache_one = default_chunk_cache(one)
-    cache_two = default_chunk_cache(two)
+    cache_one = default_hierarchy(one).chunks
+    cache_two = default_hierarchy(two).chunks
     assert cache_one is not cache_two
-    assert default_chunk_cache(one) is cache_one  # memoized per context
+    assert cache_one.capacity_bytes == 8
+    assert default_hierarchy(one).chunks is cache_one  # memoized per context
     with use_context(one):
-        assert default_chunk_cache() is cache_one  # ambient resolution
+        assert default_hierarchy().chunks is cache_one  # ambient resolution
 
 
 def test_reset_stats_clears_every_counter():

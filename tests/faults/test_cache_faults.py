@@ -16,7 +16,6 @@ from repro.cache.hierarchy import default_hierarchy
 from repro.common import stats
 from repro.common.stats import cache_stats
 from repro.errors import UnrecoverableDataError
-from repro.table.chunkcache import default_chunk_cache
 from repro.table.pushdown import AggregateSpec
 from repro.table.schema import PartitionSpec, Schema
 
@@ -27,12 +26,17 @@ ROWS = [{"user": f"u{i % 5}", "value": i} for i in range(400)]
 
 @pytest.fixture(autouse=True)
 def fresh_chunk_cache():
-    default_chunk_cache().clear()
     default_hierarchy().clear()
     cache_stats("table.chunk_cache").reset()
     yield
-    default_chunk_cache().clear()
     default_hierarchy().clear()
+
+
+def _drop_files(table):
+    """Drop the block and footer tiers only: the next scan reads the pool
+    while the decoded-chunk tier stays warm."""
+    table.cache_hierarchy.blocks.clear()
+    table.cache_hierarchy.footers.clear()
 
 
 def _make_table(lakehouse):
@@ -53,8 +57,8 @@ def test_degraded_scan_is_byte_identical_and_cache_safe(lakehouse, ec_pool):
         ec_pool.corrupt_fragment(extent_id, 3)
     # drop the block/footer tiers so the scan actually reads the degraded
     # pool (a block hit would — correctly — never see the faults); the
-    # decoded-chunk cache stays warm, which is what's under test
-    table.cache_hierarchy.clear()
+    # decoded-chunk tier stays warm, which is what's under test
+    _drop_files(table)
     degraded = table.select()
     assert degraded == baseline
     assert stats.fault_stats().degraded_reads > 0
@@ -77,17 +81,17 @@ def test_degraded_scan_is_byte_identical_and_cache_safe(lakehouse, ec_pool):
 def test_unrecoverable_read_does_not_poison_cache(lakehouse, ec_pool):
     table = _make_table(lakehouse)
     baseline = table.select()
-    cache_len_before = len(default_chunk_cache())
+    cache_len_before = len(default_hierarchy().chunks)
 
     # push one data extent past tolerance: scans must fail loudly
     victim = ec_pool.extent_ids()[0]
     for index in (0, 1, 2):
         ec_pool.erase_fragment(victim, index)
-    table.cache_hierarchy.clear()  # force the scan down to the pool
+    _drop_files(table)  # force the scan down to the pool
     with pytest.raises(UnrecoverableDataError):
         table.select()
     # the failed scan cached nothing new and nothing wrong
-    assert len(default_chunk_cache()) == cache_len_before
+    assert len(default_hierarchy().chunks) == cache_len_before
 
     # restore the extent from a snapshot of the original payload path:
     # re-store the same logical bytes, then scans match the baseline again

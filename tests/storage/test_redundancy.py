@@ -91,10 +91,10 @@ POLICIES = [
 ]
 
 
-@pytest.mark.parametrize("make_policy", POLICIES)
-def test_overhead_invariant(make_policy):
+@pytest.mark.parametrize("build_redundancy", POLICIES)
+def test_overhead_invariant(build_redundancy):
     """Physical fragments always total >= logical bytes x overhead (±pad)."""
-    policy = make_policy()
+    policy = build_redundancy()
     data = b"q" * 1000
     fragments = policy.fragment(data)
     physical = sum(len(f) for f in fragments)

@@ -203,7 +203,7 @@ def delete_rows(table: TableObject, predicate: Expression) -> float:
         )
         cost += read_cost
         survivors = [
-            row for row in data_file.scan(cache=table.chunk_cache)
+            row for row in data_file.scan(cache=table.cache_hierarchy.chunks)
             if not predicate.matches(row)
         ]
         if len(survivors) == data_file.num_rows:
@@ -244,7 +244,7 @@ def update_rows(table: TableObject, predicate: Expression,
         cost += read_cost
         changed = False
         new_rows = []
-        for row in data_file.scan(cache=table.chunk_cache):
+        for row in data_file.scan(cache=table.cache_hierarchy.chunks):
             if predicate.matches(row):
                 row = {**row, **set_values}
                 changed = True
@@ -289,7 +289,7 @@ def compact_rows(table: TableObject, partition: str, target_file_bytes: int,
             table.pool, meta.path, now=table.clock.now
         )
         cost += read_cost
-        rows.extend(data_file.scan(cache=table.chunk_cache))
+        rows.extend(data_file.scan(cache=table.cache_hierarchy.chunks))
     new_meta, write_cost = _write_rows(table, partition, rows)
     cost += table._advance_writes([write_cost])
     cost += table._commit(

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.tier import CacheTier
 from repro.common.stats import aggregation_stats
+from repro.common.units import MiB
 from repro.table.agg import AggregateState, aggregate_file, footer_answerable
-from repro.table.chunkcache import ChunkCache
 from repro.table.expr import And, Or, Predicate
 from repro.table.pushdown import (
     AggregateSpec,
@@ -25,6 +26,12 @@ from repro.table.pushdown import (
 )
 from repro.table.schema import Column, ColumnType, Schema
 from rowwise import file_from_rows, scan_rows
+
+
+def chunk_tier(capacity: int = 128 * MiB) -> CacheTier:
+    """A private chunk tier, so no other test's entries can hit."""
+    return CacheTier("table.chunk_cache", capacity)
+
 
 COLUMN_POOL = [
     Column("i", ColumnType.INT64, nullable=True),
@@ -153,7 +160,7 @@ def test_aggregate_file_matches_row_wise_oracle(table, data):
     )
     specs = data.draw(_specs(schema.names))
     state = aggregate_file(
-        data_file, specs, predicate=predicate, cache=ChunkCache(capacity=8)
+        data_file, specs, predicate=predicate, cache=chunk_tier(8)
     )
     _assert_rows_match(state.rows(), _oracle(data_file, specs, predicate), specs)
 
@@ -172,7 +179,7 @@ def test_merged_partials_match_single_file_oracle(table, data):
         part_file = file_from_rows(
             schema, part, row_group_size=group_size
         )
-        state.merge(aggregate_file(part_file, specs, cache=ChunkCache()))
+        state.merge(aggregate_file(part_file, specs, cache=chunk_tier()))
     whole = file_from_rows(schema, rows, row_group_size=group_size)
     _assert_rows_match(state.rows(), _oracle(whole, specs), specs)
 
@@ -193,7 +200,7 @@ def test_empty_table_pads_the_ungrouped_group():
     data_file = _file([])
     specs = [AggregateSpec("COUNT"), AggregateSpec("SUM", "v"),
              AggregateSpec("AVG", "v"), AggregateSpec("MIN", "v")]
-    out = aggregate_file(data_file, specs, cache=ChunkCache()).rows()
+    out = aggregate_file(data_file, specs, cache=chunk_tier()).rows()
     assert out == [{"COUNT(*)": 0, "SUM(v)": 0.0, "AVG(v)": None,
                     "MIN(v)": None}]
     assert out == _oracle(data_file, specs)
@@ -202,7 +209,7 @@ def test_empty_table_pads_the_ungrouped_group():
 def test_empty_table_grouped_returns_no_rows():
     data_file = _file([])
     specs = [AggregateSpec("COUNT", group_by=("k",))]
-    assert aggregate_file(data_file, specs, cache=ChunkCache()).rows() == []
+    assert aggregate_file(data_file, specs, cache=chunk_tier()).rows() == []
 
 
 def test_all_null_column():
@@ -216,7 +223,7 @@ def test_all_null_column():
         AggregateSpec("MIN", "f", group_by=("k",)),
         AggregateSpec("MAX", "f", group_by=("k",)),
     ]
-    out = aggregate_file(data_file, specs, cache=ChunkCache()).rows()
+    out = aggregate_file(data_file, specs, cache=chunk_tier()).rows()
     assert out == [{
         "k": "a", "COUNT(*)": 25, "COUNT(v)": 0, "SUM(v)": 0.0,
         "AVG(v)": None, "MIN(f)": None, "MAX(f)": None,
@@ -232,7 +239,7 @@ def test_group_by_nullable_key_keeps_none_group():
     data_file = _file(rows)
     specs = [AggregateSpec("COUNT", group_by=("k",)),
              AggregateSpec("SUM", "v", group_by=("k",))]
-    out = aggregate_file(data_file, specs, cache=ChunkCache()).rows()
+    out = aggregate_file(data_file, specs, cache=chunk_tier()).rows()
     assert out == _oracle(data_file, specs)
     assert {row["k"] for row in out} == {None, "g0", "g1"}
 
@@ -245,7 +252,7 @@ def test_group_by_nullable_numeric_and_multi_column_keys():
     data_file = _file(rows)
     specs = [AggregateSpec("COUNT", group_by=("k", "v")),
              AggregateSpec("SUM", "f", group_by=("k", "v"))]
-    out = aggregate_file(data_file, specs, cache=ChunkCache()).rows()
+    out = aggregate_file(data_file, specs, cache=chunk_tier()).rows()
     assert out == _oracle(data_file, specs)
     assert any(row["v"] is None for row in out)
 
@@ -258,7 +265,7 @@ def test_sum_mixes_int_and_bool_like_the_oracle():
     rows = [{"v": i, "b": i % 2 == 0} for i in range(10)]
     data_file = file_from_rows(schema, rows, row_group_size=4)
     specs = [AggregateSpec("SUM", "v"), AggregateSpec("SUM", "b")]
-    out = aggregate_file(data_file, specs, cache=ChunkCache()).rows()
+    out = aggregate_file(data_file, specs, cache=chunk_tier()).rows()
     # bools sum as 1.0/0.0 (isinstance(True, int)), ints promote to float
     assert out == [{"SUM(v)": 45.0, "SUM(b)": 5.0}]
     assert out == _oracle(data_file, specs)
@@ -268,7 +275,7 @@ def test_sum_of_string_column_stays_zero():
     rows = [{"k": "a", "v": 1, "f": None}] * 3
     data_file = _file(rows)
     specs = [AggregateSpec("SUM", "k"), AggregateSpec("AVG", "k")]
-    out = aggregate_file(data_file, specs, cache=ChunkCache()).rows()
+    out = aggregate_file(data_file, specs, cache=chunk_tier()).rows()
     # the accumulator never adds non-numerics, so SUM is 0.0 and
     # AVG = 0.0 / non-null count — the vectorized path must agree
     assert out == [{"SUM(k)": 0.0, "AVG(k)": 0.0}]
@@ -287,7 +294,7 @@ def test_min_max_strings_follow_python_order_not_dictionary_order():
     specs = [AggregateSpec("MIN", "k"), AggregateSpec("MAX", "k")]
     out = aggregate_file(
         data_file, specs, predicate=Predicate("v", ">", 0),
-        cache=ChunkCache(),
+        cache=chunk_tier(),
     ).rows()
     assert out == [{"MIN(k)": "apple", "MAX(k)": "zebra"}]
     assert out == _oracle(data_file, specs, Predicate("v", ">", 0))
@@ -303,7 +310,7 @@ def test_footer_fast_path_touches_no_data_chunk():
              AggregateSpec("MIN", "v"), AggregateSpec("MAX", "f"),
              AggregateSpec("MIN", "k")]
     assert footer_answerable(specs, None)
-    cache = ChunkCache()
+    cache = chunk_tier()
     counters = aggregation_stats()
     footer_before = counters.row_groups_footer_answered
     decoded_before = counters.row_groups_aggregated
@@ -328,7 +335,7 @@ def test_footer_stats_cast_to_column_type():
     data_file = _file(rows)
     out = aggregate_file(
         data_file, [AggregateSpec("MIN", "f"), AggregateSpec("MAX", "f")],
-        cache=ChunkCache(),
+        cache=chunk_tier(),
     ).rows()
     assert repr(out[0]["MIN(f)"]) == "0.0"
     assert repr(out[0]["MAX(f)"]) == "4.0"
@@ -338,7 +345,7 @@ def test_predicate_pruned_row_groups_never_decode_aggregate_columns():
     # row groups ruled out by footer stats skip before any decode
     rows = [{"k": f"g{i}", "v": i, "f": None} for i in range(40)]
     data_file = _file(rows, group_size=10)
-    cache = ChunkCache()
+    cache = chunk_tier()
     counters = aggregation_stats()
     before = counters.row_groups_aggregated
     state = aggregate_file(
@@ -367,7 +374,7 @@ def test_aggregation_counters_advance():
     state = AggregateState([AggregateSpec("SUM", "v", group_by=("k",))])
     state.merge(aggregate_file(
         data_file, state.specs, predicate=Predicate("v", ">=", 0),
-        cache=ChunkCache(),
+        cache=chunk_tier(),
     ))
     out = state.rows()
     after = counters.snapshot()

@@ -28,7 +28,6 @@ from repro.storage.disk import NVME_SSD_PROFILE
 from repro.storage.kv import KVEngine
 from repro.storage.pool import StoragePool
 from repro.storage.redundancy import erasure_coding_policy
-from repro.table.chunkcache import ChunkCache
 from repro.table.colbuild import columns_from_rows
 from repro.table.columnar import FileFooter
 from repro.table.metacache import AcceleratedMetadataStore
@@ -64,7 +63,7 @@ def make_table(partitioning: str, row_group_size: int = 10_000):
         meta_store=AcceleratedMetadataStore(KVEngine("meta", clock), pool,
                                             clock),
         row_group_size=row_group_size,
-        chunk_cache=ChunkCache(), cache_hierarchy=CacheHierarchy(),
+        cache_hierarchy=CacheHierarchy(),
     )
     return lake.create_table("t", SCHEMA, PARTITIONINGS[partitioning])
 

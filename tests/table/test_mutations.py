@@ -20,13 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.clock import SimClock
+from repro.common.context import ExecutionContext
 from repro.errors import SchemaError
 from repro.storage.bus import DataBus
 from repro.storage.disk import NVME_SSD_PROFILE
 from repro.storage.kv import KVEngine
 from repro.storage.pool import StoragePool
 from repro.storage.redundancy import erasure_coding_policy
-from repro.table.chunkcache import ChunkCache
 from repro.table.columnar import ColumnarFile, FileFooter
 from repro.table.expr import And, Or, Predicate
 from repro.table.metacache import AcceleratedMetadataStore
@@ -61,7 +61,7 @@ def make_table(partitioning: str, row_group_size: int):
         meta_store=AcceleratedMetadataStore(KVEngine("meta", clock), pool,
                                             clock),
         row_group_size=row_group_size,
-        chunk_cache=ChunkCache(), cache_hierarchy=CacheHierarchy(),
+        cache_hierarchy=CacheHierarchy(context=ExecutionContext("private")),
     )
     return lake.create_table("t", SCHEMA, PARTITIONINGS[partitioning])
 
@@ -233,9 +233,11 @@ def test_vector_mutations_match_rowwise_oracle(partitioning, row_group_size,
             got = outcome(lambda: vector.update(predicate, set_values))
             want = outcome(lambda: update_rows(oracle, predicate, set_values))
         assert got == want
-        assert (vector.chunk_cache.stats.hits, vector.chunk_cache.stats.misses
-                ) == (oracle.chunk_cache.stats.hits,
-                      oracle.chunk_cache.stats.misses)
+        vector_chunks = vector.cache_hierarchy.chunks.stats
+        oracle_chunks = oracle.cache_hierarchy.chunks.stats
+        assert vector_chunks is not oracle_chunks
+        assert (vector_chunks.hits, vector_chunks.misses
+                ) == (oracle_chunks.hits, oracle_chunks.misses)
         assert vector.clock.now == oracle.clock.now
         assert_same_files(snapshot_files(vector), snapshot_files(oracle))
 
@@ -298,7 +300,7 @@ def loaded():
 
 def reads(table) -> tuple[int, int, int, int]:
     blocks = table.cache_hierarchy.blocks.stats
-    chunks = table.chunk_cache.stats
+    chunks = table.cache_hierarchy.chunks.stats
     return (table.pool.stats.extents_read, blocks.hits + blocks.misses,
             chunks.hits + chunks.misses, table.snapshots.current_version)
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.context import current_context
 from repro.common.stats import join_stats
 from repro.errors import PlanningError
 from repro.lakebrain.cardinality import SPNEstimator
@@ -223,7 +222,7 @@ class TestPlanJoin:
             table = lakehouse.table(name)
             table.insert(select_rows(table)[:40])  # a second live file
             statistics = StatisticsCache()
-            chunk_cache = table.chunk_cache.stats.snapshot()
+            chunk_cache = table.cache_hierarchy.chunks.stats.snapshot()
             fetches = table.pool.stats.extents_read
             clock_before = table.clock.now
             entry = statistics.refresh(table)
@@ -246,7 +245,7 @@ class TestPlanJoin:
                     assert (entry.estimator.cardinality(probe)
                             == oracle.cardinality(probe))
             # nothing entered the query caches
-            assert table.chunk_cache.stats.snapshot() == chunk_cache
+            assert table.cache_hierarchy.chunks.stats.snapshot() == chunk_cache
             # one pool read per live file, then select_rows' own two
             assert table.pool.stats.extents_read - fetches == 2 + 2
 
@@ -439,11 +438,9 @@ class TestResultCache:
 
     def _tier_lookups(self, lakehouse: Lakehouse) -> int:
         hierarchy = lakehouse.cache_hierarchy
-        chunks = current_context().cache_stats("table.chunk_cache")
-        return (
-            hierarchy.blocks.stats.hits + hierarchy.blocks.stats.misses
-            + hierarchy.footers.stats.hits + hierarchy.footers.stats.misses
-            + chunks.hits + chunks.misses
+        return sum(
+            tier.stats.lookups
+            for tier in (hierarchy.chunks, hierarchy.blocks, hierarchy.footers)
         )
 
     def test_warm_hit_zero_decodes_zero_pool_reads(self, joined_lakehouse):

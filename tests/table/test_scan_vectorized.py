@@ -10,14 +10,22 @@ results identical — same objects, same Python types, same order — to
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.hierarchy import default_hierarchy
+from repro.cache.tier import CacheTier
 from repro.common.context import ExecutionContext, use_context
 from repro.common.stats import cache_stats
 from repro.common.units import MiB
-from repro.table.chunkcache import ChunkCache, default_chunk_cache
 from repro.table.columnar import ColumnarFile
 from repro.table.expr import And, Or, Predicate
 from repro.table.schema import Column, ColumnType, Schema
 from rowwise import file_from_rows, scan_rows
+
+
+
+def chunk_tier(capacity: int = 128 * MiB) -> CacheTier:
+    """A private chunk tier, so no other test's entries can hit."""
+    return CacheTier("table.chunk_cache", capacity)
+
 
 COLUMN_POOL = [
     Column("i", ColumnType.INT64, nullable=True),
@@ -125,7 +133,7 @@ def test_scan_matches_row_wise_oracle(table, data):
         st.lists(st.sampled_from(schema.names), max_size=len(schema.names),
                  unique=True)
     )
-    cache = ChunkCache(capacity=8)
+    cache = chunk_tier(8)
     expected = scan_rows(data_file, predicate, projection)
     actual = data_file.scan(predicate, projection, cache=cache)
     # repr-compare too: catches NumPy scalars leaking instead of int/float
@@ -141,7 +149,7 @@ def test_scan_matches_row_wise_oracle(table, data):
 def test_full_scan_and_count_without_predicate(table):
     schema, rows, group_size = table
     data_file = file_from_rows(schema, rows, row_group_size=group_size)
-    assert data_file.scan(cache=ChunkCache()) == scan_rows(data_file)
+    assert data_file.scan(cache=chunk_tier()) == scan_rows(data_file)
     assert data_file.count() == len(rows)
 
 
@@ -163,12 +171,12 @@ def test_incomparable_ordering_raises_like_oracle():
     with pytest.raises(TypeError):
         scan_rows(data_file, predicate)
     with pytest.raises(TypeError):
-        data_file.scan(predicate, cache=ChunkCache())
+        data_file.scan(predicate, cache=chunk_tier())
     predicate = Predicate("s", ">", 7)  # string column vs int literal
     with pytest.raises(TypeError):
         scan_rows(data_file, predicate)
     with pytest.raises(TypeError):
-        data_file.scan(predicate, cache=ChunkCache())
+        data_file.scan(predicate, cache=chunk_tier())
 
 
 def test_all_null_chunk_ordered_against_string_is_empty_not_error():
@@ -176,13 +184,13 @@ def test_all_null_chunk_ordered_against_string_is_empty_not_error():
     data_file = file_from_rows(schema, [{"i": None}] * 5)
     predicate = Predicate("i", "<", "zz")
     assert scan_rows(data_file, predicate) == []
-    assert data_file.scan(predicate, cache=ChunkCache()) == []
+    assert data_file.scan(predicate, cache=chunk_tier()) == []
 
 
 def test_in_against_mixed_type_tuple():
     data_file, rows = _int_string_file()
     predicate = Predicate("k", "IN", (3, "v1", 7.0, None))
-    cache = ChunkCache()
+    cache = chunk_tier()
     assert data_file.scan(predicate, cache=cache) == scan_rows(data_file, predicate)
     assert data_file.count(predicate, cache=cache) == 2  # k == 3 and k == 7
 
@@ -192,7 +200,7 @@ def test_in_against_mixed_type_tuple():
 
 def test_chunk_cache_hits_on_repeated_scans():
     data_file, _ = _int_string_file()
-    cache = ChunkCache()
+    cache = chunk_tier()
     predicate = Predicate("k", ">=", 20)
     data_file.scan(predicate, cache=cache)
     assert cache.stats.misses > 0
@@ -205,7 +213,7 @@ def test_chunk_cache_hits_on_repeated_scans():
 
 def test_chunk_cache_survives_serialization_roundtrip():
     data_file, _ = _int_string_file()
-    cache = ChunkCache()
+    cache = chunk_tier()
     data_file.scan(cache=cache)
     misses = cache.stats.misses
     # same bytes, fresh object: content-addressed keys still hit
@@ -216,7 +224,7 @@ def test_chunk_cache_survives_serialization_roundtrip():
 
 def test_cached_vectors_are_read_only():
     data_file, rows = _int_string_file()
-    cache = ChunkCache()
+    cache = chunk_tier()
     vectors, _, _ = next(data_file.select_vectors(["k", "s"], cache=cache))
     numbers, strings = vectors["k"], vectors["s"]
     with pytest.raises(ValueError):
@@ -232,14 +240,14 @@ def test_cached_vectors_are_read_only():
 
 def test_chunk_cache_is_bounded_by_bytes():
     data_file, _ = _int_string_file()  # 4 groups x 2 columns = 8 chunks
-    probe = ChunkCache()
+    probe = chunk_tier()
     data_file.scan(cache=probe)
     working_set = probe.used_bytes
     assert working_set > 0 and len(probe) == 8
     # half the working set: the scan must evict, never exceed capacity
-    cache = ChunkCache(capacity=working_set // 2)
+    cache = chunk_tier(working_set // 2)
     data_file.scan(cache=cache)
-    assert 0 < cache.used_bytes <= cache.capacity
+    assert 0 < cache.used_bytes <= cache.capacity_bytes
     assert len(cache) < 8
     assert cache.stats.evictions > 0
 
@@ -248,7 +256,7 @@ def test_chunk_cache_rejects_oversized_entries():
     data_file, _ = _int_string_file()
     # 1-byte budget: every decoded vector is bigger, so each put is
     # rejected outright instead of churning the (empty) working set
-    cache = ChunkCache(capacity=1)
+    cache = chunk_tier(1)
     data_file.scan(cache=cache)
     assert len(cache) == 0
     assert cache.used_bytes == 0
@@ -258,13 +266,13 @@ def test_chunk_cache_rejects_oversized_entries():
 
 def test_chunk_cache_rejects_bad_capacity():
     with pytest.raises(ValueError):
-        ChunkCache(capacity=0)
+        chunk_tier(0)
 
 
 def test_configure_default_cache_registers_stats():
     context = ExecutionContext(name="cache-config")
     with use_context(context):
         context.configure_caches(chunk_capacity_bytes=64 * MiB)
-        cache = default_chunk_cache()
-        assert cache.capacity == 64 * MiB
+        cache = default_hierarchy().chunks
+        assert cache.capacity_bytes == 64 * MiB
         assert cache_stats("table.chunk_cache") is cache.stats

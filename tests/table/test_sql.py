@@ -11,7 +11,6 @@ from repro.storage.bus import DataBus
 from repro.storage.disk import NVME_SSD_PROFILE
 from repro.storage.pool import StoragePool
 from repro.storage.redundancy import erasure_coding_policy
-from repro.table.chunkcache import ChunkCache
 from repro.table.expr import Predicate
 from repro.table.schema import Column, ColumnType, PartitionSpec, Schema
 from repro.table.sql import SQLError, normalize_sql, parse_select, query
@@ -392,7 +391,7 @@ def _twin_lake() -> tuple[Lakehouse, SimClock]:
     clock = SimClock()
     pool = StoragePool("ssd", clock, policy=erasure_coding_policy(4, 2))
     pool.add_disks(NVME_SSD_PROFILE, 8)
-    lake = Lakehouse(pool, DataBus(clock), clock, chunk_cache=ChunkCache(),
+    lake = Lakehouse(pool, DataBus(clock), clock,
                      cache_hierarchy=CacheHierarchy())
     lake.create_table("a", TWIN_A)
     lake.create_table("b", TWIN_B)

@@ -286,11 +286,9 @@ def test_count_star_fast_path_matches_general_aggregate(table):
 
 
 def test_query_stats_report_chunk_cache_traffic(lakehouse):
-    from repro.table.chunkcache import ChunkCache
-
-    # isolate from the process-wide cache: keys are content-addressed, so
-    # identical rows inserted by another test would otherwise already hit
-    lakehouse.chunk_cache = ChunkCache()
+    # isolate from the process-wide tiers: chunk keys are content-
+    # addressed, so identical rows another test inserted would already hit
+    lakehouse.cache_hierarchy.clear()
     table = lakehouse.create_table(
         "events_cached", SCHEMA, PartitionSpec.by("city")
     )
@@ -321,12 +319,11 @@ def small_groups(clock, ec_pool, bus):
     """Ten-row groups and private caches, so pruning and every tier
     counter are exercised and no other test's entries can hit."""
     from repro.cache.hierarchy import CacheHierarchy
-    from repro.table.chunkcache import ChunkCache
     from repro.table.table import Lakehouse
 
     lake = Lakehouse(
         ec_pool, bus, clock, row_group_size=10,
-        chunk_cache=ChunkCache(), cache_hierarchy=CacheHierarchy(),
+        cache_hierarchy=CacheHierarchy(),
     )
     table = lake.create_table("groups", SCHEMA, PartitionSpec.by("city"))
     table.insert(rows_for(60))
@@ -336,7 +333,6 @@ def small_groups(clock, ec_pool, bus):
 
 def _cold(table):
     table.cache_hierarchy.clear()
-    table.chunk_cache.clear()
 
 
 def test_column_set_vectors_equal_select_rows(small_groups):
@@ -450,9 +446,7 @@ def test_aggregate_memory_working_set_is_per_group(clock, ec_pool, bus):
 
 
 def test_unpredicated_count_decodes_no_chunks(lakehouse):
-    from repro.table.chunkcache import ChunkCache
-
-    lakehouse.chunk_cache = ChunkCache()
+    lakehouse.cache_hierarchy.clear()
     table = lakehouse.create_table(
         "events_footer", SCHEMA, PartitionSpec.by("city")
     )
