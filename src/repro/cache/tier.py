@@ -117,15 +117,9 @@ class CacheTier:
         if nbytes > self.capacity_bytes:
             self.stats.record_rejection()
             return False
-        ghost = self.b1.pop(key, None)
-        if ghost is not None:
-            self.b1_bytes -= ghost
-        else:
-            ghost = self.b2.pop(key, None)
-            if ghost is not None:
-                self.b2_bytes -= ghost
-            else:
-                self.invalidate(key)
+        ghost = self._pop_ghost(key)
+        if ghost is None:
+            self.invalidate(key)
         while (self.t1_bytes + self.t2_bytes + nbytes > self.capacity_bytes
                and (self.t1 or self.t2)):
             self._evict()
@@ -140,8 +134,9 @@ class CacheTier:
         return True
 
     def invalidate(self, key: Key) -> bool:
-        """Drop one resident entry (no eviction counted); True when it
-        existed."""
+        """Forget one key: its resident entry (no eviction counted) or its
+        ghost, so a later miss or put treats it as never seen.  True when
+        a resident entry existed."""
         entry = self.t1.pop(key, None)
         if entry is not None:
             self.t1_bytes -= entry[1]
@@ -150,14 +145,17 @@ class CacheTier:
         if entry is not None:
             self.t2_bytes -= entry[1]
             return True
+        self._pop_ghost(key)
         return False
 
     def invalidate_where(self, match) -> int:
-        """Drop every entry whose key satisfies ``match(key)``."""
-        doomed = [key for key in self if match(key)]
-        for key in doomed:
-            self.invalidate(key)
-        return len(doomed)
+        """Forget every key, resident or ghost, satisfying ``match(key)``;
+        returns the resident entries dropped."""
+        doomed = [
+            key for key in chain(self.t1, self.t2, self.b1, self.b2)
+            if match(key)
+        ]
+        return sum(self.invalidate(key) for key in doomed)
 
     def clear(self) -> None:
         """Drop all entries, ghosts and the learned ``p``: a cleared tier
@@ -166,6 +164,17 @@ class CacheTier:
         self._reset()
 
     # --- ARC ----------------------------------------------------------------
+
+    def _pop_ghost(self, key: Key) -> int | None:
+        """Remove ``key``'s ghost, returning its bytes (None: no ghost)."""
+        nbytes = self.b1.pop(key, None)
+        if nbytes is not None:
+            self.b1_bytes -= nbytes
+            return nbytes
+        nbytes = self.b2.pop(key, None)
+        if nbytes is not None:
+            self.b2_bytes -= nbytes
+        return nbytes
 
     def _adapt(self, key: Key) -> None:
         """A miss: a ghost hit moves ``p`` toward the ghost's side, by the

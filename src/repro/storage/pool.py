@@ -4,17 +4,28 @@ Section III (store layer): physical space is divided into slices organized
 as logical units *across disks in various servers* for redundancy and load
 balance.  A :class:`StoragePool` owns a set of same-tier disks and stores
 extents under a :class:`~repro.storage.redundancy.RedundancyPolicy`,
-placing each fragment on a distinct disk chosen by free-space-weighted
-round-robin.
+placing each fragment on a distinct disk, emptiest first.
 
-Pool-level features the paper lists — garbage collection, data
-reconstruction after disk failure, snapshots and thin provisioning — are
-implemented as simple, observable mechanisms on top.
+The pool-level features the paper lists (garbage collection,
+reconstruction after disk failure, snapshots, clones, thin provisioning)
+rest on one mapping from extent names to physical records, one record
+(:class:`_Extent`) per stored payload.  A **clone** binds a second name
+to the same record.  A **snapshot** is a frozen copy of the mapping, so
+it keeps the payloads it saw whatever later happens to their names.
+**Delete** unbinds a name (a WORM name refuses); a name stored again
+before its old record is collected gets fresh fragment keys.  **Garbage
+collection** frees, exactly once, every record that neither the active
+mapping nor any snapshot references.  **Repair** and fault injection act
+on a record's fragments once, however many names share it, and every
+name bound to a record sees a re-homed fragment.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
+from itertools import chain
+from types import MappingProxyType
 
 from repro.common import stats
 from repro.common.clock import SimClock
@@ -30,17 +41,17 @@ from repro.storage.redundancy import RedundancyPolicy
 from repro.storage.replication import Replication
 
 
-@dataclass
-class _ExtentMeta:
-    """Placement record for one stored extent."""
+@dataclass(eq=False)
+class _Extent:
+    """One stored payload, shared by every name and snapshot bound to it
+    (compared by identity).  Fragment ``i`` lives on ``disk_ids[i]``
+    under ``keys[i]``; ``stem`` is the key prefix, unique among
+    uncollected records."""
 
     length: int
     disk_ids: list[str]
-    tombstoned: bool = False
-    #: physical fragments belong to this extent id (copy-on-write clones)
-    clone_of: str | None = None
-    #: write-once-read-many: delete/overwrite is refused
-    worm: bool = False
+    keys: list[str]
+    stem: str
 
 
 @dataclass
@@ -66,8 +77,12 @@ class StoragePool:
         self._clock = clock
         self.policy = policy if policy is not None else Replication(3)
         self._disks: dict[str, Disk] = {}
-        self._extents: dict[str, _ExtentMeta] = {}
-        self._snapshots: dict[str, set[str]] = {}
+        #: the active mapping: extent name -> physical record
+        self._names: dict[str, _Extent] = {}
+        #: every uncollected record by its key stem, in placement order
+        self._placed: dict[str, _Extent] = {}
+        self._snapshots: dict[str, Mapping[str, _Extent]] = {}
+        self._worm: set[str] = set()
         self._provisioned: dict[str, int] = {}
         self._torn_armings: list[int] = []
         #: per-extent simulated seconds of the most recent
@@ -102,6 +117,20 @@ class StoragePool:
     def _alive_disks(self) -> list[Disk]:
         return [d for d in self._disks.values() if not d.failed]
 
+    def _emptiest(self, count: int, exclude: Collection[str] = ()) -> list[Disk]:
+        """The ``count`` alive disks outside ``exclude`` with the fewest
+        used bytes (ties in pool order); CapacityError when too few."""
+        candidates = sorted(
+            (d for d in self._alive_disks() if d.disk_id not in exclude),
+            key=lambda d: d.used_bytes,
+        )
+        if len(candidates) < count:
+            raise CapacityError(
+                f"pool {self.name!r}: needs {count} healthy disks, "
+                f"{len(candidates)} available"
+            )
+        return candidates[:count]
+
     # --- capacity accounting ----------------------------------------------
 
     @property
@@ -114,8 +143,8 @@ class StoragePool:
 
     @property
     def logical_bytes(self) -> int:
-        """User bytes stored (pre-redundancy), live extents only."""
-        return sum(m.length for m in self._extents.values() if not m.tombstoned)
+        """User bytes stored (pre-redundancy) under live names."""
+        return sum(extent.length for extent in self._names.values())
 
     # --- extent I/O ---------------------------------------------------------
 
@@ -161,7 +190,6 @@ class StoragePool:
         torn_after = self._torn_armings.pop(0) if self._torn_armings else None
         extent_costs: list[float] = []
         self.last_batch_costs = extent_costs
-        durable: list[str] = []
         for index, ((extent_id, payload), fragments) in enumerate(
             zip(items, fragments_per)
         ):
@@ -170,7 +198,7 @@ class StoragePool:
                 raise TornWriteError(
                     f"pool {self.name!r}: group commit torn after "
                     f"{index} of {len(items)} extents",
-                    durable=durable,
+                    durable=[eid for eid, _ in items[:index]],
                     lost=[eid for eid, _ in items[index:]],
                 )
             try:
@@ -180,10 +208,9 @@ class StoragePool:
                     f"pool {self.name!r}: group commit member "
                     f"{extent_id!r} failed after {index} durable "
                     f"extents: {exc}",
-                    durable=durable,
+                    durable=[eid for eid, _ in items[:index]],
                     lost=[eid for eid, _ in items[index:]],
                 ) from exc
-            durable.append(extent_id)
         return sum(extent_costs)
 
     def arm_torn_commit(self, after_extents: int) -> None:
@@ -213,37 +240,59 @@ class StoragePool:
 
     def _place(self, extent_id: str, payload: bytes,
                fragments: list[bytes]) -> float:
-        if extent_id in self._extents and not self._extents[extent_id].tombstoned:
+        if extent_id in self._names:
             raise ValueError(f"extent {extent_id!r} already stored")
-        candidates = sorted(self._alive_disks(), key=lambda d: d.used_bytes)
-        if len(candidates) < len(fragments):
-            raise CapacityError(
-                f"pool {self.name!r}: policy needs {len(fragments)} disks, "
-                f"{len(candidates)} alive"
-            )
-        chosen = candidates[: len(fragments)]
+        chosen = self._emptiest(len(fragments))
+        # a name stored again must not overwrite its uncollected record
+        stem, generation = extent_id, 0
+        while stem in self._placed:
+            generation += 1
+            stem = f"{extent_id}~{generation}"
+        keys = [f"{stem}#{disk.disk_id}" for disk in chosen]
         slowest = 0.0
         written: list[Disk] = []
         try:
-            for disk, fragment in zip(chosen, fragments):
-                slowest = max(
-                    slowest,
-                    disk.write(f"{extent_id}#{disk.disk_id}", fragment),
-                )
+            for disk, key, fragment in zip(chosen, keys, fragments):
+                slowest = max(slowest, disk.write(key, fragment))
                 written.append(disk)
         except StorageError:
             # all-or-nothing: roll back fragments already written so a
             # failed store never leaks partial extents.  Only typed store
             # errors (disk failure, capacity) are swallowed into the
             # rollback; a logic error propagates untouched.
-            for disk in written:
-                disk.delete(f"{extent_id}#{disk.disk_id}")
+            for disk, key in zip(written, keys):
+                disk.delete(key)
             raise
-        self._extents[extent_id] = _ExtentMeta(
-            length=len(payload), disk_ids=[d.disk_id for d in chosen]
-        )
+        extent = _Extent(len(payload), [d.disk_id for d in chosen], keys, stem)
+        self._names[extent_id] = extent
+        self._placed[stem] = extent
         self.stats.extents_written += 1
         return slowest
+
+    def _read_fragments(self, extent: _Extent, first: bool = False
+                        ) -> tuple[list[bytes | None], list[int], float]:
+        """Read a record's fragments in order: (fragments, lost indices,
+        slowest read's seconds).  A crashed disk, an erased fragment or a
+        latent sector error (counted as detected here) reads as None and
+        is lost.  ``first`` stops at the first healthy fragment (one
+        replica suffices); the unread rest stay None, not lost."""
+        fragments: list[bytes | None] = [None] * len(extent.keys)
+        lost: list[int] = []
+        slowest = 0.0
+        for index, (disk_id, key) in enumerate(zip(extent.disk_ids, extent.keys)):
+            disk = self._disks[disk_id]
+            if disk.has_extent(key):
+                try:
+                    fragments[index], cost = disk.read(key)
+                except CorruptionError:
+                    stats.fault_stats().sector_errors_detected += 1
+                else:
+                    slowest = max(slowest, cost)
+                    if first:
+                        break
+                    continue
+            lost.append(index)
+        return fragments, lost, slowest
 
     def fetch(self, extent_id: str) -> tuple[bytes, float]:
         """Read an extent back, reconstructing through the policy if disks
@@ -256,78 +305,49 @@ class StoragePool:
         instead of failing, and the degradation is counted in
         :class:`PoolStats` and the global fault counters.
         """
-        meta = self._live_meta(extent_id)
-        owner = self._physical_owner(extent_id)
-        faults = stats.fault_stats()
-        fragments: list[bytes | None] = []
-        slowest = 0.0
-        erased = 0
-        for disk_id in meta.disk_ids:
-            disk = self._disks[disk_id]
-            key = f"{owner}#{disk_id}"
-            if disk.failed or not disk.has_extent(key):
-                fragments.append(None)
-                erased += 1
-                continue
-            try:
-                payload, cost = disk.read(key)
-            except CorruptionError:
-                # latent sector error surfaced by this read
-                faults.sector_errors_detected += 1
-                fragments.append(None)
-                erased += 1
-                continue
-            fragments.append(payload)
-            slowest = max(slowest, cost)
-            if isinstance(self.policy, Replication):
-                # one healthy replica suffices; stop after the first
-                fragments.extend([None] * (len(meta.disk_ids) - len(fragments)))
-                break
+        extent = self._lookup(extent_id)
+        replicated = isinstance(self.policy, Replication)
+        fragments, lost, slowest = self._read_fragments(extent, replicated)
         self.stats.extents_read += 1
-        if erased:
+        if lost:
+            faults = stats.fault_stats()
             self.stats.degraded_reads += 1
             faults.degraded_reads += 1
-        payload = self.policy.assemble(fragments, meta.length)
-        if erased and not isinstance(self.policy, Replication):
+        payload = self.policy.assemble(fragments, extent.length)
+        if lost and not replicated:
             # the EC decode just reconstructed the erased fragments
-            faults.fragments_reconstructed += erased
-            faults.reconstructed_bytes += meta.length
+            faults.fragments_reconstructed += len(lost)
+            faults.reconstructed_bytes += extent.length
         return payload, slowest
 
     def delete(self, extent_id: str) -> None:
-        """Tombstone an extent; space is reclaimed by :meth:`garbage_collect`."""
-        meta = self._live_meta(extent_id)
-        if meta.worm:
+        """Remove a name from the active mapping; its record's space is
+        reclaimed by :meth:`garbage_collect` once nothing references it."""
+        self._lookup(extent_id)
+        if extent_id in self._worm:
             raise PermissionError(
                 f"extent {extent_id!r} is write-once-read-many"
             )
-        meta.tombstoned = True
+        del self._names[extent_id]
 
     # --- clones / WORM / thin provisioning ----------------------------------
 
     def clone(self, source_id: str, clone_id: str) -> None:
-        """Copy-on-write clone: a new extent id sharing the source's
-        physical fragments (Section III: the pools implement clone).
+        """Copy-on-write clone: a second name bound to the source's
+        physical record (Section III: the pools implement clone).
 
         Zero extra physical bytes; the shared fragments survive until
-        *every* extent referencing them is deleted and collected.
+        *every* name and snapshot referencing them is gone and collected.
         """
-        source = self._live_meta(source_id)
-        if clone_id in self._extents and not self._extents[clone_id].tombstoned:
+        source = self._lookup(source_id)
+        if clone_id in self._names:
             raise ValueError(f"extent {clone_id!r} already stored")
-        self._extents[clone_id] = _ExtentMeta(
-            length=source.length,
-            disk_ids=list(source.disk_ids),
-            clone_of=source.clone_of or source_id,
-        )
-
-    def _physical_owner(self, extent_id: str) -> str:
-        meta = self._extents[extent_id]
-        return meta.clone_of or extent_id
+        self._names[clone_id] = source
 
     def mark_worm(self, extent_id: str) -> None:
         """Write-once-read-many: further deletes of this extent raise."""
-        self._live_meta(extent_id).worm = True
+        self._lookup(extent_id)
+        self._worm.add(extent_id)
 
     def provision(self, volume_id: str, size_bytes: int) -> None:
         """Thin provisioning: reserve logical capacity without physical
@@ -350,30 +370,28 @@ class StoragePool:
         capacity = self.capacity_bytes
         return self.provisioned_bytes / capacity if capacity else 0.0
 
-    def _live_meta(self, extent_id: str) -> _ExtentMeta:
-        meta = self._extents.get(extent_id)
-        if meta is None or meta.tombstoned:
+    def _lookup(self, extent_id: str) -> _Extent:
+        extent = self._names.get(extent_id)
+        if extent is None:
             raise ObjectNotFoundError(
                 f"pool {self.name!r}: no extent {extent_id!r}"
             )
-        return meta
+        return extent
 
     def has_extent(self, extent_id: str) -> bool:
-        meta = self._extents.get(extent_id)
-        return meta is not None and not meta.tombstoned
+        return extent_id in self._names
 
     def extent_ids(self) -> list[str]:
-        return [e for e, m in self._extents.items() if not m.tombstoned]
+        return list(self._names)
 
     # --- snapshots ----------------------------------------------------------
 
     def snapshot(self, name: str) -> None:
-        """Record the live extent set; snapshotted extents survive GC."""
+        """Freeze the active mapping; the records it references survive
+        GC, whatever later happens to their names."""
         if name in self._snapshots:
             raise ValueError(f"snapshot {name!r} already exists")
-        self._snapshots[name] = {
-            e for e, m in self._extents.items() if not m.tombstoned
-        }
+        self._snapshots[name] = MappingProxyType(dict(self._names))
 
     def drop_snapshot(self, name: str) -> None:
         if name not in self._snapshots:
@@ -383,34 +401,28 @@ class StoragePool:
     def snapshot_extents(self, name: str) -> set[str]:
         return set(self._snapshots[name])
 
+    def _referenced(self) -> dict[_Extent, None]:
+        """Each record the active mapping or a snapshot references, once."""
+        return dict.fromkeys(chain(
+            self._names.values(),
+            *(snapshot.values() for snapshot in self._snapshots.values()),
+        ))
+
     # --- maintenance --------------------------------------------------------
 
     def garbage_collect(self) -> int:
-        """Reclaim tombstoned extents not pinned by any snapshot.
-
-        Returns bytes of physical space freed.
-        """
-        pinned: set[str] = set()
-        for extents in self._snapshots.values():
-            pinned |= extents
-        live_owners = {
-            self._physical_owner(extent_id)
-            for extent_id, meta in self._extents.items()
-            if not meta.tombstoned or extent_id in pinned
-        }
+        """Free every record that no name and no snapshot references;
+        returns the bytes of physical space freed."""
+        referenced = self._referenced()
         freed = 0
-        for extent_id in list(self._extents):
-            meta = self._extents[extent_id]
-            if not meta.tombstoned or extent_id in pinned:
+        for stem, extent in list(self._placed.items()):
+            if extent in referenced:
                 continue
-            owner = self._physical_owner(extent_id)
-            if owner not in live_owners:
-                for disk_id in meta.disk_ids:
-                    disk = self._disks[disk_id]
-                    if not disk.failed:
-                        freed += disk.delete(f"{owner}#{disk_id}")
-                live_owners.add(owner)  # fragments freed once
-            del self._extents[extent_id]
+            for disk_id, key in zip(extent.disk_ids, extent.keys):
+                disk = self._disks[disk_id]
+                if not disk.failed:
+                    freed += disk.delete(key)
+            del self._placed[stem]
         self.stats.gc_reclaimed_bytes += freed
         return freed
 
@@ -428,31 +440,13 @@ class StoragePool:
             raise ValueError(f"disk {disk_id!r} has not failed")
         disk.recover()
         rebuilt = 0
-        repaired_owners: set[str] = set()
-        for extent_id, meta in self._extents.items():
-            if meta.tombstoned or disk_id not in meta.disk_ids:
+        for extent in self._referenced():
+            if disk_id not in extent.disk_ids:
                 continue
-            physical = self._physical_owner(extent_id)
-            if physical in repaired_owners:
-                continue
-            repaired_owners.add(physical)
-            index = meta.disk_ids.index(disk_id)
-            fragments: list[bytes | None] = []
-            for owner_disk in meta.disk_ids:
-                peer = self._disks[owner_disk]
-                key = f"{physical}#{owner_disk}"
-                if peer.failed or not peer.has_extent(key):
-                    fragments.append(None)
-                    continue
-                try:
-                    payload, _ = peer.read(key)
-                except CorruptionError:
-                    stats.fault_stats().sector_errors_detected += 1
-                    fragments.append(None)
-                    continue
-                fragments.append(payload)
-            fragment = self.policy.repair(fragments, index, meta.length)
-            disk.write(f"{physical}#{disk_id}", fragment)
+            index = extent.disk_ids.index(disk_id)
+            fragments, _, _ = self._read_fragments(extent)
+            fragment = self.policy.repair(fragments, index, extent.length)
+            disk.write(extent.keys[index], fragment)
             rebuilt += 1
             self.stats.repair_bytes += len(fragment)
         self.stats.repairs += 1
@@ -461,6 +455,12 @@ class StoragePool:
 
     # --- fault injection -----------------------------------------------------
 
+    def _fragment(self, extent_id: str, index: int) -> tuple[Disk, str]:
+        """The disk and key of a live extent's fragment ``index % width``."""
+        extent = self._lookup(extent_id)
+        index %= len(extent.keys)
+        return self._disks[extent.disk_ids[index]], extent.keys[index]
+
     def erase_fragment(self, extent_id: str, index: int) -> str:
         """Fault injection: silently destroy one stored fragment.
 
@@ -468,14 +468,11 @@ class StoragePool:
         fragment vanishes from its disk without any error being raised
         until a read or scrub notices.  Returns the disk id that lost it.
         """
-        meta = self._live_meta(extent_id)
-        owner = self._physical_owner(extent_id)
-        disk_id = meta.disk_ids[index % len(meta.disk_ids)]
-        disk = self._disks[disk_id]
+        disk, key = self._fragment(extent_id, index)
         if not disk.failed:
-            disk.delete(f"{owner}#{disk_id}")
+            disk.delete(key)
         stats.fault_stats().fragments_erased += 1
-        return disk_id
+        return disk.disk_id
 
     def corrupt_fragment(self, extent_id: str, index: int) -> str:
         """Fault injection: plant a latent sector error under one fragment.
@@ -483,30 +480,21 @@ class StoragePool:
         The fragment stays "present" until read (see
         :meth:`Disk.corrupt_extent`).  Returns the disk id affected.
         """
-        meta = self._live_meta(extent_id)
-        owner = self._physical_owner(extent_id)
-        disk_id = meta.disk_ids[index % len(meta.disk_ids)]
-        if self._disks[disk_id].corrupt_extent(f"{owner}#{disk_id}"):
+        disk, key = self._fragment(extent_id, index)
+        if disk.corrupt_extent(key):
             stats.fault_stats().sector_errors_injected += 1
-        return disk_id
+        return disk.disk_id
 
     # --- redundancy oracles (metadata-only, charge no simulated time) --------
 
     def fragment_locations(self) -> dict[str, list[str]]:
         """Disk ids holding each live extent's fragments, one entry per
-        physical fragment set (clones collapse onto their owner's)."""
-        out: dict[str, list[str]] = {}
-        seen: set[str] = set()
-        for extent_id in sorted(self._extents):
-            meta = self._extents[extent_id]
-            if meta.tombstoned:
-                continue
-            owner = self._physical_owner(extent_id)
-            if owner in seen:
-                continue
-            seen.add(owner)
-            out[extent_id] = list(meta.disk_ids)
-        return out
+        physical record, under its first name in sorted order (clones
+        collapse onto one name)."""
+        first_name: dict[_Extent, str] = {}
+        for extent_id in sorted(self._names):
+            first_name.setdefault(self._names[extent_id], extent_id)
+        return {name: list(extent.disk_ids) for extent, name in first_name.items()}
 
     def missing_fragments(self) -> dict[str, list[int]]:
         """Fragment indices currently lost per live extent.
@@ -517,14 +505,12 @@ class StoragePool:
         fragment set are omitted; clones collapse onto one entry.
         """
         out: dict[str, list[int]] = {}
-        for extent_id, disk_ids in self.fragment_locations().items():
-            owner = self._physical_owner(extent_id)
+        for extent_id in self.fragment_locations():
+            extent = self._names[extent_id]
             missing = []
-            for index, disk_id in enumerate(disk_ids):
+            for index, (disk_id, key) in enumerate(zip(extent.disk_ids, extent.keys)):
                 disk = self._disks[disk_id]
-                key = f"{owner}#{disk_id}"
-                if (disk.failed or not disk.has_extent(key)
-                        or disk.is_corrupt(key)):
+                if not disk.has_extent(key) or disk.is_corrupt(key):
                     missing.append(index)
             if missing:
                 out[extent_id] = missing
@@ -543,94 +529,44 @@ class StoragePool:
         """Read every live fragment to surface latent errors (charging the
         read time), returning the same mapping :meth:`missing_fragments`
         would — but discovered by I/O rather than by oracle."""
-        faults = stats.fault_stats()
         out: dict[str, list[int]] = {}
-        for extent_id, disk_ids in self.fragment_locations().items():
-            owner = self._physical_owner(extent_id)
-            bad = []
-            for index, disk_id in enumerate(disk_ids):
-                disk = self._disks[disk_id]
-                key = f"{owner}#{disk_id}"
-                if disk.failed or not disk.has_extent(key):
-                    bad.append(index)
-                    continue
-                try:
-                    disk.read(key)
-                except CorruptionError:
-                    faults.sector_errors_detected += 1
-                    bad.append(index)
-            if bad:
-                out[extent_id] = bad
+        for extent_id in self.fragment_locations():
+            _, lost, _ = self._read_fragments(self._names[extent_id])
+            if lost:
+                out[extent_id] = lost
         return out
 
     def extent_length(self, extent_id: str) -> int:
         """Logical byte length of a live extent (for rebuild sizing)."""
-        return self._live_meta(extent_id).length
+        return self._lookup(extent_id).length
 
     def rebuild_extent(self, extent_id: str) -> int:
         """Reconstruct one extent's lost/corrupt fragments onto healthy disks.
 
         Unlike :meth:`repair_disk` (whole-disk replacement), this targets a
-        single extent: surviving fragments are read, each lost one is
-        rebuilt through the policy and re-placed — in place when its disk
-        is alive (rewriting clears a latent error), otherwise onto another
-        alive disk holding no fragment of this extent, with the placement
-        metadata of the extent *and every clone sharing its fragments*
-        updated.  Returns fragments rebuilt (0 when already healthy).
-        Raises :class:`UnrecoverableDataError` when more fragments are
-        gone than the policy tolerates, and :class:`CapacityError` when no
-        healthy disk can take a re-placed fragment.
+        single extent: each lost fragment is rebuilt through the policy
+        and re-placed — in place when its disk is alive (rewriting clears
+        a latent error), otherwise onto the emptiest alive disk holding no
+        fragment of this extent, in the shared record, so every name and
+        snapshot bound to it sees the move.  Returns fragments rebuilt (0
+        when healthy).  Raises :class:`UnrecoverableDataError` beyond the
+        policy's tolerance, :class:`CapacityError` when no disk can take
+        a re-placed fragment.
         """
-        meta = self._live_meta(extent_id)
-        owner = self._physical_owner(extent_id)
-        faults = stats.fault_stats()
-        fragments: list[bytes | None] = []
-        lost: list[int] = []
-        for index, disk_id in enumerate(meta.disk_ids):
-            disk = self._disks[disk_id]
-            key = f"{owner}#{disk_id}"
-            if disk.failed or not disk.has_extent(key):
-                fragments.append(None)
-                lost.append(index)
-                continue
-            try:
-                payload, _ = disk.read(key)
-            except CorruptionError:
-                faults.sector_errors_detected += 1
-                fragments.append(None)
-                lost.append(index)
-                continue
-            fragments.append(payload)
+        extent = self._lookup(extent_id)
+        fragments, lost, _ = self._read_fragments(extent)
         if not lost:
             return 0
-        # clones share the owner's physical fragments: every extent pointing
-        # at this owner (tombstoned ones included, so GC frees the fragments
-        # at their new homes) must see the new placement
-        family = [
-            m for eid, m in self._extents.items()
-            if self._physical_owner(eid) == owner
-        ]
+        faults = stats.fault_stats()
         for index in lost:
-            fragment = self.policy.repair(fragments, index, meta.length)
-            old_disk = self._disks[meta.disk_ids[index]]
-            if not old_disk.failed:
-                target = old_disk
-            else:
-                holders = set(meta.disk_ids)
-                candidates = sorted(
-                    (d for d in self._alive_disks()
-                     if d.disk_id not in holders),
-                    key=lambda d: d.used_bytes,
-                )
-                if not candidates:
-                    raise CapacityError(
-                        f"pool {self.name!r}: no healthy disk can take a "
-                        f"rebuilt fragment of {extent_id!r}"
-                    )
-                target = candidates[0]
-            target.write(f"{owner}#{target.disk_id}", fragment)
-            for member in family:
-                member.disk_ids[index] = target.disk_id
+            fragment = self.policy.repair(fragments, index, extent.length)
+            target = self._disks[extent.disk_ids[index]]
+            if target.failed:
+                target = self._emptiest(1, exclude=extent.disk_ids)[0]
+            key = f"{extent.stem}#{target.disk_id}"
+            target.write(key, fragment)
+            extent.disk_ids[index] = target.disk_id
+            extent.keys[index] = key
             fragments[index] = fragment
             self.stats.rebuilt_fragments += 1
             self.stats.repair_bytes += len(fragment)

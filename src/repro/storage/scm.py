@@ -5,15 +5,17 @@ extra cache and Fig 14(a) shows it lowers message latency at moderate rates
 while leaving throughput unchanged (Fig 14(b)) — a capacity-bound cache
 cuts the latency of hits but the disk path still bounds sustained rate.
 
-:class:`SCMCache` is an LRU byte cache: hits cost an SCM read, misses fall
-through to the caller-provided loader and populate the cache.
+:class:`SCMCache` is a read-through byte cache over one
+:class:`~repro.cache.tier.CacheTier` (ARC eviction, byte ledger, oversize
+rejection): hits cost an SCM read, misses fall through to the
+caller-provided loader and populate the cache.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable
 
+from repro.cache.tier import CacheTier
 from repro.common.clock import SimClock
 from repro.common.units import GiB
 
@@ -22,22 +24,11 @@ SCM_READ_S = 1.5e-6
 
 
 class SCMCache:
-    """LRU cache with byte-capacity accounting and hit/miss meters."""
+    """Read-through persistent-memory cache with hit/miss meters."""
 
     def __init__(self, clock: SimClock, capacity_bytes: int = 16 * GiB) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("cache capacity must be positive")
         self._clock = clock
-        self.capacity_bytes = capacity_bytes
-        self._entries: OrderedDict[str, bytes] = OrderedDict()
-        self._used = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used
+        self._tier = CacheTier("scm", capacity_bytes)
 
     def get(self, key: str,
             loader: Callable[[], tuple[bytes, float]]) -> tuple[bytes, float]:
@@ -46,35 +37,38 @@ class SCMCache:
         On a hit the cost is one SCM read; on a miss the ``loader`` runs
         (returning payload and its own cost) and the result is cached.
         """
-        if key in self._entries:
-            self.hits += 1
-            self._entries.move_to_end(key)
+        payload = self._tier.get(key)
+        if payload is not None:
             self._clock.charge("scm", SCM_READ_S)
-            return self._entries[key], SCM_READ_S
-        self.misses += 1
+            return payload, SCM_READ_S
         payload, cost = loader()
         self.put(key, payload)
         return payload, cost
 
     def put(self, key: str, payload: bytes) -> None:
-        """Insert a payload, evicting LRU entries to fit."""
-        if len(payload) > self.capacity_bytes:
-            return  # larger than the device; never cacheable
-        if key in self._entries:
-            self._used -= len(self._entries.pop(key))
-        while self._used + len(payload) > self.capacity_bytes:
-            _, evicted = self._entries.popitem(last=False)
-            self._used -= len(evicted)
-            self.evictions += 1
-        self._entries[key] = payload
-        self._used += len(payload)
+        """Insert a payload (evicting by ARC; one larger than the device
+        is never cached)."""
+        self._tier.put(key, payload, len(payload))
 
     def invalidate(self, key: str) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self._used -= len(entry)
+        self._tier.invalidate(key)
+
+    @property
+    def used_bytes(self) -> int:
+        return self._tier.used_bytes
+
+    @property
+    def hits(self) -> int:
+        return self._tier.stats.hits
+
+    @property
+    def misses(self) -> int:
+        return self._tier.stats.misses
+
+    @property
+    def evictions(self) -> int:
+        return self._tier.stats.evictions
 
     @property
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return self._tier.stats.hit_rate

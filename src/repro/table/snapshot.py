@@ -117,6 +117,13 @@ class SnapshotLog:
     def snapshots(self) -> list[Snapshot]:
         return list(self._snapshots)
 
+    def referenced_paths(self) -> list[str]:
+        """Data file paths live in any retained snapshot, each once."""
+        paths: dict[str, None] = {}
+        for snapshot in self._snapshots:
+            paths.update(dict.fromkeys(m.path for m in self.live_files(snapshot)))
+        return list(paths)
+
     # --- expiration ---------------------------------------------------------------
 
     def expire(self, older_than: float) -> tuple[int, list[str]]:
@@ -136,11 +143,7 @@ class SnapshotLog:
                 keep_from = index
         dropped = self._snapshots[:keep_from]
         self._snapshots = self._snapshots[keep_from:]
-        retained_live: set[str] = set()
-        for snapshot in self._snapshots:
-            retained_live |= {
-                meta.path for meta in self.live_files(snapshot)
-            }
+        retained_live = set(self.referenced_paths())
         all_added = {
             meta.path
             for commit in self._commits.values()

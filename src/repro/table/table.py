@@ -898,10 +898,13 @@ class Lakehouse:
 
     def _meta_drop(self, table: TableObject) -> None:
         self.meta_store.drop(table.info.path)
-        for meta in table.snapshots.live_files():
-            table.cache_hierarchy.invalidate(self._pool, meta.path)
-            if self._pool.has_extent(meta.path):
-                self._pool.delete(meta.path)
+        # every retained snapshot's files, not just the current ones: a
+        # file an UPDATE superseded would otherwise outlive the table and
+        # collide with a recreated table's first file of the same path
+        for path in table.snapshots.referenced_paths():
+            table.cache_hierarchy.invalidate(self._pool, path)
+            if self._pool.has_extent(path):
+                self._pool.delete(path)
         # cached results must not survive a physical drop: a recreated
         # table restarts snapshot ids, which would alias the dead keys
         table.cache_hierarchy.invalidate_results(table.name)

@@ -149,6 +149,35 @@ def test_arc_adapts_toward_frequency_on_ghost_hit():
     assert "b" in tier.t2 and "b" not in tier.b1
 
 
+def test_invalidate_forgets_the_ghost():
+    """A physically deleted key must not look like a premature eviction
+    when a new entry reuses it: no adaptation, and a put lands in T1."""
+    tier = CacheTier("t", capacity_bytes=4)
+    tier.put("a", "a", 2)
+    tier.put("b", "b", 2)
+    tier.get("a")
+    tier.put("c", "c", 2)  # evicts "b" -> B1 ghost
+    assert "b" in tier.b1
+    assert tier.invalidate("b") is False  # no resident entry existed
+    assert "b" not in tier.b1 and tier.b1_bytes == 0
+    assert tier.get("b") is None
+    assert tier.p == 0.0
+    tier.put("b", "new", 2)
+    assert "b" in tier.t1 and "b" not in tier.t2
+
+
+def test_invalidate_where_forgets_matching_ghosts():
+    tier = CacheTier("t", capacity_bytes=4)
+    tier.put(("x", 1), 1, 2)
+    tier.put(("y", 1), 1, 2)
+    tier.get(("x", 1))
+    tier.put(("y", 2), 1, 2)  # evicts ("y", 1) -> B1 ghost
+    assert ("y", 1) in tier.b1
+    assert tier.invalidate_where(lambda key: key[0] == "y") == 1
+    assert not tier.b1 and tier.b1_bytes == 0
+    assert list(tier) == [("x", 1)]
+
+
 def test_arc_requires_capacity():
     with pytest.raises(ValueError):
         CacheTier("t", capacity_bytes=0)

@@ -244,6 +244,21 @@ def test_drop_hard_removes_data(lakehouse, table, ec_pool):
         assert not ec_pool.has_extent(path)
 
 
+def test_drop_hard_removes_files_superseded_by_update(lakehouse, table, ec_pool):
+    """A hard drop deletes every file a retained snapshot references —
+    not only the current ones — so a table recreated under the same name
+    writes its first files at the same paths and reads them fresh."""
+    table.insert(rows_for(6))
+    table.select()  # the first files now sit in the block/footer tiers
+    table.update(Predicate("city", "=", "bj"), {"value": -1})
+    lakehouse.drop_table_hard("events")
+    assert not [e for e in ec_pool.extent_ids() if e.startswith("tables/events/")]
+    again = lakehouse.create_table("events", SCHEMA, PartitionSpec.by("city"))
+    again.insert(rows_for(4, days=(7,)))
+    assert sorted(row["value"] for row in again.select()) == [0, 1, 2, 3]
+    assert {row["day"] for row in again.select()} == {7}
+
+
 def test_drop_hard_unknown_raises(lakehouse):
     with pytest.raises(TableNotFoundError):
         lakehouse.drop_table_hard("ghost")
