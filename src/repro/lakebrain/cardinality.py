@@ -111,7 +111,7 @@ class SPNEstimator(CardinalityEstimator):
     """The learned estimator: train once, estimate in near-constant time."""
 
     def __init__(self,
-                 table: "Sequence[dict[str, object]] | Mapping[str, ColumnVector | list[object]]",
+                 table: "Sequence[dict[str, object]] | Mapping[str, ColumnVector]",
                  columns: list[str], sample_fraction: float = 0.01,
                  seed: int = 0, trained_snapshot_id: int | None = None) -> None:
         """Train over a sample of ``table``: row dicts, or column data as
@@ -180,16 +180,15 @@ class SPNEstimator(CardinalityEstimator):
         )
 
 
-def _column_sample(data: "ColumnVector | list[object]",
+def _column_sample(data: ColumnVector,
                    indices: np.ndarray) -> "np.ndarray | list[object]":
     """One column's values at the sampled rows: float64 for a NULL-free
-    INT64/TIMESTAMP/FLOAT64 sample, else Python values."""
+    INT64/TIMESTAMP/FLOAT64 sample, else Python values (a string sample
+    is a take through the dictionary codes)."""
     if (isinstance(data, NumericVector) and data.values.dtype != np.bool_
             and data.valid()[indices].all()):
         return data.values[indices].astype(np.float64)
-    if isinstance(data, ColumnVector):
-        return data.take(indices)
-    return list(map(data.__getitem__, indices.tolist()))
+    return data.take(indices)
 
 
 def q_error(estimate: float, truth: float) -> float:

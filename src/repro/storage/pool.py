@@ -17,14 +17,17 @@ before its old record is collected gets fresh fragment keys.  **Garbage
 collection** frees, exactly once, every record that neither the active
 mapping nor any snapshot references.  **Repair** and fault injection act
 on a record's fragments once, however many names share it, and every
-name bound to a record sees a re-homed fragment.
+name bound to a record sees a re-homed fragment.  The redundancy
+oracles (:meth:`StoragePool.missing_fragments`, ``scrub``,
+``fragment_locations``) walk every referenced record, so a payload only
+a snapshot still holds is checked and rebuilt too, under the key
+``name@snapshot``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass
-from itertools import chain
 from types import MappingProxyType
 
 from repro.common import stats
@@ -401,19 +404,36 @@ class StoragePool:
     def snapshot_extents(self, name: str) -> set[str]:
         return set(self._snapshots[name])
 
-    def _referenced(self) -> dict[_Extent, None]:
-        """Each record the active mapping or a snapshot references, once."""
-        return dict.fromkeys(chain(
-            self._names.values(),
-            *(snapshot.values() for snapshot in self._snapshots.values()),
-        ))
+    def _referenced(self) -> dict[_Extent, str]:
+        """Each record the active mapping or a snapshot references, once,
+        with the key the redundancy oracles report it under: its smallest
+        live name, or, for a record only snapshots hold, ``name@snapshot``
+        with the smallest snapshot and then the smallest name binding it."""
+        keys: dict[_Extent, str] = {}
+        for name in sorted(self._names):
+            keys.setdefault(self._names[name], name)
+        for snapshot, mapping in sorted(self._snapshots.items()):
+            for name in sorted(mapping):
+                keys.setdefault(mapping[name], f"{name}@{snapshot}")
+        return keys
+
+    def _record(self, key: str) -> _Extent:
+        """The record under an oracle key: a live name or ``name@snapshot``."""
+        extent = self._names.get(key)
+        if extent is None:
+            name, _, snapshot = key.rpartition("@")
+            extent = self._snapshots.get(snapshot, {}).get(name)
+        if extent is None:
+            raise ObjectNotFoundError(f"pool {self.name!r}: no extent {key!r}")
+        return extent
 
     # --- maintenance --------------------------------------------------------
 
     def garbage_collect(self) -> int:
         """Free every record that no name and no snapshot references;
         returns the bytes of physical space freed."""
-        referenced = self._referenced()
+        referenced = {extent for mapping in (self._names, *self._snapshots.values())
+                      for extent in mapping.values()}
         freed = 0
         for stem, extent in list(self._placed.items()):
             if extent in referenced:
@@ -456,8 +476,9 @@ class StoragePool:
     # --- fault injection -----------------------------------------------------
 
     def _fragment(self, extent_id: str, index: int) -> tuple[Disk, str]:
-        """The disk and key of a live extent's fragment ``index % width``."""
-        extent = self._lookup(extent_id)
+        """The disk and key of fragment ``index % width`` of the record
+        under an oracle key (a live name or ``name@snapshot``)."""
+        extent = self._record(extent_id)
         index %= len(extent.keys)
         return self._disks[extent.disk_ids[index]], extent.keys[index]
 
@@ -488,25 +509,23 @@ class StoragePool:
     # --- redundancy oracles (metadata-only, charge no simulated time) --------
 
     def fragment_locations(self) -> dict[str, list[str]]:
-        """Disk ids holding each live extent's fragments, one entry per
-        physical record, under its first name in sorted order (clones
-        collapse onto one name)."""
-        first_name: dict[_Extent, str] = {}
-        for extent_id in sorted(self._names):
-            first_name.setdefault(self._names[extent_id], extent_id)
-        return {name: list(extent.disk_ids) for extent, name in first_name.items()}
+        """Disk ids holding each referenced record's fragments, one entry
+        per physical record under its oracle key (see :meth:`_referenced`:
+        clones collapse onto one name, and a record only a snapshot holds
+        is ``name@snapshot``)."""
+        return {key: list(extent.disk_ids)
+                for extent, key in self._referenced().items()}
 
     def missing_fragments(self) -> dict[str, list[int]]:
-        """Fragment indices currently lost per live extent.
+        """Fragment indices currently lost per referenced record.
 
         Counts crashed disks, erased fragments and *flagged* latent
         sector errors (the oracle sees the flag; real readers only find
-        out via :meth:`scrub` or a degraded read).  Extents with a full
-        fragment set are omitted; clones collapse onto one entry.
+        out via :meth:`scrub` or a degraded read).  Records with a full
+        fragment set are omitted; keys are :meth:`fragment_locations`'.
         """
         out: dict[str, list[int]] = {}
-        for extent_id in self.fragment_locations():
-            extent = self._names[extent_id]
+        for extent, extent_id in self._referenced().items():
             missing = []
             for index, (disk_id, key) in enumerate(zip(extent.disk_ids, extent.keys)):
                 disk = self._disks[disk_id]
@@ -522,29 +541,33 @@ class StoragePool:
 
     @property
     def fully_redundant(self) -> bool:
-        """True when every live extent has its full fragment set healthy."""
+        """True when every referenced record — live or held only by a
+        snapshot — has its full fragment set healthy."""
         return not self.missing_fragments()
 
     def scrub(self) -> dict[str, list[int]]:
-        """Read every live fragment to surface latent errors (charging the
-        read time), returning the same mapping :meth:`missing_fragments`
-        would — but discovered by I/O rather than by oracle."""
+        """Read every referenced fragment to surface latent errors
+        (charging the read time), returning the same mapping
+        :meth:`missing_fragments` would — but discovered by I/O rather
+        than by oracle."""
         out: dict[str, list[int]] = {}
-        for extent_id in self.fragment_locations():
-            _, lost, _ = self._read_fragments(self._names[extent_id])
+        for extent, extent_id in self._referenced().items():
+            _, lost, _ = self._read_fragments(extent)
             if lost:
                 out[extent_id] = lost
         return out
 
     def extent_length(self, extent_id: str) -> int:
-        """Logical byte length of a live extent (for rebuild sizing)."""
-        return self._lookup(extent_id).length
+        """Logical byte length of the record under an oracle key (for
+        rebuild sizing)."""
+        return self._record(extent_id).length
 
     def rebuild_extent(self, extent_id: str) -> int:
         """Reconstruct one extent's lost/corrupt fragments onto healthy disks.
 
         Unlike :meth:`repair_disk` (whole-disk replacement), this targets a
-        single extent: each lost fragment is rebuilt through the policy
+        single record, under any key :meth:`missing_fragments` reports
+        (so a record only a snapshot holds rebuilds too): each lost fragment is rebuilt through the policy
         and re-placed — in place when its disk is alive (rewriting clears
         a latent error), otherwise onto the emptiest alive disk holding no
         fragment of this extent, in the shared record, so every name and
@@ -553,7 +576,7 @@ class StoragePool:
         policy's tolerance, :class:`CapacityError` when no disk can take
         a re-placed fragment.
         """
-        extent = self._lookup(extent_id)
+        extent = self._record(extent_id)
         fragments, lost, _ = self._read_fragments(extent)
         if not lost:
             return 0

@@ -1,8 +1,11 @@
-"""Rows and JSON logs -> columns: the edge of every table write.
+"""Rows and JSON logs -> column vectors: the edge of every table write.
 
-Tables are written only from column data
-(:meth:`~repro.table.columnar.ColumnarFile.from_columns`); this module
-builds that data from the two row-shaped inputs:
+Tables are written only from column vectors
+(:meth:`~repro.table.columnar.ColumnarFile.from_columns`): a
+:class:`~repro.table.vector.NumericVector` per numeric column and a
+:class:`~repro.table.vector.DictStringVector` per string column, from
+here to the file.  This module builds them from the two row-shaped
+inputs:
 
 * :func:`columns_from_rows` — row dicts (``TableObject.insert``), each
   checked with :meth:`~repro.table.schema.Schema.validate_row` before any
@@ -23,16 +26,18 @@ Its stages, each over the whole batch of JSON log lines at once:
    column; extra JSON fields are dropped (matching the row-wise parser),
    and a missing field is indistinguishable from an explicit ``null``
    downstream, exactly as in the columnar encoding.
-3. **Typed build + validation** — each column converts to a NumPy vector
-   with a validity mask.  Clean columns (one ``type()`` histogram pass
-   finds only the expected types) convert with a single C-level
+3. **Typed build + validation** — each numeric column converts to a
+   NumPy vector with a validity mask, each string column is factorized
+   once into a dictionary vector (distinct values in first-seen order +
+   uint32 codes).  Clean columns (one ``type()`` histogram pass finds
+   only the expected types) convert with a single C-level
    ``np.asarray``; dirty columns fall back to a tight per-value loop that
    flags bad rows.  Validation semantics mirror
    :meth:`~repro.table.schema.Schema.validate_row`: ``None``/missing in a
    non-nullable column, bools in non-bool columns, and any type mismatch
    mark the row malformed.
 4. **Row filter** — rows bad in *any* column drop from every column with
-   one boolean-mask gather.
+   one index gather (:meth:`~repro.table.vector.ColumnVector.gather`).
 
 The result is bit-compatible with the record-at-a-time oracle,
 ``run_cycle_rows`` in ``tests/table/rowwise.py`` (``json.loads`` and
@@ -44,14 +49,13 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from itertools import compress
 
 import numpy as np
 
 from repro.common import stats
-from repro.table.columnar import numeric_vector
+from repro.table.columnar import edge_vectors
 from repro.table.schema import ColumnType, Schema
-from repro.table.vector import ColumnVector, NumericVector
+from repro.table.vector import ColumnVector, DictStringVector, NumericVector
 
 try:
     # the batch array scans use orjson when available: same documents for
@@ -255,11 +259,13 @@ def _build_typed(values: list[object], allowed: set[type],
 
 
 def _build_strings(values: list[object], nullable: bool
-                   ) -> tuple[list[object], np.ndarray | None]:
+                   ) -> tuple[DictStringVector, np.ndarray | None]:
+    """(dictionary vector, bad-row mask or None) for a STRING column; a
+    bad value is NULL in the vector, its row dropped later."""
     n = len(values)
     kinds = set(map(type, values))
     if kinds == {str} or (kinds == {str, type(None)} and nullable):
-        return values, None
+        return DictStringVector.from_values(values), None
     bad = np.zeros(n, dtype=bool)
     out: list[object] = [None] * n
     for index, value in enumerate(values):
@@ -270,12 +276,12 @@ def _build_strings(values: list[object], nullable: bool
                 bad[index] = True
         else:
             bad[index] = True
-    return out, bad
+    return DictStringVector.from_values(out), bad
 
 
 def columns_from_values(
     values: list[bytes], schema: Schema
-) -> tuple[dict[str, ColumnVector | list[object]], int, int]:
+) -> tuple[dict[str, ColumnVector], int, int]:
     """Convert raw JSON message values to validated column data.
 
     Returns ``(columns, row_count, malformed_count)`` where ``columns``
@@ -291,7 +297,7 @@ def columns_from_values(
     if not n:
         return {}, 0, malformed
     bad_rows: np.ndarray | None = None
-    columns: dict[str, ColumnVector | list[object]] = {}
+    columns: dict[str, ColumnVector] = {}
     for column in schema.columns:
         gathered = [row.get(column.name) for row in rows]
         if column.type is ColumnType.STRING:
@@ -315,13 +321,8 @@ def columns_from_values(
         dropped = int(bad_rows.sum())
         malformed += dropped
         n -= dropped
-        keep = ~bad_rows
-        for name, data in columns.items():
-            if isinstance(data, NumericVector):
-                columns[name] = NumericVector(data.values[keep],
-                                              data.valid()[keep])
-            else:
-                columns[name] = list(compress(data, keep))
+        keep = np.flatnonzero(~bad_rows)
+        columns = {name: data.gather(keep) for name, data in columns.items()}
     if not n:
         return {}, 0, malformed
     return columns, n, malformed
@@ -329,22 +330,19 @@ def columns_from_values(
 
 def columns_from_rows(
     schema: Schema, rows: list[dict[str, object]]
-) -> tuple[dict[str, ColumnVector | list[object]], int]:
+) -> tuple[dict[str, ColumnVector], int]:
     """Row dicts as ``(columns, row_count)`` for ``insert_columns``.
 
     Every row is checked with :meth:`Schema.validate_row` first, so the
     first bad row raises its :class:`~repro.errors.SchemaError` before
-    any column exists.  A missing nullable key is NULL.  String columns
-    stay value lists; the others become typed vectors, so an ``int`` in
-    a FLOAT64 column is a float from here on.
+    any column exists.  A missing nullable key is NULL.  Each column's
+    values become a vector at the write edge
+    (:func:`~repro.table.columnar.edge_vectors`), so an ``int`` in a
+    FLOAT64 column is a float from here on.
     """
     for row in rows:
         schema.validate_row(row)
-    columns: dict[str, ColumnVector | list[object]] = {}
-    for column in schema.columns:
-        values = [row.get(column.name) for row in rows]
-        columns[column.name] = (
-            values if column.type is ColumnType.STRING
-            else numeric_vector(values, column.type)
-        )
-    return columns, len(rows)
+    return edge_vectors(schema, {
+        column.name: [row.get(column.name) for row in rows]
+        for column in schema.columns
+    }, len(rows)), len(rows)

@@ -74,6 +74,12 @@ frames at the smallest width holding ``len(dictionary)``, which is the
 NULL code) — the classic columnar trick that makes low-cardinality log
 fields (provinces, URLs, flags) tiny.
 
+**Writes take vectors.**  Row groups encode from slices of a
+:class:`NumericVector` or :class:`DictStringVector` per column; a value
+list becomes one only at the write edge (:func:`edge_vectors`).  A
+string chunk depends on its slice's values alone, not on the vector's
+dictionary order or unused entries.
+
 Scanning evaluates an :class:`~repro.table.expr.Expression` with row-group
 skipping first (footer stats), then a vectorized filter: chunks decode to
 typed :mod:`~repro.table.vector` column vectors (cached in the chunk
@@ -89,6 +95,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -99,7 +106,12 @@ from repro.cache.tier import CacheTier
 from repro.errors import CorruptionError, SchemaError
 from repro.table.expr import Expression
 from repro.table.schema import ColumnType, Schema
-from repro.table.vector import ColumnVector, DictStringVector, NumericVector
+from repro.table.vector import (
+    ColumnVector,
+    DictStringVector,
+    NumericVector,
+    concat_vectors,
+)
 
 #: Default rows per row group.
 ROW_GROUP_SIZE = 10_000
@@ -224,47 +236,51 @@ def _load_json(raw: bytes) -> object:
         raise CorruptionError(f"string chunk is not JSON: {exc}") from None
 
 
-def _encode_strings(values: list[object]
+def _encode_strings(vector: DictStringVector
                     ) -> tuple[bytes, tuple[object, object, int]]:
     """The chunk and footer statistics ``(min, max, nulls)`` of a string
-    column, plain JSON or dictionary encoding, whichever is smaller.
+    column slice, plain JSON or dictionary encoding, whichever is smaller.
 
     Dictionary encoding pays off exactly when the column is
     low-cardinality (provinces, URLs, status flags): distinct values are
-    stored once and rows become small integer codes.  The sorted
-    dictionary gives the codes; the codes' counts give the plain-JSON
-    size the choice is made against; the dictionary's ends and the NULL
-    count are the statistics; plain JSON is serialized only when chosen.
+    stored once and rows become small integer codes.  One ``bincount``
+    over the slice's codes finds the entries it uses and how often; only
+    those are sorted, and their ranks are the chunk's codes.  The counts
+    give the plain-JSON size the choice is made against; the sorted ends
+    and the NULL count are the statistics; plain JSON is serialized only
+    when chosen.
     """
-    present = set(values)
-    present.discard(None)
-    if not values or len(present) > max(1, len(values) // 2):
-        nulls = values.count(None)
+    codes = vector.codes
+    count = len(codes)
+    counts = np.bincount(codes, minlength=len(vector.dictionary) + 1)
+    nulls = int(counts[-1])
+    used = np.flatnonzero(counts[:-1])
+    present = [vector.dictionary[code] for code in used.tolist()]
+    if not count or len(present) > max(1, count // 2):
         stats = (min(present), max(present), nulls) if present else \
             (None, None, nulls)
-        return _plain_strings(values), stats
-    distinct = sorted(present)
-    mapping = dict(zip(distinct, range(len(distinct))))
-    mapping[None] = len(distinct)
-    codes = np.fromiter(
-        map(mapping.__getitem__, values), dtype=np.uint32, count=len(values)
-    )
-    *counts, nulls = np.bincount(codes, minlength=len(distinct) + 1).tolist()
+        return _plain_strings(vector.to_list()), stats
+    order = sorted(range(len(present)), key=present.__getitem__)
+    distinct = [present[index] for index in order]
     stats = (distinct[0], distinct[-1], nulls) if distinct else \
         (None, None, nulls)
     items = list(map(encode_basestring_ascii, distinct))
     dictionary = f"[{','.join(items)}]".encode()
     width = _width_for(len(distinct))
     # "[" + values joined by "," + "]", NULL spelled "null"
-    plain_size = len(values) + 1 + 4 * nulls + sum(
-        map(int.__mul__, map(len, items), counts)
+    plain_size = count + 1 + 4 * nulls + sum(
+        map(int.__mul__, map(len, items), counts[used[order]].tolist())
     )
-    if _LEN.size + len(dictionary) + width * len(values) >= plain_size:
-        return _plain_strings(values), stats
+    if _LEN.size + len(dictionary) + width * count >= plain_size:
+        return _plain_strings(vector.to_list()), stats
+    # old code -> rank in the sorted dictionary; unused codes and NULL
+    # map to the NULL code, len(distinct)
+    remap = np.full(len(vector.dictionary) + 1, len(distinct), np.uint32)
+    remap[used[order]] = np.arange(len(distinct), dtype=np.uint32)
     stream = zlib.compress(dictionary, _ZLIB_LEVEL)
     chunk = (
         bytes([_ENC_DICT]) + _LEN.pack(len(stream)) + stream
-        + _frame_planes(_word_planes(codes, width))
+        + _frame_planes(_word_planes(remap[codes], width))
     )
     return chunk, stats
 
@@ -288,6 +304,10 @@ def _split_dictionary(blob: bytes, count: int
     dictionary = _load_json(_inflate(memoryview(blob)[1 + _LEN.size : start]))
     if not isinstance(dictionary, list):
         raise CorruptionError("string dictionary is not a JSON list")
+    # vectors rely on distinct entries (ndv, re-encoding); writers sort
+    if any(type(value) is not str for value in dictionary) or any(
+            map(str.__ge__, dictionary, dictionary[1:])):
+        raise CorruptionError("string dictionary is not sorted and distinct")
     width = _width_for(len(dictionary))
     codes = _join_planes(_read_planes(blob, start, width, count), np.uint32)
     return dictionary, codes
@@ -428,6 +448,37 @@ def numeric_vector(values: list[object], type_: ColumnType) -> NumericVector:
     )
 
 
+def edge_vectors(schema: Schema, columns: "Mapping[str, object]",
+                 num_rows: int) -> dict[str, ColumnVector]:
+    """The write edge: every schema column of ``columns`` as a vector.
+
+    The one place a table write turns a Python value list (``None`` =
+    NULL) into a vector: a STRING list is factorized once
+    (:meth:`DictStringVector.from_values`), any other becomes a
+    :class:`NumericVector` (an ``int`` in a FLOAT64 column is a float
+    from here on); a vector passes through.  Raises :class:`SchemaError`
+    for a missing column or a length other than ``num_rows``.
+    """
+    missing = set(schema.names) - set(columns)
+    if missing:
+        raise SchemaError(f"missing columns {sorted(missing)}")
+    out: dict[str, ColumnVector] = {}
+    for column in schema.columns:
+        data = columns[column.name]
+        if len(data) != num_rows:
+            raise SchemaError(
+                f"column {column.name!r} has {len(data)} values, "
+                f"expected {num_rows}"
+            )
+        if isinstance(data, ColumnVector):
+            out[column.name] = data
+        elif column.type is ColumnType.STRING:
+            out[column.name] = DictStringVector.from_values(data)
+        else:
+            out[column.name] = numeric_vector(data, column.type)
+    return out
+
+
 def _strings_to_vector(blob: bytes, count: int) -> DictStringVector:
     """Decode a string chunk to dictionary form without a row-dict detour.
 
@@ -437,17 +488,7 @@ def _strings_to_vector(blob: bytes, count: int) -> DictStringVector:
     """
     if _string_tag(blob) == _ENC_DICT:
         return DictStringVector(*_split_dictionary(blob, count))
-    values = _plain_values(blob, count)
-    # distinct values in first-seen order; NULL takes the code past them
-    distinct = dict.fromkeys(values)
-    distinct.pop(None, None)
-    dictionary = list(distinct)
-    mapping = dict(zip(dictionary, range(len(dictionary))))
-    mapping[None] = len(dictionary)
-    codes = np.fromiter(
-        map(mapping.__getitem__, values), dtype=np.uint32, count=count
-    )
-    return DictStringVector(dictionary, codes)
+    return DictStringVector.from_values(_plain_values(blob, count))
 
 
 def _decode_vector(blob: bytes, type_: ColumnType, count: int) -> ColumnVector:
@@ -495,36 +536,29 @@ def _vector_stats(vector: NumericVector,
     return float(low), float(high), nulls
 
 
-def concat_columns(schema: Schema,
-                   parts: "list[dict[str, ColumnVector | list[object]]]"
-                   ) -> "dict[str, ColumnVector | list[object]]":
-    """Several files' :meth:`ColumnarFile.to_columns` data, end to end."""
-    out: dict[str, ColumnVector | list[object]] = {}
-    for column in schema.columns:
-        pieces = [part[column.name] for part in parts]
-        if column.type is ColumnType.STRING:
-            out[column.name] = [value for piece in pieces for value in piece]
-            continue
-        # the typed empty lead keeps zero files a typed empty column
-        values = [np.empty(0, dtype=_DTYPES[column.type])]
-        valid = [np.empty(0, dtype=bool)]
-        for piece in pieces:
-            values.append(piece.values)
-            valid.append(piece.valid())
-        out[column.name] = NumericVector(
-            np.concatenate(values), np.concatenate(valid)
-        )
-    return out
+def decode_columns(schema: Schema, files: "Iterable[ColumnarFile]",
+                   cache: CacheTier | None = None) -> dict[str, ColumnVector]:
+    """Every row of ``files`` (iterated once), in order, as one vector per
+    column.
 
-
-def gather_column(data: "ColumnVector | list[object]",
-                  indices: np.ndarray) -> "ColumnVector | list[object]":
-    """Row-subset of one column's data (partition split / filtering)."""
-    if isinstance(data, NumericVector):
-        return NumericVector(data.values[indices], data.valid()[indices])
-    if isinstance(data, ColumnVector):
-        return data.take(indices)
-    return [data[i] for i in indices.tolist()]
+    Chunks decode through the chunk tier ``cache`` (file by file, column
+    by column, group by group), so files that were recently scanned
+    merge without re-decompressing anything, and each column's chunks
+    concatenate once (:func:`~repro.table.vector.concat_vectors`).  The
+    result feeds :meth:`ColumnarFile.from_columns` without ever building
+    a row; zero row groups give empty columns.
+    """
+    cache = cache if cache is not None else default_hierarchy().chunks
+    parts: dict[str, list[ColumnVector]] = {name: [] for name in schema.names}
+    for data_file in files:
+        for name, chunks in parts.items():
+            chunks.extend(data_file._vector(group, name, cache)
+                          for group in data_file._groups)
+    if not all(parts.values()):
+        return edge_vectors(schema, dict.fromkeys(schema.names, []), 0)
+    # each column's chunks go as soon as it is concatenated, so all the
+    # chunks and all the columns are never held at once
+    return {name: concat_vectors(parts.pop(name)) for name in list(parts)}
 
 
 @dataclass
@@ -538,31 +572,24 @@ class _RowGroup:
     chunks: dict[str, bytes]
 
     @classmethod
-    def from_columns(cls, schema: Schema,
-                     columns: "dict[str, ColumnVector | list[object]]",
+    def from_columns(cls, schema: Schema, columns: dict[str, ColumnVector],
                      start: int, stop: int) -> "_RowGroup":
-        """Encode rows ``start:stop`` of column data into one row group.
+        """Encode rows ``start:stop`` of column vectors into one row group.
 
-        ``NumericVector`` columns encode and take their statistics
-        through NumPy slices (:func:`_vector_stats`); string columns go
-        through :func:`_encode_strings`, which needs Python values anyway
-        for JSON/dictionary encoding.
+        Each column's slice is a view: a :class:`NumericVector` encodes
+        and takes its statistics through NumPy reductions
+        (:func:`_vector_stats`), a :class:`DictStringVector` through
+        :func:`_encode_strings`, which works on its codes.
         """
         group = cls(stop - start, {}, {}, {})
         for column in schema.columns:
-            data = columns[column.name]
-            if isinstance(data, NumericVector):
-                part = NumericVector(
-                    data.values[start:stop], data.valid()[start:stop]
-                )
+            part = columns[column.name].gather(slice(start, stop))
+            if isinstance(part, DictStringVector):
+                chunk, (low, high, nulls) = _encode_strings(part)
+            else:
+                assert isinstance(part, NumericVector)
                 chunk = _encode_vector(part, column.type)
                 low, high, nulls = _vector_stats(part, column.type)
-            else:
-                values = (
-                    data[start:stop] if isinstance(data, list)
-                    else data.take(np.arange(start, stop))
-                )
-                chunk, (low, high, nulls) = _encode_strings(values)
             group.chunks[column.name] = chunk
             group.stats[column.name] = (low, high)
             group.null_counts[column.name] = nulls
@@ -673,37 +700,24 @@ class ColumnarFile:
     # --- construction -------------------------------------------------------
 
     @classmethod
-    def from_columns(cls, schema: Schema,
-                     columns: "dict[str, ColumnVector | list[object]]",
+    def from_columns(cls, schema: Schema, columns: "Mapping[str, object]",
                      num_rows: int,
                      row_group_size: int = ROW_GROUP_SIZE) -> "ColumnarFile":
         """Build row groups from column data — the one file builder.
 
-        ``columns`` maps every schema column to a :class:`NumericVector`
-        (typed values + validity mask), a plain Python value list or, for
-        strings, a string vector.  A numeric column given as a list
-        becomes a :class:`NumericVector` here, so every numeric footer
-        statistic comes from :func:`_vector_stats`.  Values are trusted:
-        callers validate while building the columns
-        (:mod:`repro.table.colbuild`), not per row here.
+        ``columns`` maps every schema column to a
+        :class:`~repro.table.vector.ColumnVector` — a
+        :class:`NumericVector` (typed values + validity mask) or, for
+        strings, a :class:`DictStringVector` — or to a Python value list,
+        which :func:`edge_vectors` turns into one first.  Row groups are
+        slices of those vectors, so every footer statistic comes from
+        the vectors and no row is built.  Values are trusted: callers
+        validate while building the columns (:mod:`repro.table.colbuild`),
+        not per row here.
         """
         if row_group_size < 1:
             raise ValueError("row_group_size must be >= 1")
-        missing = set(schema.names) - set(columns)
-        if missing:
-            raise SchemaError(f"missing columns {sorted(missing)}")
-        for name, data in columns.items():
-            if len(data) != num_rows:
-                raise SchemaError(
-                    f"column {name!r} has {len(data)} values, "
-                    f"expected {num_rows}"
-                )
-        columns = {**columns, **{
-            column.name: numeric_vector(columns[column.name], column.type)
-            for column in schema.columns
-            if column.type is not ColumnType.STRING
-            and isinstance(columns[column.name], list)
-        }}
+        columns = edge_vectors(schema, columns, num_rows)
         groups = [
             _RowGroup.from_columns(
                 schema, columns, start, min(start + row_group_size, num_rows)
@@ -867,23 +881,6 @@ class ColumnarFile:
             for group in self._groups
         ]
 
-    def count(self, predicate: Expression | None = None,
-              cache: CacheTier | None = None) -> int:
-        """Pushed-down COUNT(*): mask sums only, no row dicts are built."""
-        if predicate is None:
-            return self.num_rows
-        cache = cache if cache is not None else default_hierarchy().chunks
-        total = 0
-        for group in self._groups:
-            if not predicate.possibly_matches(group.stats):
-                continue
-            vectors = {
-                name: self._vector(group, name, cache)
-                for name in predicate.columns()
-            }
-            total += int(predicate.mask(vectors, group.num_rows).sum())
-        return total
-
     def skipped_row_groups(self, predicate: Expression) -> int:
         """How many row groups the footer statistics prune for a predicate."""
         return sum(
@@ -893,44 +890,6 @@ class ColumnarFile:
 
     def group_stats(self) -> list[dict[str, tuple[object, object]]]:
         return [dict(group.stats) for group in self._groups]
-
-    def to_columns(self, cache: CacheTier | None = None
-                   ) -> "dict[str, ColumnVector | list[object]]":
-        """Decode the whole file to per-column data (compaction path).
-
-        Numeric/bool/timestamp columns come back as one concatenated
-        :class:`NumericVector` per column; string columns materialize to
-        Python lists (their re-encoding needs the values regardless).
-        Chunk decodes go through the chunk tier ``cache``, so files that
-        were recently scanned merge without re-decompressing anything.
-        The result feeds :meth:`from_columns` without ever building a row.
-        """
-        cache = cache if cache is not None else default_hierarchy().chunks
-        out: dict[str, ColumnVector | list[object]] = {}
-        for column in self.schema.columns:
-            if column.type is ColumnType.STRING:
-                values: list[object] = []
-                for group in self._groups:
-                    values.extend(
-                        self._vector(group, column.name, cache).to_list()
-                    )
-                out[column.name] = values
-                continue
-            vectors = [
-                self._vector(group, column.name, cache)
-                for group in self._groups
-            ]
-            if not vectors:
-                dtype = _DTYPES[column.type]
-                out[column.name] = NumericVector(
-                    np.empty(0, dtype=dtype), np.empty(0, dtype=bool)
-                )
-                continue
-            out[column.name] = NumericVector(
-                np.concatenate([v.values for v in vectors]),
-                np.concatenate([v.valid() for v in vectors]),
-            )
-        return out
 
     # --- serialization --------------------------------------------------------------
 

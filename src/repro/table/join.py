@@ -45,48 +45,23 @@ from repro.cache.tier import CacheTier
 from repro.common.stats import join_stats
 from repro.table.columnar import ColumnarFile
 from repro.table.expr import Expression
-from repro.table.vector import ColumnVector, DictStringVector, NumericVector
+from repro.table.vector import (
+    ColumnVector,
+    DictStringVector,
+    NumericVector,
+    concat_vectors,
+)
 
 #: Join types the kernel supports.
 JOIN_TYPES = ("inner", "left")
 
 
-def concat_vectors(parts: list[ColumnVector]) -> ColumnVector:
-    """One vector spanning several chunks of the same column.
-
-    Numeric parts concatenate value/validity arrays; string parts remap
-    each chunk's dictionary into the union dictionary (chunk
-    dictionaries are per-row-group, so they rarely agree).
-    """
-    if not parts:
-        raise ValueError("cannot concatenate zero vectors")
-    if len(parts) == 1:
-        return parts[0]
-    if isinstance(parts[0], NumericVector):
-        numeric = [part for part in parts if isinstance(part, NumericVector)]
-        return NumericVector(
-            np.concatenate([part.values for part in numeric]),
-            np.concatenate([part.valid() for part in numeric]),
-        )
-    union: list[object] = sorted(
-        {value for part in parts for value in part.dictionary}  # type: ignore[attr-defined]
-    )
-    index = {value: position for position, value in enumerate(union)}
-    null_code = len(union)
-    chunks = []
-    for part in parts:
-        assert isinstance(part, DictStringVector)
-        remap = np.array(
-            [index[value] for value in part.dictionary] + [null_code],
-            dtype=np.uint32,
-        )
-        chunks.append(remap[part.codes])
-    return DictStringVector(union, np.concatenate(chunks))
-
-
 def gather_with_nulls(vector: ColumnVector, indices: np.ndarray
                       ) -> ColumnVector:
-    """Gather rows where ``-1`` indices become NULL (outer-join padding)."""
+    """Gather rows where ``-1`` indices become NULL (outer-join padding);
+    without a ``-1`` this is :meth:`ColumnVector.gather`."""
+    if not len(indices) or int(indices.min()) >= 0:
+        return vector.gather(indices)
     safe = np.clip(indices, 0, None)
     missing = indices < 0
     if isinstance(vector, NumericVector):
@@ -158,21 +133,10 @@ class ColumnSet:
 
     def gather(self, indices: np.ndarray) -> "ColumnSet":
         """Row subset at the vector level (``-1`` rows become NULLs)."""
-        if len(indices) and int(indices.min()) < 0:
-            return ColumnSet(
-                {
-                    name: gather_with_nulls(vector, indices)
-                    for name, vector in self.columns.items()
-                },
-                len(indices),
-            )
-        return ColumnSet(
-            {
-                name: vector.gather(indices)
-                for name, vector in self.columns.items()
-            },
-            len(indices),
-        )
+        return ColumnSet({
+            name: gather_with_nulls(vector, indices)
+            for name, vector in self.columns.items()
+        }, len(indices))
 
     def to_rows(self, columns: list[str] | None = None
                 ) -> list[dict[str, object]]:

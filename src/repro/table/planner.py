@@ -50,7 +50,7 @@ from repro.table.join import (
     hash_join,
 )
 from repro.table.table import Lakehouse, QueryStats, TableObject
-from repro.table.vector import ColumnVector, NumericVector
+from repro.table.vector import ColumnVector, DictStringVector, NumericVector
 
 #: Left-deep enumeration is exhaustive up to this many relations (4! = 24
 #: orders); beyond it the factorial blows up and a DP planner would be
@@ -161,11 +161,14 @@ class TableStatistics:
     estimator: SPNEstimator | None
 
 
-def _distinct_count(data: "ColumnVector | list[object]") -> int:
-    """Distinct non-null values; numeric data counts the runs of its sorted
-    values (``np.unique`` would hash), NaNs once as ``np.unique`` does."""
-    if not isinstance(data, NumericVector):
-        return len(set(data) - {None})
+def _distinct_count(data: ColumnVector) -> int:
+    """Distinct non-null values: the dictionary entries a string vector
+    uses, or the runs of a numeric vector's sorted values (``np.unique``
+    would hash), NaNs once as ``np.unique`` does."""
+    if isinstance(data, DictStringVector):
+        used = np.bincount(data.codes, minlength=len(data.dictionary) + 1)
+        return int(np.count_nonzero(used[:-1]))
+    assert isinstance(data, NumericVector)
     present = np.sort(data.values[data.valid()])
     runs = np.count_nonzero(present[1:] != present[:-1]) + bool(len(present))
     return int(runs) - max(int(np.count_nonzero(present != present)) - 1, 0)
@@ -451,13 +454,6 @@ def plan_join(lakehouse: Lakehouse, query: JoinQuery,
     )
 
 
-def _gather(vector: ColumnVector, indices: np.ndarray) -> ColumnVector:
-    """Vector gather where ``-1`` (outer-join padding) yields NULLs."""
-    if len(indices) and int(indices.min()) < 0:
-        return gather_with_nulls(vector, indices)
-    return vector.gather(indices)
-
-
 def execute_plan(lakehouse: Lakehouse, plan: JoinPlan,
                  columns: Mapping[str, list[str]],
                  as_of: float | None = None,
@@ -514,7 +510,7 @@ def execute_plan(lakehouse: Lakehouse, plan: JoinPlan,
         for position, condition in enumerate(step.conditions):
             probe_alias = next(iter(condition.aliases() - {step.alias}))
             key_name = f"__key{position}"
-            probe_columns[key_name] = _gather(
+            probe_columns[key_name] = gather_with_nulls(
                 base[probe_alias].columns[condition.column_for(probe_alias)],
                 indices[probe_alias],
             )
@@ -539,7 +535,7 @@ def execute_plan(lakehouse: Lakehouse, plan: JoinPlan,
     output: dict[str, ColumnVector] = {}
     for ref in query.tables:
         for name in columns.get(ref.alias, []):
-            output[f"{ref.alias}.{name}"] = _gather(
+            output[f"{ref.alias}.{name}"] = gather_with_nulls(
                 base[ref.alias].columns[name], indices[ref.alias]
             )
     num_rows = int(len(indices[first]))

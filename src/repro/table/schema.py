@@ -11,6 +11,7 @@ partitioning) and ``hour``.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,13 +179,12 @@ class PartitionSpec:
     def is_partitioned(self) -> bool:
         return bool(self.fields)
 
-    def keys_of(self, columns: "dict[str, object]",
+    def keys_of(self, columns: "Mapping[str, ColumnVector]",
                 num_rows: int) -> list[str]:
-        """Per-row partition directory names of column data, e.g.
+        """Per-row partition directory names of column vectors, e.g.
         ``'province=11/day_start_time=19400'`` (``'all'`` unpartitioned).
 
-        ``columns`` maps column names to value lists or typed vectors;
-        day/hour transforms of a numeric vector run as one NumPy
+        Day/hour transforms of a numeric vector run as one NumPy
         floor-divide, so no row dict is built.
         """
         if not self.fields:
@@ -204,10 +204,9 @@ class PartitionSpec:
                     for value, ok in zip(transformed, data.valid().tolist())
                 ])
             else:
-                source = (
-                    data.to_list() if isinstance(data, ColumnVector) else data
+                per_field.append(
+                    [field_.apply_value(v) for v in data.to_list()]
                 )
-                per_field.append([field_.apply_value(v) for v in source])
         labels = [field_.label for field_ in self.fields]
         if len(per_field) == 1:
             label = labels[0]

@@ -20,6 +20,7 @@ UPDATE / DROP over columnar data files in a storage pool, with:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -50,8 +51,8 @@ from repro.table.colbuild import columns_from_rows
 from repro.table.columnar import (
     ColumnarFile,
     ROW_GROUP_SIZE,
-    concat_columns,
-    gather_column,
+    decode_columns,
+    edge_vectors,
 )
 from repro.table.commit import CommitFile, DataFileMeta
 from repro.table.expr import Expression
@@ -60,7 +61,12 @@ from repro.table.metacache import AcceleratedMetadataStore, MetadataStore
 from repro.table.pushdown import AggregateSpec, result_size_bytes
 from repro.table.schema import PartitionSpec, Schema
 from repro.table.snapshot import SnapshotLog
-from repro.table.vector import ColumnVector, NumericVector
+from repro.table.vector import (
+    ColumnVector,
+    DictStringVector,
+    NumericVector,
+    concat_vectors,
+)
 
 #: Compute-side memory to hold one file's manifest while planning (bytes).
 PLANNING_BYTES_PER_FILE = 500
@@ -141,20 +147,28 @@ def read_file(data_file: ColumnarFile, cache: CacheTier, *,
     return piece, skipped
 
 
-def _assign(data: "ColumnVector | list[object]", mask: np.ndarray,
-            value: object) -> "NumericVector | list[object]":
-    """One SET: ``value`` written into ``data`` at ``mask``.
+def _assign(data: ColumnVector, mask: np.ndarray,
+            value: object) -> ColumnVector:
+    """One SET: a new vector, ``data`` with ``value`` at ``mask``.
 
-    Numeric columns are assigned in place, so ``data`` must be a fresh
-    column (``concat_columns`` output), never a cached vector.
+    ``data`` may be a cached, read-only vector, so it is copied, never
+    written.  A string new to the dictionary is appended to it, which
+    moves the NULL code (``len(dictionary)``) one up.
     """
     if isinstance(data, NumericVector):
-        data.values[mask] = 0 if value is None else value
-        data.valid()[mask] = value is not None
-        return data
-    values = np.array(data, dtype=object)
-    values[mask] = value
-    return values.tolist()
+        values, valid = data.values.copy(), data.valid().copy()
+        values[mask] = 0 if value is None else value
+        valid[mask] = value is not None
+        return NumericVector(values, valid)
+    assert isinstance(data, DictStringVector)
+    dictionary, codes = data.dictionary, data.codes.copy()
+    if value is not None and value not in dictionary:
+        codes[codes == len(dictionary)] += 1
+        dictionary = [*dictionary, value]
+    codes[mask] = (
+        len(dictionary) if value is None else dictionary.index(value)
+    )
+    return DictStringVector(dictionary, codes)
 
 
 class TableObject:
@@ -235,25 +249,25 @@ class TableObject:
         """
         return self.insert_columns(*columns_from_rows(self.schema, rows))
 
-    def insert_columns(self,
-                       columns: "dict[str, object]",
+    def insert_columns(self, columns: "Mapping[str, object]",
                        num_rows: int) -> float:
         """Vectorized INSERT from per-column data (the reunion write path).
 
-        ``columns`` maps every schema column to a
-        :class:`~repro.table.vector.NumericVector` or Python list exactly
-        as :meth:`ColumnarFile.from_columns` accepts; values are trusted
-        (validated during column construction).  Partition keys compute
-        column-at-a-time — numeric day/hour transforms run as one NumPy
-        floor-divide — and per-partition files build straight from column
-        slices, so no row dicts exist anywhere on this path.
+        ``columns`` maps every schema column to a vector or a Python value
+        list exactly as :meth:`ColumnarFile.from_columns` accepts; lists
+        become vectors on entry (:func:`~repro.table.columnar.
+        edge_vectors`) and values are trusted (validated during column
+        construction).  Partition keys compute column-at-a-time — numeric
+        day/hour transforms run as one NumPy floor-divide — and
+        per-partition files build straight from vector gathers, so no row
+        dicts exist anywhere on this path.
         """
         if num_rows < 1:
             raise ValueError("insert requires at least one row")
         added = []
         write_costs = []
         for partition, part_columns, part_rows in self._split_partitions(
-                columns, num_rows):
+                edge_vectors(self.schema, columns, num_rows), num_rows):
             meta, write_cost = self._write_columns_file(
                 partition, part_columns, part_rows
             )
@@ -263,8 +277,9 @@ class TableObject:
         cost += self._commit("insert", added=added, removed=[])
         return cost
 
-    def _split_partitions(self, columns: "dict[str, object]", num_rows: int
-                          ) -> "list[tuple[str, dict[str, object], int]]":
+    def _split_partitions(self, columns: dict[str, ColumnVector],
+                          num_rows: int
+                          ) -> list[tuple[str, dict[str, ColumnVector], int]]:
         """Column data split by partition key: ``(partition, columns,
         rows)`` per key in key order, rows in their input order.
 
@@ -287,8 +302,7 @@ class TableObject:
         for partition, indices in zip(partitions,
                                       np.split(order, bounds[:-1])):
             out.append((partition, {
-                name: gather_column(data, indices)
-                for name, data in columns.items()
+                name: data.gather(indices) for name, data in columns.items()
             }, len(indices)))
         return out
 
@@ -300,7 +314,7 @@ class TableObject:
         return cost
 
     def _write_columns_file(self, partition: str,
-                            columns: "dict[str, object]",
+                            columns: dict[str, ColumnVector],
                             num_rows: int) -> tuple[DataFileMeta, float]:
         """Build and persist one data file; the caller charges the clock."""
         data_file = ColumnarFile.from_columns(
@@ -594,24 +608,22 @@ class TableObject:
             return self.snapshots.current_version
         return self.snapshots.snapshot_at(as_of).snapshot_id
 
-    def read_columns(self
-                     ) -> "tuple[dict[str, ColumnVector | list[object]], int]":
-        """The current snapshot as ``(column data, row count)``.
+    def read_columns(self) -> tuple[dict[str, ColumnVector], int]:
+        """The current snapshot as ``(column vectors, row count)``.
 
         What statistics collection reads.  It fetches every live file
-        straight from the pool and charges no simulated time; each file
-        decodes once to typed vectors and no row is built.  Nothing it
-        decodes enters the query caches.
+        straight from the pool and charges no simulated time; each chunk
+        decodes once to its typed vector — strings stay dictionary
+        vectors — and no row is built.  Nothing it decodes enters the
+        query caches.
         """
         scratch = CacheTier("scratch", 1)  # too small to admit a chunk
-        parts = []
-        num_rows = 0
-        for meta in self.snapshots.live_files():
-            payload, _ = self._pool.fetch(meta.path)
-            data_file = ColumnarFile.from_bytes(payload)
-            parts.append(data_file.to_columns(cache=scratch))
-            num_rows += data_file.num_rows
-        return concat_columns(self.schema, parts), num_rows
+        live = self.snapshots.live_files()
+        # one payload at a time: each file is dropped once it is decoded
+        files = (ColumnarFile.from_bytes(self._pool.fetch(meta.path)[0])
+                 for meta in live)
+        return (decode_columns(self.schema, files, scratch),
+                sum(meta.record_count for meta in live))
 
     # --- mutations ----------------------------------------------------------------
 
@@ -622,14 +634,13 @@ class TableObject:
         partially matching files are rewritten without the doomed rows.
         """
 
-        def survivors(partition: str, columns: "dict[str, object]",
+        def survivors(partition: str, columns: dict[str, ColumnVector],
                       mask: np.ndarray):
             keep = np.flatnonzero(~mask)
             if not keep.size:
                 return []
             return [(partition, {
-                name: gather_column(data, keep)
-                for name, data in columns.items()
+                name: data.gather(keep) for name, data in columns.items()
             }, int(keep.size))]
 
         # removed files stay in the pool: older snapshots still reference
@@ -649,7 +660,7 @@ class TableObject:
         for name, value in set_values.items():
             self.schema.column(name).validate(value)
 
-        def assign(_partition: str, columns: "dict[str, object]",
+        def assign(_partition: str, columns: dict[str, ColumnVector],
                    mask: np.ndarray):
             for name, value in set_values.items():
                 columns[name] = _assign(columns[name], mask, value)
@@ -694,13 +705,10 @@ class TableObject:
             if not mask.any():
                 continue  # statistics overlapped but nothing matched
             removed.append(meta.path)
-            # string columns leave as value lists: their encoders take
-            # Python values, as compaction's do
-            columns = concat_columns(self.schema, [
-                {name: vector if isinstance(vector, NumericVector)
-                 else vector.to_list() for name, vector in vectors.items()}
-                for vectors, _ in groups
-            ])
+            columns = {
+                name: concat_vectors([vectors[name] for vectors, _ in groups])
+                for name in names
+            }
             for partition, part_columns, num_rows in rewrite(
                     meta.partition, columns, mask):
                 new_meta, write_cost = self._write_columns_file(
@@ -756,18 +764,17 @@ class TableObject:
         if len(live) < 2:
             return 0.0
         cost = 0.0
-        parts = []
-        num_rows = 0
+        files = []
         for meta in live:
             data_file, read_cost = self._hierarchy.load_file(
                 self._pool, meta.path, now=self._clock.now
             )
             cost += read_cost
-            parts.append(data_file.to_columns(cache=self._hierarchy.chunks))
-            num_rows += data_file.num_rows
-        columns = concat_columns(self.schema, parts)
+            files.append(data_file)
         new_meta, write_cost = self._write_columns_file(
-            partition, columns, num_rows
+            partition,
+            decode_columns(self.schema, files, self._hierarchy.chunks),
+            sum(data_file.num_rows for data_file in files),
         )
         cost += self._advance_writes([write_cost])
         removed = [meta.path for meta in live]

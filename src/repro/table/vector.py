@@ -72,13 +72,15 @@ class ColumnVector:
         """Materialize Python objects at the given row indices."""
         raise NotImplementedError
 
-    def gather(self, indices: np.ndarray) -> "ColumnVector":
+    def gather(self, indices: "np.ndarray | slice") -> "ColumnVector":
         """A new vector holding the given rows, still in typed form.
 
         Unlike :meth:`take`, nothing materializes to Python objects —
         this is how late materialization flows *through* a join: both
         sides gather surviving row indices as vectors, and only the
-        final projection calls :meth:`take`.
+        final projection calls :meth:`take`.  ``indices`` is anything
+        NumPy indexes with: row indices, a boolean mask, or a slice
+        (whose arrays are views).
         """
         raise NotImplementedError
 
@@ -171,11 +173,13 @@ class NumericVector(ColumnVector):
 class DictStringVector(ColumnVector):
     """Dictionary-coded strings: distinct values + uint32 codes.
 
-    Nulls are the code ``len(dictionary)``.  Predicates evaluate once per
-    *distinct* value (Python semantics, so arbitrary literal types behave
-    exactly like the row-wise path), then broadcast through the codes —
-    the classic trick that makes low-cardinality columns nearly free to
-    filter.
+    Nulls are the code ``len(dictionary)``.  Dictionary entries are
+    distinct but in no particular order, and a vector may leave some
+    unused (a gathered or sliced vector keeps its source's dictionary).
+    Predicates evaluate once per *distinct* value (Python semantics, so
+    arbitrary literal types behave exactly like the row-wise path), then
+    broadcast through the codes — the classic trick that makes
+    low-cardinality columns nearly free to filter.
     """
 
     __slots__ = ("dictionary", "codes")
@@ -183,6 +187,21 @@ class DictStringVector(ColumnVector):
     def __init__(self, dictionary: list[object], codes: np.ndarray) -> None:
         self.dictionary = dictionary
         self.codes = codes
+
+    @classmethod
+    def from_values(cls, values: list[object]) -> "DictStringVector":
+        """Factorize Python values (None = NULL): distinct values in
+        first-seen order, NULL the code past them."""
+        mapping = dict.fromkeys(values)
+        mapping.pop(None, None)
+        dictionary = list(mapping)
+        mapping.update(zip(dictionary, range(len(dictionary))))
+        mapping[None] = len(dictionary)
+        codes = np.fromiter(
+            map(mapping.__getitem__, values), dtype=np.uint32,
+            count=len(values),
+        )
+        return cls(dictionary, codes)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -238,3 +257,37 @@ class DictStringVector(ColumnVector):
         if mask[-1]:
             uniques.append(None)
         return dense[codes], uniques
+
+
+def concat_vectors(parts: list[ColumnVector]) -> ColumnVector:
+    """One vector spanning several chunks of the same column.
+
+    A lone part comes back as it is (it may be a cached, read-only
+    vector).  Numeric parts concatenate value/validity arrays; string
+    parts remap each chunk's dictionary into the sorted union dictionary
+    (chunk dictionaries are per-row-group, so they rarely agree).
+    """
+    if not parts:
+        raise ValueError("cannot concatenate zero vectors")
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], NumericVector):
+        numeric = [part for part in parts if isinstance(part, NumericVector)]
+        return NumericVector(
+            np.concatenate([part.values for part in numeric]),
+            np.concatenate([part.valid() for part in numeric]),
+        )
+    union: list[object] = sorted(
+        {value for part in parts for value in part.dictionary}  # type: ignore[attr-defined]
+    )
+    index = {value: position for position, value in enumerate(union)}
+    null_code = len(union)
+    chunks = []
+    for part in parts:
+        assert isinstance(part, DictStringVector)
+        remap = np.array(
+            [index[value] for value in part.dictionary] + [null_code],
+            dtype=np.uint32,
+        )
+        chunks.append(remap[part.codes])
+    return DictStringVector(union, np.concatenate(chunks))

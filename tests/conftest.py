@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.common.clock import SimClock
 from repro.storage.bus import DataBus
@@ -15,6 +16,12 @@ from repro.storage.replication import Replication
 from repro.stream.service import MessageStreamingService
 from repro.table.metacache import AcceleratedMetadataStore
 from repro.table.table import Lakehouse
+
+#: CI runs tier-1 with ``--hypothesis-profile=ci``: a failing property
+#: also prints the ``@reproduce_failure`` blob that replays it.  Every
+#: other setting is the default profile's, so no test's examples or
+#: deadline change.
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture

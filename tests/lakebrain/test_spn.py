@@ -223,9 +223,7 @@ class ColumnRows:
         self.indexed.append(index)
         row = {}
         for name, data in self._columns.items():
-            if isinstance(data, list):
-                row[name] = data[index]
-            elif isinstance(data, DictStringVector):
+            if isinstance(data, DictStringVector):
                 row[name] = data.take(np.array([index]))[0]
             elif data.valid()[index]:
                 row[name] = data.values[index].item()
@@ -252,6 +250,8 @@ _KINDS = {
     "string": (_STRING, None),
     "dict_string": (_STRING, None),
 }
+#: a dictionary entry no drawn row uses, as a merged dictionary can hold
+_UNUSED = "unused"
 
 
 @st.composite
@@ -274,7 +274,13 @@ def column_tables(draw):
         values = [None if i in nulls else v for i, v in enumerate(values)]
         name = f"{kind}{index}"
         if kind == "string":
-            columns[name] = values
+            # sorted with an unused entry, as concat_vectors merges them
+            dictionary = sorted({v for v in values if v is not None}
+                                | {_UNUSED})
+            codes = [len(dictionary) if v is None else dictionary.index(v)
+                     for v in values]
+            columns[name] = DictStringVector(
+                dictionary, np.array(codes, dtype=np.uint32))
         elif kind == "dict_string":
             dictionary = list(dict.fromkeys(v for v in values if v is not None))
             codes = [len(dictionary) if v is None else dictionary.index(v)

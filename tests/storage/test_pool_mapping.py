@@ -15,8 +15,11 @@ clone shares its source's blob) and every snapshot is a frozen copy of
 
 Names come from a four-name alphabet, so deleting a name and storing it
 again — while a clone or a snapshot still holds the old payload, or
-before GC — happens all the time.  The last three tests replay the
-name-reuse faults a flag-per-name pool had, as named examples.
+before GC — happens all the time.  Fragment faults and rebuilds pick
+among every record the pool's redundancy oracles report, a record only
+a snapshot holds (keyed ``name@snapshot``) included.  Three named
+examples replay the name-reuse faults a flag-per-name pool had; the
+last one follows a snapshot-held record through a disk failure.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ from hypothesis.stateful import (
 
 from repro.common import stats
 from repro.common.clock import SimClock
+from repro.storage.bus import DataBus
 from repro.storage.disk import NVME_SSD_PROFILE
 from repro.storage.pool import StoragePool
+from repro.storage.rebuild import RebuildQueue
 from repro.storage.redundancy import erasure_coding_policy
 from repro.storage.replication import Replication
 
@@ -142,6 +147,14 @@ class PoolMappingMachine(RuleBasedStateMachine):
 
     # --- fragment faults and repair -------------------------------------------
 
+    def _blob(self, key: str) -> int:
+        """The blob under a pool oracle key: a live name, or
+        ``name@snapshot`` for a record only snapshots hold."""
+        if key in self.live:
+            return self.live[key]
+        name, _, snapshot = key.rpartition("@")
+        return self.snaps[snapshot][name]
+
     def _safe_targets(self) -> list[tuple[str, int]]:
         """(name, index) pairs whose loss keeps the record recoverable."""
         tolerance = self.pool.policy.fault_tolerance
@@ -159,7 +172,7 @@ class PoolMappingMachine(RuleBasedStateMachine):
         if targets:
             name, index = targets[pick % len(targets)]
             self.pool.erase_fragment(name, index)
-            self.erased[self.live[name]].add(index)
+            self.erased[self._blob(name)].add(index)
 
     @rule(pick=PICK)
     def corrupt(self, pick):
@@ -168,13 +181,14 @@ class PoolMappingMachine(RuleBasedStateMachine):
             name, index = targets[pick % len(targets)]
             self.pool.corrupt_fragment(name, index)
 
-    @precondition(lambda self: self.live)
     @rule(pick=PICK)
     def rebuild(self, pick):
-        name = sorted(self.live)[pick % len(self.live)]
-        self.pool.rebuild_extent(name)
-        self.erased[self.live[name]].clear()
-        assert name not in self.pool.missing_fragments()
+        keys = sorted(self.pool.fragment_locations())
+        if keys:
+            name = keys[pick % len(keys)]
+            self.pool.rebuild_extent(name)
+            self.erased[self._blob(name)].clear()
+            assert name not in self.pool.missing_fragments()
 
     # --- invariants ------------------------------------------------------------
 
@@ -251,3 +265,35 @@ def test_snapshot_keeps_the_payload_it_froze():
     machine.drop_snapshot(pick=0)
     machine.garbage_collect()
     machine.live_names_read_their_payloads()
+
+
+def test_a_record_only_a_snapshot_holds_is_seen_and_rebuilt():
+    """Store "a", snapshot it, delete "a", fail a disk holding it: every
+    redundancy oracle sees the snapshot's record, keyed ``a@s``, the
+    rebuild queue rebuilds it, and once it is beyond repair the queue
+    reports it unrecoverable under that key."""
+    clock = SimClock()
+    pool = StoragePool("map", clock, policy=erasure_coding_policy(2, 1))
+    pool.add_disks(NVME_SSD_PROFILE, 4)
+    disks = {disk.disk_id: disk for disk in pool.disks}
+    pool.store("a", bytes(range(200)))
+    pool.snapshot("s")
+    pool.delete("a")
+    holders = pool.fragment_locations()["a@s"]
+    assert pool.fully_redundant and len(holders) == 3
+    disks[holders[0]].fail()
+    assert not pool.fully_redundant
+    assert pool.missing_fragments() == pool.scrub() == {"a@s": [0]}
+    queue = RebuildQueue(pool, DataBus(clock), clock)
+    assert queue.scan_and_enqueue() == 1
+    report = queue.run()
+    assert (report.rebuilt_extents, report.unrecoverable) == (1, [])
+    assert pool.fully_redundant
+    assert holders[0] not in pool.fragment_locations()["a@s"]
+    for disk_id in pool.fragment_locations()["a@s"][:2]:
+        disks[disk_id].fail()
+    assert queue.scan_and_enqueue() == 1
+    assert queue.run().unrecoverable == ["a@s"]
+    pool.drop_snapshot("s")
+    pool.garbage_collect()
+    assert pool.fragment_locations() == pool.missing_fragments() == {}

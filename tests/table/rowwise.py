@@ -8,6 +8,9 @@ Python dict:
   and a file scanned row group by row group, every row a dict tested
   with ``predicate.matches`` (asserts ``ColumnarFile.scan`` and the
   chunk codec).
+* :func:`encode_strings_rows` — a string chunk from Python values (set,
+  sort and map per chunk), the encoder the dictionary-vector one is
+  pinned to byte for byte.
 * :func:`join_rows` — the O(n*m) nested-loop join (asserts
   ``hash_join`` and the planner).
 * :func:`select_rows` — SELECT through :func:`scan_rows` and the
@@ -31,18 +34,29 @@ Files are rebuilt through the one file builder,
 from __future__ import annotations
 
 import json
+import zlib
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from repro.errors import SchemaError
 from repro.stream.records import MessageRecord
 from repro.table.colbuild import columns_from_rows
 from repro.table.columnar import (
+    _ENC_DICT,
     _ENC_PLAIN,
+    _LEN,
+    _ZLIB_LEVEL,
     ROW_GROUP_SIZE,
     ColumnarFile,
     _decode_vector,
+    _frame_planes,
+    _plain_strings,
     _plain_values,
     _split_dictionary,
     _string_tag,
+    _width_for,
+    _word_planes,
 )
 from repro.table.commit import DataFileMeta
 from repro.table.conversion import ConversionReport, StreamTableConverter
@@ -86,6 +100,48 @@ def decode_column(blob: bytes, type_: ColumnType,
     dictionary, codes = _split_dictionary(blob, count)
     null_code = len(dictionary)
     return [None if c == null_code else dictionary[c] for c in codes.tolist()]
+
+
+def encode_strings_rows(values: list[object]
+                        ) -> tuple[bytes, tuple[object, object, int]]:
+    """A string chunk and its ``(min, max, nulls)`` from Python values.
+
+    The list encoder the file builder used before string columns stayed
+    dictionary vectors: distinct values from a set, sorted, mapped back
+    over every value, then plain JSON or dictionary encoding, whichever
+    is smaller.
+    """
+    present = set(values)
+    present.discard(None)
+    if not values or len(present) > max(1, len(values) // 2):
+        nulls = values.count(None)
+        stats = (min(present), max(present), nulls) if present else \
+            (None, None, nulls)
+        return _plain_strings(values), stats
+    distinct = sorted(present)
+    mapping = dict(zip(distinct, range(len(distinct))))
+    mapping[None] = len(distinct)
+    codes = np.fromiter(
+        map(mapping.__getitem__, values), dtype=np.uint32, count=len(values)
+    )
+    *counts, nulls = np.bincount(codes, minlength=len(distinct) + 1).tolist()
+    stats = (distinct[0], distinct[-1], nulls) if distinct else \
+        (None, None, nulls)
+    items = list(map(encode_basestring_ascii, distinct))
+    dictionary = f"[{','.join(items)}]".encode()
+    width = _width_for(len(distinct))
+    # "[" + values joined by "," + "]", NULL spelled "null"
+    plain_size = len(values) + 1 + 4 * nulls + sum(
+        map(int.__mul__, map(len, items), counts)
+    )
+    if _LEN.size + len(dictionary) + width * len(values) >= plain_size:
+        return _plain_strings(values), stats
+    stream = zlib.compress(dictionary, _ZLIB_LEVEL)
+    chunk = (
+        bytes([_ENC_DICT]) + _LEN.pack(len(stream)) + stream
+        + _frame_planes(_word_planes(codes, width))
+    )
+    return chunk, stats
 
 
 def scan_rows(data_file: ColumnarFile, predicate: Expression | None = None,

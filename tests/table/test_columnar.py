@@ -1,12 +1,14 @@
 """Unit and property tests for the columnar file format."""
 
+import hashlib
 import json
+import random
 import struct
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import CorruptionError, SchemaError
 from repro.table.columnar import (
@@ -17,15 +19,17 @@ from repro.table.columnar import (
     _encode_strings,
     _encode_vector,
     _read_planes,
+    _split_dictionary,
     _strings_to_vector,
     _vector_stats,
+    decode_columns,
     numeric_vector,
 )
 from repro.table.expr import Predicate
 from repro.table.schema import Column, ColumnType, Schema
 from repro.table.sql import query
-from repro.table.vector import NumericVector
-from rowwise import decode_column, file_from_rows, scan_rows
+from repro.table.vector import DictStringVector, NumericVector
+from rowwise import decode_column, encode_strings_rows, file_from_rows, scan_rows
 
 SCHEMA = Schema([
     Column("id", ColumnType.INT64),
@@ -40,7 +44,7 @@ def _encode_column(values, type_):
     """Chunk + footer statistics ``(min, max, nulls)`` of Python values,
     through the file builder's encoders."""
     if type_ is ColumnType.STRING:
-        return _encode_strings(values)
+        return _encode_strings(DictStringVector.from_values(values))
     vector = numeric_vector(values, type_)
     return _encode_vector(vector, type_), _vector_stats(vector, type_)
 
@@ -127,12 +131,6 @@ def test_row_group_skipping():
     predicate = Predicate("id", "=", 55)
     assert data_file.skipped_row_groups(predicate) == 9
     assert len(data_file.scan(predicate)) == 1
-
-
-def test_count_pushdown():
-    data_file = file_from_rows(SCHEMA, make_rows(60), row_group_size=10)
-    assert data_file.count() == 60
-    assert data_file.count(Predicate("id", ">=", 50)) == 10
 
 
 def test_file_stats_cover_all_values():
@@ -260,7 +258,6 @@ def test_all_none_string_column_roundtrip():
     restored = ColumnarFile.from_bytes(data_file.to_bytes())
     assert restored.scan() == rows
     assert scan_rows(restored) == rows
-    assert restored.count(Predicate("s", "=", "anything")) == 0
 
 
 def test_mixed_cardinality_selects_encoding_per_chunk():
@@ -279,7 +276,6 @@ def test_mixed_cardinality_selects_encoding_per_chunk():
     assert restored.scan() == rows
     predicate = Predicate("s", "IN", ("v1", "unique-string-value-7"))
     assert restored.scan(predicate) == scan_rows(restored, predicate)
-    assert restored.count(predicate) == 25 + 1
 
 
 def test_roundtrip_with_nulls_in_every_column_type():
@@ -419,7 +415,7 @@ def test_to_columns_roundtrip():
     rows = make_rows(40)
     original = file_from_rows(SCHEMA, rows, row_group_size=15)
     rebuilt = ColumnarFile.from_columns(
-        SCHEMA, original.to_columns(), original.num_rows
+        SCHEMA, decode_columns(SCHEMA, [original]), original.num_rows
     )
     assert rebuilt.scan() == rows
     assert rebuilt.file_stats() == original.file_stats()
@@ -427,7 +423,7 @@ def test_to_columns_roundtrip():
 
 def test_to_columns_empty_file():
     empty = file_from_rows(SCHEMA, [])
-    columns = empty.to_columns()
+    columns = decode_columns(SCHEMA, [empty])
     assert all(len(data) == 0 for data in columns.values())
     rebuilt = ColumnarFile.from_columns(SCHEMA, columns, 0)
     assert rebuilt.scan() == []
@@ -449,7 +445,7 @@ _STRING_LISTS = st.one_of(
 def test_strings_to_vector_matches_row_decoder(values):
     """Plain and dictionary chunks: the vector decoder materializes what
     the row-wise decoder returns, distinct values in first-seen order."""
-    raw, _ = _encode_strings(values)
+    raw, _ = _encode_column(values, ColumnType.STRING)
     vector = _strings_to_vector(raw, len(values))
     decoded = decode_column(raw, ColumnType.STRING, len(values))
     assert vector.to_list() == decoded == values
@@ -531,7 +527,68 @@ def _straightforward_strings(values):
 def test_string_encoder_matches_straightforward_oracle(values):
     """One counting pass picks the same encoding, writes the same bytes
     and reports the same footer statistics as the obvious encoder."""
-    assert _encode_strings(values) == _straightforward_strings(values)
+    assert _encode_column(values, ColumnType.STRING) == _straightforward_strings(values)
+
+
+_AWKWARD = st.one_of(
+    st.sampled_from(["A", "N", "R", ""]),
+    # quotes, backslashes, control and non-ASCII characters
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9",
+                     "\u65e5\u672c", '"\\\u00e9\t']),
+    st.text(st.characters(), max_size=4),
+)
+
+
+@st.composite
+def string_slices(draw):
+    """A row-group slice of a dictionary vector whose dictionary is
+    sorted, in first-seen order, or shuffled with unused entries."""
+    shape = draw(st.sampled_from(["free", "half", "wide"]))
+    if shape == "half":  # exactly n // 2 distinct values
+        distinct = draw(st.lists(_AWKWARD, min_size=1, max_size=12,
+                                 unique=True))
+        values = draw(st.permutations(distinct * 2))
+        values += draw(st.lists(st.none(), max_size=1))
+    elif shape == "wide":  # more than 255 distinct values: two-byte codes
+        values = draw(st.lists(st.integers(0, 299).map(lambda i: f"v{i}"),
+                               min_size=600, max_size=640))
+    else:
+        values = draw(st.lists(st.one_of(st.none(), _AWKWARD), max_size=40))
+    nulls = draw(st.sampled_from(["drawn", "none", "all"]))
+    if nulls == "none":
+        values = [value for value in values if value is not None]
+    elif nulls == "all":
+        values = [None] * len(values)
+    present = list(dict.fromkeys(v for v in values if v is not None))
+    layout = draw(st.sampled_from(["first seen", "sorted", "unused"]))
+    if layout == "sorted":
+        present.sort()
+    elif layout == "unused":
+        extra = draw(st.lists(_AWKWARD, max_size=4))
+        present = draw(st.permutations(list(dict.fromkeys(present + extra))))
+    code = {value: index for index, value in enumerate(present)}
+    codes = [len(present) if v is None else code[v] for v in values]
+    vector = DictStringVector(present, np.array(codes, dtype=np.uint32))
+    start = draw(st.integers(0, len(values)))
+    stop = draw(st.integers(start, len(values)))
+    return vector.gather(slice(start, stop))
+
+
+def _strings(dictionary, codes):
+    return DictStringVector(dictionary, np.array(codes, dtype=np.uint32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector=string_slices())
+@example(vector=_strings(["a", "b"], []))                  # empty chunk
+@example(vector=_strings(["a", "b"], [2, 2, 2]))           # all NULL
+@example(vector=_strings(["b", "a"], [0, 1, 0, 1]))        # size tie: plain
+@example(vector=_strings(["b", "a", "c"], [1, 0, 3, 1, 0]))  # 5 // 2 distinct
+def test_vector_string_encoder_matches_list_oracle(vector):
+    """The dictionary-vector encoder writes the list encoder's chunk and
+    footer statistics byte for byte, whatever the vector's dictionary
+    order, unused entries or slice offset."""
+    assert _encode_strings(vector) == encode_strings_rows(vector.to_list())
 
 
 # --- the typed chunk codec ----------------------------------------------------
@@ -906,7 +963,7 @@ def test_dictionary_code_width(distinct):
     """Codes are as wide as ``len(dictionary)`` — the NULL code — needs."""
     words = [f"w{index:05d}" for index in range(distinct)]
     values = (words + [None]) * 2
-    raw, stats = _encode_strings(values)
+    raw, stats = _encode_column(values, ColumnType.STRING)
     assert raw[0] == 1  # dictionary
     assert stats == (words[0], words[-1], 2)
     (stream_len,) = struct.unpack_from("<I", raw, 1)
@@ -979,7 +1036,7 @@ def test_raw_layout_is_only_for_floats():
 
 def test_corrupt_dictionary_codes_raise_corruption_error():
     values = ["a", "b", None, "a"] * 5
-    raw, _ = _encode_strings(values)
+    raw, _ = _encode_column(values, ColumnType.STRING)
     assert raw[0] == 1
     (stream_len,) = struct.unpack_from("<I", raw, 1)
     codes_at = 5 + stream_len
@@ -994,6 +1051,11 @@ def test_corrupt_dictionary_codes_raise_corruption_error():
         raw[:codes_at] + struct.pack("<I", len(values) + 1)
         + raw[codes_at + 4 :],
     ]
+    # dictionaries a writer never produces: repeated, unsorted, not strings
+    for entries in (["a", "a"], ["b", "a"], ["a", 1]):
+        stream = zlib.compress(json.dumps(entries).encode())
+        broken.append(raw[:1] + struct.pack("<I", len(stream)) + stream
+                      + raw[codes_at:])
     for chunk in broken:
         with pytest.raises(CorruptionError):
             _strings_to_vector(chunk, len(values))
@@ -1012,6 +1074,90 @@ def test_corrupt_dictionary_codes_raise_corruption_error():
             _strings_to_vector(chunk, count)
         with pytest.raises(CorruptionError):
             decode_column(chunk, ColumnType.STRING, count)
+
+
+# --- golden bytes: the codec's output pinned across changes ---------------------
+
+_GOLDEN_ROWS = 640
+#: SHA-256 of the golden file's ``to_bytes()``; a change that moves it
+#: changes the bytes of every table file written with the same layout
+_GOLDEN_SHA256 = (
+    "08f9ab9cdf1f5ac42d2cba7417baf7e516a647e274e89f67abb034decf9554c4"
+)
+#: per column: (tag, width, nulls, exponent) of a numeric chunk header,
+#: ("bool",), ("dict", dictionary size) or ("plain",)
+_GOLDEN_LAYOUTS = {
+    "w1": (1, 1, 0, 0), "w2": (1, 2, 0, 0), "w4": (1, 4, 0, 0),
+    "w8": (1, 8, 0, 0),
+    "null_code": (1, 2, 1, 0),     # NULL is the code past the top
+    "null_plane": (1, 8, 2, 0),    # INT64_MIN..INT64_MAX: a validity plane
+    "ts": (1, 2, 0, 0),
+    "decimal": (1, 4, 1, 2),       # integer / 10**2
+    "raw": (0, 8, 0, 0),           # IEEE-754 bits, NULL as NaN
+    "flag": ("bool",),
+    "dict1": ("dict", 5),          # one-byte codes
+    "dict2": ("dict", 300),        # two-byte codes
+    "plain": ("plain",),
+}
+
+
+def _golden_file():
+    """One fixed, seeded file whose one row group holds every chunk
+    layout the codec writes."""
+    rng = random.Random(43)
+    schema = Schema([
+        Column("w1", ColumnType.INT64), Column("w2", ColumnType.INT64),
+        Column("w4", ColumnType.INT64), Column("w8", ColumnType.INT64),
+        Column("null_code", ColumnType.INT64, nullable=True),
+        Column("null_plane", ColumnType.INT64, nullable=True),
+        Column("ts", ColumnType.TIMESTAMP),
+        Column("decimal", ColumnType.FLOAT64, nullable=True),
+        Column("raw", ColumnType.FLOAT64, nullable=True),
+        Column("flag", ColumnType.BOOL, nullable=True),
+        Column("dict1", ColumnType.STRING, nullable=True),
+        Column("dict2", ColumnType.STRING),
+        Column("plain", ColumnType.STRING, nullable=True),
+    ])
+    rows = [{
+        "w1": rng.randrange(200),
+        "w2": rng.randrange(60_000),
+        "w4": rng.randrange(2**31),
+        "w8": rng.getrandbits(64) - 2**63,
+        "null_code": None if i % 7 == 0 else 3 * rng.randrange(-500, 500),
+        "null_plane": None if i % 5 == 0 else (_I64.min, _I64.max, 0)[i % 3],
+        "ts": 1_600_000_000 + 60 * i,
+        "decimal": None if i % 11 == 0 else rng.randrange(-10**6, 10**6) / 100,
+        "raw": None if i % 13 == 0 else rng.random(),
+        "flag": None if i % 3 == 0 else rng.random() < 0.5,
+        "dict1": None if i % 9 == 0 else rng.choice(
+            ["beijing", 'qu"ote', "back\\slash", "t\u00e9l\u00e9", "\x01ctl"]),
+        "dict2": f"v{i % 300}",
+        "plain": None if i % 17 == 0 else f"row-{i}-{rng.getrandbits(32):08x}",
+    } for i in range(_GOLDEN_ROWS)]
+    return file_from_rows(schema, rows, _GOLDEN_ROWS)
+
+
+def test_chunk_codec_golden_bytes():
+    """The golden file covers every layout and serializes to the pinned
+    bytes.  ``--check-repeat`` compares two passes of the same code;
+    this compares the code with itself across changes.  The digest
+    assumes zlib's reference deflate: another deflate implementation
+    changes every deflated plane."""
+    data_file = _golden_file()
+    (group,) = data_file._groups
+    layouts = {}
+    for column in data_file.schema.columns:
+        blob = group.chunks[column.name]
+        if column.type is ColumnType.STRING:
+            layouts[column.name] = ("plain",) if blob[0] == 0 else (
+                "dict", len(_split_dictionary(blob, _GOLDEN_ROWS)[0]))
+        elif column.type is ColumnType.BOOL:
+            layouts[column.name] = ("bool",)
+        else:
+            layouts[column.name] = _HEADER.unpack_from(blob)[:4]
+    assert layouts == _GOLDEN_LAYOUTS
+    digest = hashlib.sha256(data_file.to_bytes()).hexdigest()
+    assert digest == _GOLDEN_SHA256, f"zlib {zlib.ZLIB_RUNTIME_VERSION}"
 
 
 # --- encoded size is a count: pinned per benchmark value domain ----------------

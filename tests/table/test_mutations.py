@@ -287,6 +287,42 @@ def test_int_set_on_float_column_is_the_named_difference():
     assert got == want  # all but the path: f0 here, f1 after the UPDATE
 
 
+def test_string_update_never_writes_the_cached_vector():
+    """A one-group file's decoded vectors are the chunk tier's own,
+    read-only arrays, and UPDATE takes them as they are: a SET of a
+    string new to the dictionary (which moves the NULL code up one) and
+    a SET NULL build new vectors, and the twins agree row for row."""
+    vector = make_table("unpartitioned", 10_000)
+    oracle = make_table("unpartitioned", 10_000)
+    rows = [{"k": k, "i": None, "x": None,
+             "s": None if k % 3 == 0 else "ab"[k % 2], "b": None, "ts": k}
+            for k in range(12)]
+    for table in (vector, oracle):
+        table.insert(rows)
+        table.select()  # the chunk tier now holds the file's vectors
+    (meta,) = vector.snapshots.live_files()
+    data_file, _ = vector.cache_hierarchy.load_file(vector.pool, meta.path)
+    ((cached, _, _),) = data_file.select_vectors(
+        ["s"], cache=vector.cache_hierarchy.chunks)
+    strings = cached["s"]
+    before = (list(strings.dictionary), strings.codes.tobytes())
+    assert not strings.codes.flags.writeable
+    for predicate, set_values in [
+        (Predicate("k", "<", 5), {"s": "new"}),
+        (Predicate("s", "=", "a"), {"s": None}),
+        (Predicate("k", ">=", 9), {"s": "b"}),
+    ]:
+        assert vector.update(predicate, set_values) == update_rows(
+            oracle, predicate, set_values)
+    assert (list(strings.dictionary), strings.codes.tobytes()) == before
+    assert_same_files(snapshot_files(vector), snapshot_files(oracle))
+    assert [row["s"] for row in sorted(vector.select(),
+                                       key=lambda row: row["k"])] == [
+        "new", "new", "new", "new", "new", "b", None, "b", None, "b",
+        "b", "b",
+    ]
+
+
 # --- checks before any read ------------------------------------------------
 
 

@@ -28,7 +28,7 @@ from repro.table.planner import (
 from repro.table.schema import Column, ColumnType, Schema
 from repro.table.sql import SQLError, query
 from repro.table.table import Lakehouse
-from repro.table.vector import NumericVector
+from repro.table.vector import DictStringVector, NumericVector
 from repro.workloads import tpch
 from rowwise import join_rows, select_rows
 
@@ -283,7 +283,12 @@ def test_distinct_count_equals_the_set_of_present_values(data, dtype):
                            np.array(valid, dtype=bool))
     assert _distinct_count(vector) == len(set(vector.to_list()) - {None})
     strings = [str(v) if ok else None for v, ok in zip(values, valid)]
-    assert _distinct_count(strings) == len(set(strings) - {None})
+    vector = DictStringVector.from_values(strings)
+    assert _distinct_count(vector) == len(set(strings) - {None})
+    # a gathered vector keeps its source's dictionary, used or not
+    kept = np.arange(0, len(strings), 2)
+    assert _distinct_count(vector.gather(kept)) == len(
+        set(vector.take(kept)) - {None})
 
 
 def test_distinct_count_counts_nan_once():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError
+from repro.table.columnar import numeric_vector
 from repro.table.schema import (
     Column,
     ColumnType,
@@ -11,7 +12,7 @@ from repro.table.schema import (
     PartitionSpec,
     Schema,
 )
-from repro.table.vector import NumericVector
+from repro.table.vector import DictStringVector, NumericVector
 
 
 def make_schema():
@@ -112,28 +113,30 @@ def test_dict_roundtrip():
 
 def test_partition_identity():
     spec = PartitionSpec.by("name")
-    assert spec.keys_of({"name": ["beijing"]}, 1) == ["name=beijing"]
+    names = DictStringVector.from_values(["beijing"])
+    assert spec.keys_of({"name": names}, 1) == ["name=beijing"]
 
 
 def test_partition_day_transform():
     spec = PartitionSpec.by("day(joined)")
-    joined = [86_400 * 10 + 5, None]
-    assert spec.keys_of({"joined": joined}, 2) == [
-        "day_joined=10", "day_joined=__null__"]
     vector = NumericVector(np.array([86_400 * 10 + 5, 0]),
                            np.array([True, False]))
-    assert spec.keys_of({"joined": vector}, 2) == spec.keys_of(
-        {"joined": joined}, 2)
+    assert spec.keys_of({"joined": vector}, 2) == [
+        "day_joined=10", "day_joined=__null__"]
 
 
 def test_partition_hour_transform():
     spec = PartitionSpec.by("hour(joined)")
-    assert spec.keys_of({"joined": [7200 + 30]}, 1) == ["hour_joined=2"]
+    joined = numeric_vector([7200 + 30], ColumnType.TIMESTAMP)
+    assert spec.keys_of({"joined": joined}, 1) == ["hour_joined=2"]
 
 
 def test_partition_multi_field():
     spec = PartitionSpec.by("name", "day(joined)")
-    keys = spec.keys_of({"name": ["x", "y"], "joined": [86_400, 0]}, 2)
+    keys = spec.keys_of({
+        "name": DictStringVector.from_values(["x", "y"]),
+        "joined": numeric_vector([86_400, 0], ColumnType.TIMESTAMP),
+    }, 2)
     assert keys == ["name=x/day_joined=1", "name=y/day_joined=0"]
 
 
@@ -145,7 +148,8 @@ def test_unpartitioned_key():
 
 def test_null_partition_value():
     spec = PartitionSpec.by("name")
-    assert spec.keys_of({"name": [None]}, 1) == ["name=__null__"]
+    names = DictStringVector.from_values([None])
+    assert spec.keys_of({"name": names}, 1) == ["name=__null__"]
 
 
 def test_unknown_transform_raises():
